@@ -160,7 +160,7 @@ Status HashState::FlushPartitionToDisk(int p, int64_t dts_tick) {
       memory_tuples_ -= persisted;
       part.disk_count += persisted;
       disk_tuples_ += persisted;
-      if (unindexed) has_unindexed_disk_ = true;
+      if (unindexed) part.unindexed_disk = true;
       RebuildIndex(&part);
     }
     for (auto& entry : part.memory) entry.dts = kAliveDts;
@@ -180,7 +180,7 @@ Status HashState::FlushPartitionToDisk(int p, int64_t dts_tick) {
   part.disk_count += flushed;
   memory_tuples_ -= flushed;
   disk_tuples_ += flushed;
-  if (unindexed) has_unindexed_disk_ = true;
+  if (unindexed) part.unindexed_disk = true;
   return Status::OK();
 }
 
@@ -371,7 +371,9 @@ std::vector<TupleEntry> HashState::TakePurgeBuffer(int p) {
 }
 
 void HashState::RecordProbe(int p, int64_t tick) {
-  partition(p).probe_times.push_back(tick);
+  std::vector<int64_t>& probes = partition(p).probe_times;
+  PJOIN_DCHECK(probes.empty() || probes.back() < tick);
+  probes.push_back(tick);
 }
 
 const std::vector<int64_t>& HashState::probe_times(int p) const {
@@ -401,15 +403,16 @@ std::string HashState::DescribeState() const {
 bool JoinedBefore(const TupleEntry& a, const std::vector<int64_t>& probes_a,
                   const TupleEntry& b, const std::vector<int64_t>& probes_b) {
   if (IntervalsOverlap(a, b)) return true;
-  // A disk probe of a's side at tick T joined (a, b) when a was on disk by T
-  // and b was memory-resident at T.
-  for (int64_t t : probes_a) {
-    if (a.dts <= t && b.ats <= t && t < b.dts) return true;
-  }
-  for (int64_t t : probes_b) {
-    if (b.dts <= t && a.ats <= t && t < a.dts) return true;
-  }
-  return false;
+  // A disk probe of x's side at tick T joined (x, y) when x was on disk by T
+  // and y was memory-resident at T: max(x.dts, y.ats) <= T < y.dts. The
+  // first probe at or after the lower bound decides.
+  auto probed_between = [](const std::vector<int64_t>& probes, int64_t from,
+                           int64_t until) {
+    auto it = std::lower_bound(probes.begin(), probes.end(), from);
+    return it != probes.end() && *it < until;
+  };
+  return probed_between(probes_a, std::max(a.dts, b.ats), b.dts) ||
+         probed_between(probes_b, std::max(b.dts, a.ats), a.dts);
 }
 
 }  // namespace pjoin

@@ -192,8 +192,10 @@ class HashState : public SpillableState {
   // ---- Duplicate-avoidance probe history ----
 
   /// Records that the disk portion of partition `p` of *this* state was
-  /// probed against the opposite memory portion at `tick`.
+  /// probed against the opposite memory portion at `tick`. Ticks must
+  /// strictly increase per partition: JoinedBefore binary-searches them.
   void RecordProbe(int p, int64_t tick);
+  /// Partition `p`'s probe ticks, in increasing order.
   const std::vector<int64_t>& probe_times(int p) const;
 
   // ---- Aggregates ----
@@ -204,10 +206,24 @@ class HashState : public SpillableState {
     return memory_tuples_ + disk_tuples_ + purge_buffer_tuples_;
   }
 
-  /// True while some disk-resident entry may have pid == kNullPid, which
-  /// blocks punctuation propagation until a disk-join pass re-indexes it.
-  bool has_unindexed_disk() const { return has_unindexed_disk_; }
-  void set_has_unindexed_disk(bool v) { has_unindexed_disk_ = v; }
+  /// True while the disk portion of partition `p` may hold an entry that
+  /// no disk-join pass has evaluated against every punctuation that can
+  /// reach it: flushed with pid == kNullPid, or on disk when such a
+  /// punctuation arrived. Such a partition blocks punctuation propagation
+  /// until a pass over it indexes or purges those entries.
+  bool has_unindexed_disk(int p) const {
+    return partition(p).unindexed_disk;
+  }
+  void set_has_unindexed_disk(int p, bool v) {
+    partition(p).unindexed_disk = v;
+  }
+  /// True while any partition is marked.
+  bool has_unindexed_disk() const {
+    return std::any_of(partitions_.begin(), partitions_.end(),
+                       [](const Partition& part) {
+                         return part.unindexed_disk;
+                       });
+  }
 
   const IoStats& io_stats() const { return spill_->io_stats(); }
   SpillStore* spill() { return spill_.get(); }
@@ -233,6 +249,7 @@ class HashState : public SpillableState {
     std::vector<TupleEntry> purge_buffer;
     std::vector<int64_t> probe_times;
     int64_t disk_count = 0;
+    bool unindexed_disk = false;
     /// Payload bytes of `memory` (the per-partition slice of memory_bytes_).
     int64_t memory_bytes = 0;
     /// Tick of the most recent insert into / probe of the memory portion.
@@ -275,13 +292,13 @@ class HashState : public SpillableState {
   int64_t memory_bytes_ = 0;
   int64_t disk_tuples_ = 0;
   int64_t purge_buffer_tuples_ = 0;
-  bool has_unindexed_disk_ = false;
 };
 
 /// True when the pair (a, b) — a from the state whose disk-probe history is
 /// `probes_a`, b from the opposite state with history `probes_b`, both of
 /// the same partition — has already been emitted by the memory stage or an
-/// earlier disk probe. The disk stages must skip such pairs.
+/// earlier disk probe. The disk stages must skip such pairs. Both histories
+/// must be sorted (RecordProbe's order); each is searched in O(log size).
 bool JoinedBefore(const TupleEntry& a, const std::vector<int64_t>& probes_a,
                   const TupleEntry& b, const std::vector<int64_t>& probes_b);
 

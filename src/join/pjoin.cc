@@ -60,6 +60,8 @@ PJoin::PJoin(SchemaPtr left_schema, SchemaPtr right_schema,
       this, "state-relocation", &PJoin::RelocateUntilBelowThreshold);
   disk_join_component_ =
       std::make_unique<Component>(this, "disk-join", &PJoin::RunDiskJoin);
+  marked_disk_join_component_ = std::make_unique<Component>(
+      this, "disk-join", &PJoin::RunMarkedDiskJoin);
   index_build_component_ = std::make_unique<Component>(
       this, "index-build", &PJoin::RunIndexBuildBoth);
   propagation_component_ = std::make_unique<Component>(
@@ -67,15 +69,15 @@ PJoin::PJoin(SchemaPtr left_schema, SchemaPtr right_schema,
 
   // The event-listener registry (paper Table 1). Listeners run in
   // registration order: before propagating we first finish left-over joins
-  // (disk join, only when some disk-resident tuple may be unindexed) and
-  // build the punctuation index.
+  // (disk join over the partitions where some disk-resident tuple may be
+  // unindexed, only when there is one) and build the punctuation index.
   registry_.Register(EventType::kPurgeThresholdReach, purge_component_.get());
   registry_.Register(EventType::kStateFull, relocation_component_.get());
   registry_.Register(EventType::kDiskJoinActivate, disk_join_component_.get());
   for (EventType type :
        {EventType::kPropagateCountReach, EventType::kPropagateTimeExpire,
         EventType::kPropagateRequest}) {
-    registry_.Register(type, disk_join_component_.get(),
+    registry_.Register(type, marked_disk_join_component_.get(),
                        [this](const Event&) {
                          return state(0).has_unindexed_disk() ||
                                 state(1).has_unindexed_disk();
@@ -209,9 +211,23 @@ Status PJoin::OnPunctuation(int side, const Punctuation& punct) {
     return pid.status();
   }
 
-  // Disk-resident tuples of this stream have not been evaluated against the
-  // new punctuation; propagation must run a disk pass first.
-  if (own.disk_tuples() > 0) own.set_has_unindexed_disk(true);
+  // Disk-resident tuples have not been evaluated against the new
+  // punctuation: this stream's may now take its pid, the opposite stream's
+  // may now be purged. Propagation must first run a disk pass over the
+  // partitions its join-key pattern can reach, in either state.
+  auto mark = [this](int p) {
+    for (int s = 0; s < 2; ++s) {
+      if (state(s).disk_tuples(p) > 0) {
+        mutable_state(s).set_has_unindexed_disk(p, true);
+      }
+    }
+  };
+  const Pattern& key_pattern = punct.pattern(own.key_index());
+  if (key_pattern.IsConstant()) {
+    mark(own.PartitionOf(key_pattern.constant()));
+  } else {
+    for (int p = 0; p < own.num_partitions(); ++p) mark(p);
+  }
 
   // Frontier accounting: a punctuation on this side should purge the
   // opposite side's resident state once the (lazy) purge runs. Record the
@@ -348,14 +364,19 @@ EarlyPurgeOutcome PJoin::EarlyPurgePartition(int side, int p) {
   return out;
 }
 
-Status PJoin::RunDiskJoin() {
+Status PJoin::DiskJoinPass(bool marked_only) {
   TRACE_SPAN("pjoin", "disk_join");
   counters().Add("disk_join_runs");
   for (int p = 0; p < state(0).num_partitions(); ++p) {
+    if (marked_only && !state(0).has_unindexed_disk(p) &&
+        !state(1).has_unindexed_disk(p) && state(0).purge_buffer(p).empty() &&
+        state(1).purge_buffer(p).empty()) {
+      continue;
+    }
     PJOIN_RETURN_NOT_OK(DiskJoinPartition(p));
+    mutable_state(0).set_has_unindexed_disk(p, false);
+    mutable_state(1).set_has_unindexed_disk(p, false);
   }
-  mutable_state(0).set_has_unindexed_disk(false);
-  mutable_state(1).set_has_unindexed_disk(false);
   return Status::OK();
 }
 
@@ -372,9 +393,9 @@ Status PJoin::DiskJoinPartition(int p) {
                          left.ReadDiskPartition(p));
   PJOIN_ASSIGN_OR_RETURN(std::vector<TupleEntry> disk_r,
                          right.ReadDiskPartition(p));
-  // Snapshot the probe histories before recording this pass.
-  const std::vector<int64_t> probes_l = left.probe_times(p);
-  const std::vector<int64_t> probes_r = right.probe_times(p);
+  // This pass is recorded only after the histories' last use below.
+  const std::vector<int64_t>& probes_l = left.probe_times(p);
+  const std::vector<int64_t>& probes_r = right.probe_times(p);
   static const std::vector<int64_t> kNoProbes;
   int64_t compared = 0;
 
@@ -501,7 +522,7 @@ Status PJoin::RunPropagation() {
   // index build ahead of propagation, but pull-mode callers may reach this
   // directly.
   if (state(0).has_unindexed_disk() || state(1).has_unindexed_disk()) {
-    PJOIN_RETURN_NOT_OK(RunDiskJoin());
+    PJOIN_RETURN_NOT_OK(RunMarkedDiskJoin());
   }
   for (int side = 0; side < 2; ++side) {
     PJOIN_RETURN_NOT_OK(RunIndexBuild(side));

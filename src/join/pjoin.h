@@ -95,9 +95,18 @@ class PJoin : public JoinOperator {
   /// disk IO). Returns what was freed.
   EarlyPurgeOutcome EarlyPurgePartition(int side, int p);
 
-  /// Disk join (§3.2): one full pass over all partitions with disk-resident
-  /// or purge-buffered data.
-  Status RunDiskJoin();
+  /// Disk join (§3.2): one pass over all partitions with disk-resident or
+  /// purge-buffered data (stall activation, Finish).
+  Status RunDiskJoin() { return DiskJoinPass(/*marked_only=*/false); }
+  /// The disk join that precedes propagation (§3.5): only the partitions
+  /// marked unindexed in either state or holding purge-buffered tuples.
+  /// Every other partition's disk entries are already indexed and purged
+  /// against every punctuation that can reach them; its pending pairs wait
+  /// for a later pass, which the probe history keeps exact.
+  Status RunMarkedDiskJoin() { return DiskJoinPass(/*marked_only=*/true); }
+  /// Runs DiskJoinPartition over the chosen partitions and clears their
+  /// marks.
+  Status DiskJoinPass(bool marked_only);
   Status DiskJoinPartition(int p);
 
   /// Index build (Fig 3) over one stream's state.
@@ -134,6 +143,7 @@ class PJoin : public JoinOperator {
   std::unique_ptr<Component> purge_component_;
   std::unique_ptr<Component> relocation_component_;
   std::unique_ptr<Component> disk_join_component_;
+  std::unique_ptr<Component> marked_disk_join_component_;
   std::unique_ptr<Component> index_build_component_;
   std::unique_ptr<Component> propagation_component_;
 };

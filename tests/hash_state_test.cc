@@ -88,7 +88,11 @@ TEST_F(HashStateTest, FlushReadRoundtrip) {
   EXPECT_EQ(state_.disk_tuples(), 2);
   EXPECT_EQ(state_.disk_tuples(p), 2);
   EXPECT_EQ(state_.total_tuples(), 2);
-  EXPECT_TRUE(state_.has_unindexed_disk());  // flushed pid-null entries
+  // Flushed pid-null entries mark their own partition, and only it.
+  for (int q = 0; q < state_.num_partitions(); ++q) {
+    EXPECT_EQ(state_.has_unindexed_disk(q), q == p) << q;
+  }
+  EXPECT_TRUE(state_.has_unindexed_disk());
 
   auto entries = state_.ReadDiskPartition(p);
   ASSERT_TRUE(entries.ok());
@@ -101,6 +105,7 @@ TEST_F(HashStateTest, FlushReadRoundtrip) {
 TEST_F(HashStateTest, FlushEmptyPartitionIsNoop) {
   ASSERT_TRUE(state_.FlushPartitionToDisk(0, 5).ok());
   EXPECT_EQ(state_.disk_tuples(), 0);
+  EXPECT_FALSE(state_.has_unindexed_disk(0));
   EXPECT_FALSE(state_.has_unindexed_disk());
 }
 
@@ -110,6 +115,22 @@ TEST_F(HashStateTest, FlushIndexedEntriesDoesNotMarkUnindexed) {
   const int p = state_.PartitionOf(Value(int64_t{1}));
   state_.InsertMemory(std::move(e));
   ASSERT_TRUE(state_.FlushPartitionToDisk(p, 5).ok());
+  EXPECT_FALSE(state_.has_unindexed_disk(p));
+  EXPECT_FALSE(state_.has_unindexed_disk());
+}
+
+TEST_F(HashStateTest, UnindexedMarksArePerPartition) {
+  EXPECT_FALSE(state_.has_unindexed_disk());
+  state_.set_has_unindexed_disk(1, true);
+  state_.set_has_unindexed_disk(3, true);
+  EXPECT_TRUE(state_.has_unindexed_disk(1));
+  EXPECT_TRUE(state_.has_unindexed_disk(3));
+  EXPECT_FALSE(state_.has_unindexed_disk(0));
+  EXPECT_FALSE(state_.has_unindexed_disk(2));
+  state_.set_has_unindexed_disk(1, false);
+  EXPECT_FALSE(state_.has_unindexed_disk(1));
+  EXPECT_TRUE(state_.has_unindexed_disk());  // partition 3 still marked
+  state_.set_has_unindexed_disk(3, false);
   EXPECT_FALSE(state_.has_unindexed_disk());
 }
 
@@ -178,6 +199,11 @@ TEST_F(HashStateTest, ProbeHistory) {
   state_.RecordProbe(1, 50);
   EXPECT_EQ(state_.probe_times(1), (std::vector<int64_t>{42, 50}));
   EXPECT_TRUE(state_.probe_times(2).empty());
+  // JoinedBefore binary-searches the history: ticks strictly increase.
+  EXPECT_DEATH(state_.RecordProbe(1, 50), "PJOIN_DCHECK failed");
+  EXPECT_DEATH(state_.RecordProbe(1, 7), "PJOIN_DCHECK failed");
+  state_.RecordProbe(2, 7);  // per partition
+  EXPECT_EQ(state_.probe_times(2), (std::vector<int64_t>{7}));
 }
 
 }  // namespace

@@ -121,5 +121,85 @@ TEST(JoinedBeforeTest, SymmetricProbeHistories) {
   EXPECT_TRUE(JoinedBefore(E(3, kAliveDts), none, E(2, 6), probes_b));
 }
 
+TEST(JoinedBeforeTest, MultiProbeBoundaries) {
+  // a on disk from 4; b resident over [6, 8). Only a probe T with
+  // 6 <= T < 8 joined the pair; the neighbours decide nothing.
+  std::vector<int64_t> none;
+  EXPECT_FALSE(JoinedBefore(E(1, 4), {2, 5, 8, 9}, E(6, 8), none));
+  EXPECT_TRUE(JoinedBefore(E(1, 4), {2, 5, 6, 9}, E(6, 8), none));  // T == ats
+  EXPECT_TRUE(JoinedBefore(E(1, 4), {2, 7, 8}, E(6, 8), none));
+  EXPECT_FALSE(JoinedBefore(E(1, 4), {8}, E(6, 8), none));  // T == dts
+  // A probe at a's own flush tick already sees a on disk.
+  EXPECT_TRUE(JoinedBefore(E(1, 4), {3, 4}, E(4, kAliveDts), none));
+  EXPECT_FALSE(JoinedBefore(E(1, 4), {1, 3}, E(4, kAliveDts), none));
+  // The mirror question searches b's history.
+  EXPECT_TRUE(JoinedBefore(E(6, 8), none, E(1, 4), {2, 7, 9}));
+  EXPECT_FALSE(JoinedBefore(E(6, 8), none, E(1, 4), {2, 5, 8}));
+}
+
+// The definition JoinedBefore must keep: a linear scan of both histories.
+bool LinearJoinedBefore(const TupleEntry& a, const std::vector<int64_t>& pa,
+                        const TupleEntry& b, const std::vector<int64_t>& pb) {
+  if (IntervalsOverlap(a, b)) return true;
+  for (int64_t t : pa) {
+    if (a.dts <= t && b.ats <= t && t < b.dts) return true;
+  }
+  for (int64_t t : pb) {
+    if (b.dts <= t && a.ats <= t && t < a.dts) return true;
+  }
+  return false;
+}
+
+TEST(JoinedBeforeTest, SearchedHistoryMatchesLinearDefinition) {
+  // Every interval with ats < dts <= 8 or still alive, against every sorted
+  // probe subset of {0..9} on either side (and its complement on the other).
+  std::vector<TupleEntry> intervals;
+  for (int64_t ats = 0; ats < 8; ++ats) {
+    for (int64_t dts = ats + 1; dts <= 8; ++dts) {
+      intervals.push_back(E(ats, dts));
+    }
+    intervals.push_back(E(ats, kAliveDts));
+  }
+  constexpr int kTicks = 10;
+  std::vector<std::vector<int64_t>> subsets(1u << kTicks);
+  for (uint32_t mask = 0; mask < subsets.size(); ++mask) {
+    for (int t = 0; t < kTicks; ++t) {
+      if (mask & (1u << t)) subsets[mask].push_back(t);
+    }
+  }
+  const std::vector<int64_t> none;
+  int64_t checked = 0;
+  int64_t mismatches = 0;
+  std::string first;
+  auto check = [&](const TupleEntry& a, const std::vector<int64_t>& pa,
+                   const TupleEntry& b, const std::vector<int64_t>& pb) {
+    ++checked;
+    if (JoinedBefore(a, pa, b, pb) == LinearJoinedBefore(a, pa, b, pb)) {
+      return;
+    }
+    if (mismatches++ == 0) {
+      first = "a=[" + std::to_string(a.ats) + "," + std::to_string(a.dts) +
+              ") b=[" + std::to_string(b.ats) + "," + std::to_string(b.dts) +
+              ") |pa|=" + std::to_string(pa.size()) +
+              " |pb|=" + std::to_string(pb.size());
+    }
+  };
+  for (const TupleEntry& a : intervals) {
+    for (const TupleEntry& b : intervals) {
+      for (uint32_t mask = 0; mask < subsets.size(); ++mask) {
+        const auto& probes = subsets[mask];
+        const auto& rest = subsets[(subsets.size() - 1) ^ mask];
+        check(a, probes, b, none);
+        check(a, none, b, probes);
+        check(a, probes, b, rest);
+      }
+    }
+  }
+  EXPECT_EQ(checked, static_cast<int64_t>(intervals.size() *
+                                          intervals.size() * 3 *
+                                          subsets.size()));
+  EXPECT_EQ(mismatches, 0) << "first mismatch: " << first;
+}
+
 }  // namespace
 }  // namespace pjoin
