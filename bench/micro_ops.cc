@@ -253,10 +253,11 @@ BENCHMARK(BM_SpscRingBurst)->Arg(64)->Arg(4096);
 // ---- Batched vs per-element join dispatch (join_base.h ProcessBatch) ----
 //
 // The same generated element sequence through one PJoin, fed either one
-// OnElement at a time or as a single columnar ElementBatch with
-// pre-computed key hashes — the two shard dispatch modes of
-// ops/parallel_pipeline.h (options.batched_probe). The batch path's win is
-// hashing each key once and flushing hot counters per batch.
+// OnElement at a time (each a one-element batch) or as a single columnar
+// ElementBatch with pre-computed key hashes, as a parallel-pipeline shard
+// receives it. The batch path leaves hashing to the caller (the router, or
+// here the fixture) and flushes hot counters per run of tuples instead of
+// per tuple.
 
 struct DispatchFixture {
   GeneratedStreams streams;

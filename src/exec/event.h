@@ -40,18 +40,13 @@ enum class EventType {
   /// A component switched to a degraded operating mode (e.g. spill storage
   /// fell back from the file store to the in-memory store).
   kDegradedMode,
-  // ---- Parallel-execution events (docs/PERFORMANCE.md) ----
-  /// A shard of a partition-parallel join run reports its final occupancy
-  /// (elements routed, results emitted, state size). `stream` carries the
-  /// shard id; `detail` a key=value summary.
-  kShardStats,
   // ---- Health events (docs/OBSERVABILITY.md) ----
   /// The health watchdog classified the pipeline as STALLED. `detail`
   /// carries the root-cause chain ("shard 2 frontier stalled 4.2s ...").
   kStallDiagnosed,
 };
 
-constexpr int kNumEventTypes = 12;
+constexpr int kNumEventTypes = 11;
 
 std::string_view EventTypeName(EventType type);
 

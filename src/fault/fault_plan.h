@@ -9,10 +9,9 @@
 //    writes that persist only a prefix of a batch, and latency spikes.
 //
 //  - Stream contract violations (StreamFaultSpec), applied by
-//    FaultyStreamSource / PerturbStream to an element stream: late tuples
-//    that match an already-emitted punctuation, malformed punctuations,
-//    duplicates, (order-preserving-multiset) reordering, and producer
-//    stalls.
+//    PerturbStream to an element stream: late tuples that match an
+//    already-emitted punctuation, malformed punctuations, duplicates,
+//    (order-preserving-multiset) reordering, and producer stalls.
 //
 // See docs/ROBUSTNESS.md for the full fault model and the degradation
 // ladder that answers each fault.

@@ -211,20 +211,4 @@ PerturbedStream PerturbStream(const std::vector<StreamElement>& clean,
   return out;
 }
 
-FaultyStreamSource::FaultyStreamSource(std::unique_ptr<StreamSource> base,
-                                       size_t key_index, StreamFaultSpec spec,
-                                       std::shared_ptr<FaultInjector> injector) {
-  PJOIN_DCHECK(base != nullptr);
-  std::vector<StreamElement> clean;
-  while (auto e = base->Next()) {
-    clean.push_back(std::move(*e));
-  }
-  perturbed_ = PerturbStream(clean, key_index, spec, injector.get());
-}
-
-std::optional<StreamElement> FaultyStreamSource::Next() {
-  if (pos_ >= perturbed_.faulty.size()) return std::nullopt;
-  return perturbed_.faulty[pos_++];
-}
-
 }  // namespace pjoin

@@ -1,5 +1,5 @@
-// FaultyStreamSource / PerturbStream: inject punctuation-contract violations
-// into an element stream.
+// PerturbStream: inject punctuation-contract violations into an element
+// stream.
 //
 // PerturbStream produces two consistent views of the same perturbed run:
 //   - `faulty`: the stream a join under test actually consumes, and
@@ -17,12 +17,11 @@
 #define PJOIN_FAULT_FAULTY_STREAM_SOURCE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
-#include "stream/stream_buffer.h"
+#include "stream/element.h"
 
 namespace pjoin {
 
@@ -52,24 +51,6 @@ struct PerturbedStream {
 PerturbedStream PerturbStream(const std::vector<StreamElement>& clean,
                               size_t key_index, const StreamFaultSpec& spec,
                               FaultInjector* injector);
-
-/// Pull-style adapter: drains `base` eagerly, perturbs it, and serves the
-/// faulty view element by element — a drop-in StreamSource for pipelines.
-class FaultyStreamSource : public StreamSource {
- public:
-  FaultyStreamSource(std::unique_ptr<StreamSource> base, size_t key_index,
-                     StreamFaultSpec spec,
-                     std::shared_ptr<FaultInjector> injector);
-
-  std::optional<StreamElement> Next() override;
-
-  /// Full injection report for assertions.
-  const PerturbedStream& perturbed() const { return perturbed_; }
-
- private:
-  PerturbedStream perturbed_;
-  size_t pos_ = 0;
-};
 
 }  // namespace pjoin
 

@@ -10,14 +10,12 @@
 #define PJOIN_GEN_STREAM_GENERATOR_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "gen/domain.h"
 #include "gen/punct_scheme.h"
 #include "stream/element.h"
-#include "stream/stream_buffer.h"
 #include "tuple/schema.h"
 
 namespace pjoin {
@@ -76,30 +74,6 @@ struct GeneratedStreams {
 GeneratedStreams GenerateStreams(const DomainSpec& domain_spec,
                                  const StreamSpec& spec_a,
                                  const StreamSpec& spec_b, uint64_t seed);
-
-/// Adapts a pre-generated element vector to the pull-style StreamSource.
-class VectorSource : public StreamSource {
- public:
-  explicit VectorSource(std::vector<StreamElement> elements)
-      : elements_(std::move(elements)) {}
-
-  std::optional<StreamElement> Next() override {
-    if (pos_ >= elements_.size()) return std::nullopt;
-    return elements_[pos_++];
-  }
-
-  /// Arrival time of the next element without consuming it.
-  std::optional<TimeMicros> PeekArrival() const {
-    if (pos_ >= elements_.size()) return std::nullopt;
-    return elements_[pos_].arrival();
-  }
-
-  bool exhausted() const { return pos_ >= elements_.size(); }
-
- private:
-  std::vector<StreamElement> elements_;
-  size_t pos_ = 0;
-};
 
 }  // namespace pjoin
 

@@ -54,74 +54,59 @@ int64_t JoinOperator::memory_state_bytes() const {
 
 Status JoinOperator::OnElement(int side, const StreamElement& element) {
   PJOIN_DCHECK(side == 0 || side == 1);
-  PJOIN_DCHECK(!finished_);
-  last_arrival_ = std::max(last_arrival_, element.arrival());
-  switch (element.kind()) {
-    case ElementKind::kTuple: {
-      counters_.Add("tuples_in");
-      PJOIN_RETURN_NOT_OK(OnTuple(side, element.tuple()));
-      break;
+  const StreamElement* const e = &element;
+  const int8_t s = static_cast<int8_t>(side);
+  const uint64_t key_hash =
+      element.is_tuple() ? states_[side]->KeyOf(element.tuple()).Hash() : 0;
+  return ProcessBatch(ElementBatch{&e, &s, &key_hash, 1});
+}
+
+Status JoinOperator::ProcessBatch(const ElementBatch& batch) {
+  size_t i = 0;
+  while (i < batch.size) {
+    PJOIN_DCHECK(!finished_);
+    if (batch.elements[i]->kind() == ElementKind::kTuple) {
+      // A run of consecutive tuples: one "tuples_in" add and one tally
+      // flush per run instead of per tuple.
+      const size_t run_start = i;
+      do {
+        const StreamElement& e = *batch.elements[i];
+        last_arrival_ = std::max(last_arrival_, e.arrival());
+        PJOIN_RETURN_NOT_OK(
+            OnTupleHashed(batch.sides[i], e.tuple(), batch.key_hashes[i]));
+        SampleState();
+        ++i;
+      } while (i < batch.size &&
+               batch.elements[i]->kind() == ElementKind::kTuple);
+      counters_.Add("tuples_in", static_cast<int64_t>(i - run_start));
+      FlushBatchCounters();
+      continue;
     }
-    case ElementKind::kPunctuation: {
+    const int side = batch.sides[i];
+    const StreamElement& e = *batch.elements[i];
+    ++i;
+    last_arrival_ = std::max(last_arrival_, e.arrival());
+    if (e.is_punctuation()) {
       counters_.Add("puncts_in");
-      PJOIN_RETURN_NOT_OK(OnPunctuation(side, element.punctuation()));
+      PJOIN_RETURN_NOT_OK(OnPunctuation(side, e.punctuation()));
       if (frontier_shard_ >= 0) {
         // Frontier advance: this shard finished one punctuation of the
         // (side, scheme) the router noted at dispatch.
         const size_t key =
             side == 0 ? options_.left_key : options_.right_key;
         obs::FrontierTracker::Global().NoteProcessed(
-            side, PatternKindName(element.punctuation().pattern(key).kind()),
+            side, PatternKindName(e.punctuation().pattern(key).kind()),
             frontier_shard_, obs::TraceNowMicros());
       }
-      break;
-    }
-    case ElementKind::kEndOfStream: {
+    } else {
       eos_[side] = true;
       if (eos_[0] && eos_[1]) {
         finished_ = true;
         PJOIN_RETURN_NOT_OK(Finish());
       }
-      break;
     }
-  }
-  FlushBatchCounters();
-  SampleState();
-  return Status::OK();
-}
-
-Status JoinOperator::ProcessBatch(const ElementBatch& batch) {
-  // Per-element state sampling needs a sample after every element; only the
-  // element path provides that granularity.
-  if (options_.state_sample_interval > 0) {
-    for (size_t i = 0; i < batch.size; ++i) {
-      PJOIN_RETURN_NOT_OK(OnElement(batch.sides[i], *batch.elements[i]));
-    }
-    return Status::OK();
-  }
-  size_t i = 0;
-  while (i < batch.size) {
-    if (batch.elements[i]->kind() != ElementKind::kTuple) {
-      // Punctuations and end-of-stream are rare; the element path handles
-      // their bookkeeping (eos/Finish, counters) unchanged.
-      PJOIN_RETURN_NOT_OK(OnElement(batch.sides[i], *batch.elements[i]));
-      ++i;
-      continue;
-    }
-    // A run of consecutive tuples: one "tuples_in" add and one tally flush
-    // per run instead of per tuple.
-    PJOIN_DCHECK(!finished_);
-    const size_t run_start = i;
-    do {
-      const StreamElement& e = *batch.elements[i];
-      last_arrival_ = std::max(last_arrival_, e.arrival());
-      PJOIN_RETURN_NOT_OK(
-          OnTupleHashed(batch.sides[i], e.tuple(), batch.key_hashes[i]));
-      ++i;
-    } while (i < batch.size &&
-             batch.elements[i]->kind() == ElementKind::kTuple);
-    counters_.Add("tuples_in", static_cast<int64_t>(i - run_start));
     FlushBatchCounters();
+    SampleState();
   }
   return Status::OK();
 }
@@ -197,17 +182,6 @@ Status JoinOperator::InstallKeyState(KeyStateHandoff handoff) {
   return Status::OK();
 }
 
-Status JoinOperator::OnTupleHashed(int side, const Tuple& tuple,
-                                   uint64_t key_hash) {
-  (void)key_hash;
-  return OnTuple(side, tuple);
-}
-
-int64_t JoinOperator::ProbeOppositeMemory(int side, const Tuple& tuple) {
-  return ProbeOppositeMemory(side, tuple,
-                             states_[side]->KeyOf(tuple).Hash());
-}
-
 int64_t JoinOperator::ProbeOppositeMemory(int side, const Tuple& tuple,
                                           uint64_t key_hash) {
   TRACE_SPAN("join", "probe");
@@ -234,13 +208,6 @@ void JoinOperator::FlushBatchCounters() {
     counters_.Add("probe_comparisons", pending_probe_comparisons_);
     pending_probe_comparisons_ = 0;
   }
-}
-
-void JoinOperator::InsertTuple(int side, const Tuple& tuple, int64_t tick) {
-  TupleEntry entry;
-  entry.tuple = tuple;
-  entry.ats = tick;
-  states_[side]->InsertMemory(std::move(entry));
 }
 
 void JoinOperator::InsertTuple(int side, const Tuple& tuple, int64_t tick,
@@ -283,11 +250,7 @@ void JoinOperator::EmitResult(const Tuple& left, const Tuple& right) {
   if (tuple_latency_hist_.bound() && ingress_us_ > 0) {
     tuple_latency_hist_.Observe(obs::TraceNowMicros() - ingress_us_);
   }
-  if (on_result_move_) {
-    on_result_move_(Tuple::Concat(left, right, output_schema_));
-  } else if (on_result_) {
-    on_result_(Tuple::Concat(left, right, output_schema_));
-  }
+  if (on_result_) on_result_(Tuple::Concat(left, right, output_schema_));
 }
 
 void JoinOperator::EmitPunctuation(Punctuation punct) {

@@ -138,8 +138,11 @@ struct KeyStateHandoff {
 
 class JoinOperator {
  public:
-  using ResultCallback = std::function<void(const Tuple&)>;
-  using ResultMoveCallback = std::function<void(Tuple&&)>;
+  /// Receives each freshly concatenated result by rvalue, so a consumer
+  /// that stores results (the parallel pipeline's shard staging) takes
+  /// ownership without a deep copy; a lambda taking `const Tuple&` binds
+  /// as well.
+  using ResultCallback = std::function<void(Tuple&&)>;
   using PunctCallback = std::function<void(const Punctuation&)>;
 
   JoinOperator(SchemaPtr left_schema, SchemaPtr right_schema,
@@ -151,25 +154,18 @@ class JoinOperator {
   const SchemaPtr& output_schema() const { return output_schema_; }
 
   void set_result_callback(ResultCallback cb) { on_result_ = std::move(cb); }
-  /// Move-aware result sink: receives the freshly concatenated result tuple
-  /// by rvalue, so a consumer that stores results (the parallel pipeline's
-  /// shard staging) takes ownership without a deep copy. Takes precedence
-  /// over set_result_callback when both are set.
-  void set_result_move_callback(ResultMoveCallback cb) {
-    on_result_move_ = std::move(cb);
-  }
   void set_punct_callback(PunctCallback cb) { on_punct_ = std::move(cb); }
 
-  /// Feeds one element of input `side` (0 = left, 1 = right). When both
-  /// sides have delivered end-of-stream, Finish() runs automatically.
+  /// Feeds one element of input `side` (0 = left, 1 = right): hashes a
+  /// tuple's join key and processes a one-element batch. When both sides
+  /// have delivered end-of-stream, Finish() runs automatically.
   Status OnElement(int side, const StreamElement& element);
 
-  /// Feeds a whole routed batch, equivalent to OnElement over each entry in
-  /// order but with the per-element costs amortized: tuple runs dispatch
-  /// through OnTupleHashed (reusing the batch's precomputed key hashes, so
-  /// the key hashes exactly once end to end) and the hot counters flush
-  /// once per run instead of once per tuple. Falls back to the element path
-  /// when per-element state sampling is on.
+  /// Feeds a whole routed batch in order — the one dispatch loop. Tuples go
+  /// to OnTupleHashed with the batch's precomputed key hashes (so a key
+  /// hashes exactly once end to end), and the hot counters flush once per
+  /// run of consecutive tuples instead of once per tuple. The state series
+  /// is sampled after every element.
   Status ProcessBatch(const ElementBatch& batch);
 
   /// Hook for the driver when both inputs are stalled (network lull): XJoin
@@ -241,8 +237,9 @@ class JoinOperator {
   void BindLatencyMetrics(std::string_view labels);
 
   /// Wall-clock (TraceNowMicros) arrival time of the element currently
-  /// being processed; the driver sets it right before OnElement so emits
-  /// can attribute latency. 0 = unknown (nothing is recorded).
+  /// being processed; the driver sets it right before OnElement or
+  /// ProcessBatch so emits can attribute latency. 0 = unknown (nothing is
+  /// recorded).
   void set_element_ingress_micros(TimeMicros us) { ingress_us_ = us; }
 
   /// Registers per-side state-size gauges (memory/disk/purge-buffer tuples,
@@ -265,13 +262,9 @@ class JoinOperator {
   int frontier_shard() const { return frontier_shard_; }
 
   // ---- Subclass interface ----
-  virtual Status OnTuple(int side, const Tuple& tuple) = 0;
-  /// Tuple arrival with the join-key hash already computed (the batch
-  /// path). Default ignores the hash and calls OnTuple; operators with a
-  /// hash-threaded hot path (PJoin) override this and implement OnTuple as
-  /// a hash-then-delegate wrapper, so both paths share one body.
+  /// Tuple arrival, with the tuple's join-key hash already computed.
   virtual Status OnTupleHashed(int side, const Tuple& tuple,
-                               uint64_t key_hash);
+                               uint64_t key_hash) = 0;
   virtual Status OnPunctuation(int side, const Punctuation& punct) = 0;
   /// Runs once after both inputs reached end-of-stream.
   virtual Status Finish() = 0;
@@ -288,25 +281,17 @@ class JoinOperator {
   int64_t current_tick() const { return tick_; }
 
   /// Probes the memory portion of the state opposite to `side` with `tuple`
-  /// and emits all matches. Returns the number of results emitted.
-  int64_t ProbeOppositeMemory(int side, const Tuple& tuple);
-  /// Same, with the tuple's join-key hash already computed. Probe
-  /// comparisons accumulate locally and flush to the "probe_comparisons"
-  /// counter at the next element/batch boundary (FlushBatchCounters).
+  /// (whose join-key hash is `key_hash`) and emits all matches. Returns the
+  /// number of results emitted. Probe comparisons accumulate locally and
+  /// flush to the "probe_comparisons" counter at the next element/batch
+  /// boundary (FlushBatchCounters).
   int64_t ProbeOppositeMemory(int side, const Tuple& tuple,
                               uint64_t key_hash);
 
-  /// Inserts `tuple` into side's state with ats = `tick`.
-  void InsertTuple(int side, const Tuple& tuple, int64_t tick);
-  /// Same, seeding the entry's cached key hash so the state skips the
-  /// rehash at insert.
+  /// Inserts `tuple` into side's state with ats = `tick`, seeding the
+  /// entry's cached key hash so the state skips the rehash at insert.
   void InsertTuple(int side, const Tuple& tuple, int64_t tick,
                    uint64_t key_hash);
-
-  /// Flushes the locally accumulated hot-path tallies into counters().
-  /// Called automatically at the end of OnElement and of each ProcessBatch
-  /// tuple run.
-  void FlushBatchCounters();
 
   /// Brings the in-memory total below the memory threshold via the
   /// SpillManager (adaptive per-partition decisions by default; the paper's
@@ -334,12 +319,16 @@ class JoinOperator {
   }
 
  private:
+  /// Flushes the locally accumulated hot-path tallies into counters();
+  /// ProcessBatch calls it after every punctuation, end-of-stream and run
+  /// of consecutive tuples.
+  void FlushBatchCounters();
+
   JoinOptions options_;
   SchemaPtr output_schema_;
   std::unique_ptr<HashState> states_[2];
   std::unique_ptr<SpillManager> spill_manager_;
   ResultCallback on_result_;
-  ResultMoveCallback on_result_move_;
   PunctCallback on_punct_;
   CounterSet counters_;
   TimeSeries state_series_;

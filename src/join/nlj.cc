@@ -8,7 +8,9 @@ NestedLoopReferenceJoin::NestedLoopReferenceJoin(SchemaPtr left_schema,
     : JoinOperator(std::move(left_schema), std::move(right_schema),
                    std::move(options)) {}
 
-Status NestedLoopReferenceJoin::OnTuple(int side, const Tuple& tuple) {
+Status NestedLoopReferenceJoin::OnTupleHashed(int side, const Tuple& tuple,
+                                              uint64_t key_hash) {
+  (void)key_hash;
   buffered_[side].push_back(tuple);
   return Status::OK();
 }

@@ -19,7 +19,8 @@ class NestedLoopReferenceJoin : public JoinOperator {
                           JoinOptions options = {});
 
  protected:
-  Status OnTuple(int side, const Tuple& tuple) override;
+  Status OnTupleHashed(int side, const Tuple& tuple,
+                       uint64_t key_hash) override;
   Status OnPunctuation(int side, const Punctuation& punct) override;
   Status Finish() override;
 

@@ -135,10 +135,6 @@ Status PJoin::OnContractViolation(int side, std::string_view kind,
   return Status::OK();
 }
 
-Status PJoin::OnTuple(int side, const Tuple& tuple) {
-  return OnTupleHashed(side, tuple, state(side).KeyOf(tuple).Hash());
-}
-
 Status PJoin::OnTupleHashed(int side, const Tuple& tuple,
                             uint64_t key_hash) {
   // Contract check: this stream promised — via one of its own earlier

@@ -68,11 +68,9 @@ class PJoin : public JoinOperator {
   }
 
  protected:
-  /// Hash-then-delegate wrapper around OnTupleHashed.
-  Status OnTuple(int side, const Tuple& tuple) override;
   /// The memory-join hot path (§3.6): contract check, probe, on-the-fly
-  /// drop, insert — all reusing the caller-provided key hash, so a batched
-  /// caller (ElementBatch) hashes each key exactly once end to end.
+  /// drop, insert — all reusing the caller-provided key hash, so each key
+  /// hashes exactly once end to end.
   Status OnTupleHashed(int side, const Tuple& tuple,
                        uint64_t key_hash) override;
   Status OnPunctuation(int side, const Punctuation& punct) override;

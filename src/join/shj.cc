@@ -8,10 +8,11 @@ SymmetricHashJoin::SymmetricHashJoin(SchemaPtr left_schema,
     : JoinOperator(std::move(left_schema), std::move(right_schema),
                    std::move(options)) {}
 
-Status SymmetricHashJoin::OnTuple(int side, const Tuple& tuple) {
+Status SymmetricHashJoin::OnTupleHashed(int side, const Tuple& tuple,
+                                        uint64_t key_hash) {
   const int64_t tick = NextTick();
-  ProbeOppositeMemory(side, tuple);
-  InsertTuple(side, tuple, tick);
+  ProbeOppositeMemory(side, tuple, key_hash);
+  InsertTuple(side, tuple, tick, key_hash);
   return Status::OK();
 }
 

@@ -15,7 +15,8 @@ class SymmetricHashJoin : public JoinOperator {
                     JoinOptions options = {});
 
  protected:
-  Status OnTuple(int side, const Tuple& tuple) override;
+  Status OnTupleHashed(int side, const Tuple& tuple,
+                       uint64_t key_hash) override;
   Status OnPunctuation(int side, const Punctuation& punct) override;
   Status Finish() override;
 };

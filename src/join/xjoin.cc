@@ -10,10 +10,11 @@ XJoin::XJoin(SchemaPtr left_schema, SchemaPtr right_schema,
     : JoinOperator(std::move(left_schema), std::move(right_schema),
                    std::move(options)) {}
 
-Status XJoin::OnTuple(int side, const Tuple& tuple) {
+Status XJoin::OnTupleHashed(int side, const Tuple& tuple,
+                            uint64_t key_hash) {
   const int64_t tick = NextTick();
-  ProbeOppositeMemory(side, tuple);
-  InsertTuple(side, tuple, tick);
+  ProbeOppositeMemory(side, tuple, key_hash);
+  InsertTuple(side, tuple, tick, key_hash);
   // Memory pressure is resolved by the shared SpillManager (coldness-scored
   // victims, recursive sub-partitioning); XJoin has no punctuations, so the
   // manager's early-purge rung is a no-op here (no purger is wired).

@@ -27,7 +27,8 @@ class XJoin : public JoinOperator {
   Status OnStreamsStalled() override;
 
  protected:
-  Status OnTuple(int side, const Tuple& tuple) override;
+  Status OnTupleHashed(int side, const Tuple& tuple,
+                       uint64_t key_hash) override;
   Status OnPunctuation(int side, const Punctuation& punct) override;
   Status Finish() override;
 

@@ -184,7 +184,7 @@ class MetricsRegistry {
 
   /// Returns the handle for (name, labels), registering the metric on first
   /// use. The same (name, labels) pair always resolves to the same cell —
-  /// two call sites asking for "stream_buffer.depth"/"buf=input_l" share
+  /// two call sites asking for "spill.pages_written"/"store=sim" share
   /// one value, while a different labels string is a distinct metric.
   /// Asking for an existing metric with a different kind is a checked
   /// programming error. A name rejected by obs::IsValidMetricName() logs

@@ -13,7 +13,7 @@ namespace obs {
 namespace {
 
 // Prometheus metric names admit [a-zA-Z0-9_:]; registry names additionally
-// allow dots (the repo's native "stream_buffer.depth" style), which
+// allow dots (the repo's native "spill.pages_written" style), which
 // transliterate to underscores.
 std::string SanitizeName(std::string_view name) {
   std::string out(name);

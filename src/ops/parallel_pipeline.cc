@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "obs/introspection.h"
@@ -22,26 +20,7 @@ size_t RingBatches(size_t capacity_elements, size_t batch_size) {
   return batches < 2 ? 2 : batches;
 }
 
-// Per-thread CPU time for the PJOIN_PAR_DEBUG breakdown: on few-core hosts
-// wall-clock spans include preemption, so only the CPU clock attributes cost
-// to the thread that actually spent it.
-int64_t ThreadCpuMicros() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return ts.tv_sec * 1000000 + ts.tv_nsec / 1000;
-}
-
 }  // namespace
-
-std::string ShardStats::ToString() const {
-  return "shard=" + std::to_string(shard) +
-         " elements=" + std::to_string(elements) +
-         " tuples=" + std::to_string(tuples) +
-         " results=" + std::to_string(results) +
-         " puncts=" + std::to_string(puncts_emitted) +
-         " stalls=" + std::to_string(stalls) +
-         " state_tuples=" + std::to_string(state_tuples);
-}
 
 struct ParallelJoinPipeline::Shard {
   Shard(int id_in, size_t queue_batches, size_t out_batches)
@@ -291,9 +270,6 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
   RoutedBatch batch;
   int64_t dry = 0;
   bool failed = false;
-  int64_t busy_us = 0;
-  Stopwatch batch_timer;
-  const bool debug = std::getenv("PJOIN_PAR_DEBUG") != nullptr;
   while (true) {
     if (!shard->queue.TryPop(&batch)) {
       if (shard->queue.exhausted()) break;
@@ -334,23 +310,15 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
       TRACE_FLOW_STEP("flow", "tuple_path", batch.flow_id);
       shard->pending_flow_id = batch.flow_id;
     }
-    batch_timer.Restart();
     {
       TRACE_SPAN("par", "shard_batch");
       if (!failed) {
         shard->stats.elements += static_cast<int64_t>(n);
         shard->stats.tuples += batch.tuple_count;
         join->set_element_ingress_micros(batch.ingress_us);
-        Status st;
-        if (options_.batched_probe) {
-          st = join->ProcessBatch(ElementBatch{batch.elements.data(),
-                                              batch.sides.data(),
-                                              batch.key_hashes.data(), n});
-        } else {
-          for (size_t i = 0; i < n && st.ok(); ++i) {
-            st = join->OnElement(batch.sides[i], *batch.elements[i]);
-          }
-        }
+        const Status st = join->ProcessBatch(
+            ElementBatch{batch.elements.data(), batch.sides.data(),
+                         batch.key_hashes.data(), n});
         if (!st.ok()) {
           shard->status = st;
           // Keep draining (and discarding) so the router never wedges on
@@ -360,7 +328,6 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
       }
       shard->processed.fetch_add(static_cast<int64_t>(n));
     }
-    busy_us += batch_timer.ElapsedMicros();
     // Once-per-batch live publication: backlog, ring occupancies, and the
     // join's state gauges (the worker owns the join, so the HashState reads
     // are safe).
@@ -380,13 +347,6 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
   workers_done_.fetch_add(1);
   out_activity_.fetch_add(1);
   out_activity_.notify_all();
-  if (debug) {
-    std::fprintf(stderr,
-                 "[par debug] shard=%d busy=%lldms cpu=%lldms stalls=%lld\n",
-                 shard->id, (long long)(busy_us / 1000),
-                 (long long)(ThreadCpuMicros() / 1000),
-                 (long long)shard->stats.stalls);
-  }
 }
 
 void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
@@ -523,13 +483,6 @@ void ParallelJoinPipeline::StartHandoff(const RepartitionDecision& decision) {
   PJOIN_DCHECK(!fence_active_);
   handoffs_started_.fetch_add(1);
   fence_active_ = true;
-  if (std::getenv("PJOIN_PAR_DEBUG") != nullptr) {
-    std::fprintf(stderr, "[repart] handoff start kind=%s from=%d to=%d\n",
-                 decision.kind == RepartitionDecision::Kind::kReplicate
-                     ? "replicate"
-                     : "migrate",
-                 decision.from, decision.to);
-  }
   auto handoff = std::make_unique<ActiveHandoff>();
   handoff->id = ++next_handoff_id_;
   handoff->key = decision.key;
@@ -723,10 +676,6 @@ void ParallelJoinPipeline::PumpRepartition() {
     fence_done_ = false;
     fence_active_ = false;
     active_handoff_.reset();
-    if (std::getenv("PJOIN_PAR_DEBUG") != nullptr) {
-      std::fprintf(stderr, "[repart] unfence deferred=%zu\n",
-                   deferred_.size());
-    }
     // Replay everything the fence parked, in arrival order, under the
     // updated map. A replay cannot start a new fence (decisions are made
     // only in the router main loop), so this does not recurse.
@@ -863,7 +812,7 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
   for (auto& shard_ptr : shards_) {
     Shard* shard = shard_ptr.get();
     shard->local_results.reserve(options_.result_flush);
-    shard->join->set_result_move_callback([shard](Tuple&& t) {
+    shard->join->set_result_callback([shard](Tuple&& t) {
       shard->local_results.push_back(std::move(t));
     });
     shard->join->set_punct_callback([shard](const Punctuation& p) {
@@ -940,9 +889,7 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
     workers.emplace_back(&ParallelJoinPipeline::ShardLoop, this, shard.get());
   }
 
-  Stopwatch phase_timer;
   RouterLoop(&in_left, &in_right);
-  const TimeMicros router_us = phase_timer.ElapsedMicros();
 
   // Keep merging while the workers finish their tails (a worker could
   // otherwise park forever on a full output ring) — parked on the activity
@@ -959,15 +906,6 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
   producer_r.join();
   for (std::thread& w : workers) w.join();
   DrainOutputs();
-  const TimeMicros total_us = phase_timer.ElapsedMicros();
-  if (std::getenv("PJOIN_PAR_DEBUG") != nullptr) {
-    std::fprintf(stderr,
-                 "[par debug] router=%lldms drain_workers=%lldms "
-                 "caller_cpu=%lldms\n",
-                 (long long)(router_us / 1000),
-                 (long long)((total_us - router_us) / 1000),
-                 (long long)(ThreadCpuMicros() / 1000));
-  }
 
   Status status;
   shard_stats_.clear();
@@ -978,16 +916,6 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
     stalls_reported_ += shard->stats.stalls;
     shard_stats_.push_back(shard->stats);
     if (status.ok() && !shard->status.ok()) status = shard->status;
-  }
-  if (options_.stats_registry != nullptr) {
-    for (const ShardStats& stats : shard_stats_) {
-      // A dispatch failure must not mask an earlier shard error: the shard
-      // error is the run's outcome, the stats event is bookkeeping.
-      const Status dispatch_status = options_.stats_registry->Dispatch(
-          Event{EventType::kShardStats, /*time=*/0, /*stream=*/stats.shard,
-                stats.ToString()});
-      if (status.ok() && !dispatch_status.ok()) status = dispatch_status;
-    }
   }
   return status;
 }

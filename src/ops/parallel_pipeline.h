@@ -59,8 +59,8 @@
 //
 // Correctness oracle: for any input, the emitted result multiset equals the
 // single-threaded reference (tests/parallel_pipeline_test.cc asserts this
-// per seed, for both the batched and the element dispatch path;
-// bench/par_scaling.cc re-checks it for every benchmarked configuration).
+// per seed; bench/par_scaling.cc re-checks it for every benchmarked
+// configuration).
 
 #ifndef PJOIN_OPS_PARALLEL_PIPELINE_H_
 #define PJOIN_OPS_PARALLEL_PIPELINE_H_
@@ -75,7 +75,6 @@
 
 #include "common/clock.h"
 #include "common/spsc_ring.h"
-#include "exec/registry.h"
 #include "fault/fault_injector.h"
 #include "join/join_base.h"
 #include "obs/metrics_registry.h"
@@ -107,11 +106,6 @@ struct ParallelPipelineOptions {
   /// A dry shard reports a stall to its join (disk join / reactive stage)
   /// after this many consecutive empty polls, then parks until data/close.
   int64_t stall_polls = 4;
-  /// Dispatch whole batches through JoinOperator::ProcessBatch (hash reuse
-  /// + amortized bookkeeping). False replays the per-element OnElement
-  /// path — same results, used by the equivalence tests and the
-  /// parallel_x*_scan bench baseline's cost model.
-  bool batched_probe = true;
   /// Capacity of each shard→merger output ring in OutBatches; a shard
   /// parks on a full ring until the merger drains it. Small values make
   /// sink backpressure (and therefore stall diagnosis) bite sooner.
@@ -120,9 +114,6 @@ struct ParallelPipelineOptions {
   /// router→shard→merger as Chrome flow arrows (TRACE_FLOW_*). 0 disables
   /// sampling.
   uint64_t flow_sample_period = 1024;
-  /// Optional registry receiving one kShardStats event per shard when the
-  /// run completes (event.stream = shard id).
-  EventRegistry* stats_registry = nullptr;
   /// Runtime repartitioning (ops/repartition.h): hot-key replication and
   /// key migration between shards via epoch-fenced handoffs. Disabled by
   /// default — the static pipeline pays nothing.
@@ -141,8 +132,6 @@ struct ShardStats {
   int64_t stalls = 0;
   /// Final retained state (memory + disk + purge buffer) of the shard.
   int64_t state_tuples = 0;
-
-  std::string ToString() const;
 };
 
 class ParallelJoinPipeline {

@@ -1,8 +1,6 @@
 #include "ops/repartition.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 namespace pjoin {
 
@@ -107,19 +105,6 @@ RepartitionDecision RepartitionController::Decide() {
   const bool forced = policy_.force_migration_interval > 0 &&
                       since_forced_ >= policy_.force_migration_interval;
   const bool warm = detector_.total_routed() >= policy_.min_tuples;
-  if (std::getenv("PJOIN_PAR_DEBUG") != nullptr) {
-    const double dbg_share =
-        top.empty() || window_observed == 0
-            ? 0.0
-            : static_cast<double>(top[0].count) /
-                  static_cast<double>(window_observed);
-    std::fprintf(stderr,
-                 "[repart] check window=%lld imbalance=%.3f warm=%d forced=%d "
-                 "observed=%lld top_share=%.3f replicated=%lld\n",
-                 static_cast<long long>(window), imbalance, warm ? 1 : 0,
-                 forced ? 1 : 0, static_cast<long long>(window_observed),
-                 dbg_share, static_cast<long long>(map_->replicated_keys()));
-  }
   const int hottest = static_cast<int>(
       std::max_element(loads.begin(), loads.end()) - loads.begin());
   const int coldest = static_cast<int>(

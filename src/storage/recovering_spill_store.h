@@ -82,6 +82,9 @@ class RecoveringSpillStore : public SpillStore {
   [[nodiscard]] RecoveryStats recovery_stats() const EXCLUDES(mu_);
 
  private:
+  // tests/thread_safety_negative.cc probes the GUARDED_BY annotations.
+  friend class ThreadSafetyNegativeProbe;
+
   SpillStore* ActiveLocked() REQUIRES(mu_) {
     return degraded_ ? fallback_.get() : primary_.get();
   }

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <tuple>
+#include <utility>
 
 #include "common/rng.h"
 #include "gen/stream_generator.h"
@@ -210,6 +214,93 @@ TEST(EquivalenceTest, HeavySpillTinyMemory) {
   auto run = RunJoin(&join, g.a, g.b, /*stall_gap=*/6000);
   EXPECT_EQ(run.results,
             ReferenceJoinRows(g.a, g.b, join.output_schema(), 0, 0));
+}
+
+// The two ways into a join — OnElement per element, and ProcessBatch over
+// router-style batches carrying precomputed key hashes — must be
+// indistinguishable at every batch size: same results in the same order,
+// same released punctuations, same counters and the same per-element state
+// series.
+TEST(EquivalenceTest, BatchedAndElementDispatchAgree) {
+  Scenario sc{400, 12, 12, 8, PunctStyle::kConstant, 77, /*clustered=*/false,
+              /*zipf_s=*/0.8};
+  GeneratedStreams g = Generate(sc);
+  // Both streams merged in arrival order, ties to the left, each tuple with
+  // its join-key hash: what the parallel pipeline's router hands a shard.
+  std::vector<const StreamElement*> elements;
+  std::vector<int8_t> sides;
+  std::vector<uint64_t> hashes;
+  size_t ia = 0;
+  size_t ib = 0;
+  while (ia < g.a.size() || ib < g.b.size()) {
+    const bool left =
+        ib >= g.b.size() ||
+        (ia < g.a.size() && g.a[ia].arrival() <= g.b[ib].arrival());
+    const StreamElement& e = left ? g.a[ia++] : g.b[ib++];
+    elements.push_back(&e);
+    sides.push_back(left ? 0 : 1);
+    hashes.push_back(e.is_tuple() ? e.tuple().field(0).Hash() : 0);
+  }
+
+  struct Observed {
+    std::vector<std::string> results;
+    std::vector<std::string> puncts;
+    std::map<std::string, int64_t> counters;
+    std::vector<std::pair<TimeMicros, int64_t>> state_series;
+  };
+  // batch_size 0 feeds every element through OnElement.
+  auto run = [&](JoinOperator* join, size_t batch_size) {
+    Observed out;
+    join->set_result_callback(
+        [&out](const Tuple& t) { out.results.push_back(t.ToString()); });
+    join->set_punct_callback(
+        [&out](const Punctuation& p) { out.puncts.push_back(p.ToString()); });
+    for (size_t i = 0; i < elements.size();) {
+      Status st;
+      if (batch_size == 0) {
+        st = join->OnElement(sides[i], *elements[i]);
+        ++i;
+      } else {
+        const size_t n = std::min(batch_size, elements.size() - i);
+        st = join->ProcessBatch(
+            ElementBatch{&elements[i], &sides[i], &hashes[i], n});
+        i += n;
+      }
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+    out.counters = join->counters().counters();
+    for (const Sample& s : join->state_series().samples()) {
+      out.state_series.emplace_back(s.time, s.value);
+    }
+    return out;
+  };
+
+  JoinOptions opts;
+  opts.runtime.memory_threshold_tuples = 64;
+  opts.runtime.propagate_count_threshold = 1;
+  opts.state_sample_interval = 1;
+  for (const bool use_pjoin : {true, false}) {
+    auto make = [&]() -> std::unique_ptr<JoinOperator> {
+      if (use_pjoin) {
+        return std::make_unique<PJoin>(g.schema_a, g.schema_b, opts);
+      }
+      return std::make_unique<XJoin>(g.schema_a, g.schema_b, opts);
+    };
+    const auto element_join = make();
+    const Observed via_element = run(element_join.get(), 0);
+    ASSERT_FALSE(via_element.results.empty());
+    ASSERT_FALSE(via_element.state_series.empty());
+    for (const size_t batch_size : {1, 7, 256}) {
+      const auto batch_join = make();
+      const Observed via_batch = run(batch_join.get(), batch_size);
+      const std::string where = std::string(use_pjoin ? "PJoin" : "XJoin") +
+                                " batch=" + std::to_string(batch_size);
+      EXPECT_EQ(via_batch.results, via_element.results) << where;
+      EXPECT_EQ(via_batch.puncts, via_element.puncts) << where;
+      EXPECT_EQ(via_batch.counters, via_element.counters) << where;
+      EXPECT_EQ(via_batch.state_series, via_element.state_series) << where;
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-
-#include "common/mutex.h"
-#include "exec/executor.h"
 #include "exec/monitor.h"
 #include "exec/registry.h"
 
@@ -241,36 +237,6 @@ TEST_F(MonitorTest, RuntimeParamsTunableAtRuntime) {
   monitor_->params().purge_threshold = 2;  // retune live
   ASSERT_TRUE(monitor_->OnPunctuationArrived(0).ok());
   EXPECT_EQ(purge.events.size(), 1u);
-}
-
-TEST(SerialExecutorTest, RunsInline) {
-  SerialExecutor exec;
-  int x = 0;
-  exec.Execute([&x] { x = 42; });
-  EXPECT_EQ(x, 42);
-  exec.Drain();
-}
-
-TEST(BackgroundExecutorTest, RunsAllTasksInOrder) {
-  BackgroundExecutor exec;
-  std::vector<int> order;
-  Mutex mu;
-  for (int i = 0; i < 50; ++i) {
-    exec.Execute([&order, &mu, i] {
-      MutexLock lock(mu);
-      order.push_back(i);
-    });
-  }
-  exec.Drain();
-  ASSERT_EQ(order.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  EXPECT_EQ(exec.tasks_executed(), 50);
-}
-
-TEST(BackgroundExecutorTest, DrainOnEmptyQueueReturns) {
-  BackgroundExecutor exec;
-  exec.Drain();
-  EXPECT_EQ(exec.tasks_executed(), 0);
 }
 
 }  // namespace

@@ -335,35 +335,6 @@ TEST(PerturbStreamTest, StallsShiftArrivalsInBothViews) {
   EXPECT_EQ(p.sanitized.back().arrival(), clean.back().arrival() + shift);
 }
 
-class VectorSource : public StreamSource {
- public:
-  explicit VectorSource(std::vector<StreamElement> elements)
-      : elements_(std::move(elements)) {}
-  std::optional<StreamElement> Next() override {
-    if (pos_ >= elements_.size()) return std::nullopt;
-    return elements_[pos_++];
-  }
-
- private:
-  std::vector<StreamElement> elements_;
-  size_t pos_ = 0;
-};
-
-TEST(FaultyStreamSourceTest, ServesTheFaultyView) {
-  SchemaPtr schema = KeyPayloadSchema();
-  const auto clean = CleanStream(schema);
-  auto injector = std::make_shared<FaultInjector>(61);
-  FaultyStreamSource source(std::make_unique<VectorSource>(clean), 0,
-                            AllStreamFaults(), injector);
-  std::vector<StreamElement> drained;
-  while (auto e = source.Next()) drained.push_back(std::move(*e));
-  ASSERT_EQ(drained.size(), source.perturbed().faulty.size());
-  for (size_t i = 0; i < drained.size(); ++i) {
-    EXPECT_EQ(drained[i].ToString(), source.perturbed().faulty[i].ToString());
-  }
-  EXPECT_GT(source.perturbed().violations, 0);
-}
-
 TEST(FaultPlanTest, ToStringAndEnabled) {
   FaultPlan plan;
   EXPECT_FALSE(plan.enabled());

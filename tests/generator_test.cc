@@ -275,24 +275,5 @@ TEST(GeneratorTest, ZipfSkewConcentratesOnNewKeysAndStaysSound) {
   EXPECT_LT(mean_gap(skewed.a) * 1.5, mean_gap(uniform.a));
 }
 
-TEST(VectorSourceTest, IteratesAndPeeks) {
-  DomainSpec d;
-  StreamSpec spec;
-  spec.num_tuples = 5;
-  GeneratedStreams g = GenerateStreams(d, spec, spec, 43);
-  VectorSource src(g.a);
-  size_t count = 0;
-  while (!src.exhausted()) {
-    auto peek = src.PeekArrival();
-    ASSERT_TRUE(peek.has_value());
-    auto e = src.Next();
-    ASSERT_TRUE(e.has_value());
-    EXPECT_EQ(e->arrival(), *peek);
-    ++count;
-  }
-  EXPECT_EQ(count, g.a.size());
-  EXPECT_FALSE(src.Next().has_value());
-}
-
 }  // namespace
 }  // namespace pjoin

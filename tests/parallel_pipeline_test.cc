@@ -6,8 +6,10 @@
 #include "ops/parallel_pipeline.h"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,33 +183,6 @@ TEST_P(ParallelEquivalenceTest, ScanAndIndexedProbeAgree) {
   EXPECT_EQ(with_index.results, with_scan.results);
 }
 
-TEST_P(ParallelEquivalenceTest, BatchedAndElementDispatchAgree) {
-  // ProcessBatch (columnar dispatch with pre-hashed keys) against the
-  // per-element OnElement replay: same shards, same streams, the result
-  // multiset and the released punctuations must be identical.
-  const Operator op = GetParam();
-  Workload w = MakeWorkload("dispatch-mode", /*seed=*/77, /*punct_rate=*/12.0,
-                            /*zipf_s=*/0.8);
-  const JoinOptions jopts = SmallStateOptions();
-  for (const int shards : {1, 4}) {
-    ParallelPipelineOptions batched;
-    batched.num_shards = shards;
-    batched.batched_probe = true;
-    ParallelPipelineOptions element;
-    element.num_shards = shards;
-    element.batched_probe = false;
-    const RunResult via_batch =
-        RunParallel(op, w.streams.schema_a, w.streams.schema_b, jopts,
-                    w.streams.a, w.streams.b, batched);
-    const RunResult via_element =
-        RunParallel(op, w.streams.schema_a, w.streams.schema_b, jopts,
-                    w.streams.a, w.streams.b, element);
-    EXPECT_EQ(via_batch.results, via_element.results) << "shards=" << shards;
-    EXPECT_EQ(SortedPunctStrings(via_batch), SortedPunctStrings(via_element))
-        << "shards=" << shards;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Operators, ParallelEquivalenceTest,
                          ::testing::Values(Operator::kPJoin, Operator::kXJoin),
                          [](const ::testing::TestParamInfo<Operator>& info) {
@@ -318,20 +293,10 @@ TEST(ParallelPJoinTest, ShardStatsCoverAllRoutedElements) {
   EXPECT_EQ(results, pipeline->results_emitted());
 }
 
-/// Listener whose HandleEvent always fails, for exercising dispatch-error
-/// propagation in Run().
-class FailingStatsListener : public EventListener {
- public:
-  std::string_view name() const override { return "failing-stats"; }
-  Status HandleEvent(const Event&) override {
-    return Status::Internal("stats sink unavailable");
-  }
-};
-
-// Regression: a failing kShardStats dispatch used to *replace* a shard's own
-// join error (PJOIN_RETURN_NOT_OK on Dispatch ran after the shard scan).
-// The shard error is the run's outcome; stats dispatch is bookkeeping.
-TEST(ParallelPJoinTest, ShardErrorNotMaskedByFailingStatsDispatch) {
+// A shard's join error is the run's outcome: the failed shard keeps draining
+// its ring so the router never wedges, and Run returns the error once every
+// thread has finished.
+TEST(ParallelPJoinTest, ShardErrorIsTheRunStatus) {
   SchemaPtr sa = KeyPayloadSchema("a");
   SchemaPtr sb = KeyPayloadSchema("b");
   JoinOptions jopts = SmallStateOptions();
@@ -345,39 +310,54 @@ TEST(ParallelPJoinTest, ShardErrorNotMaskedByFailingStatsDispatch) {
                   .Finish();
   auto right = ElementsBuilder(/*step=*/10).Tup(KP(sb, 1, 9)).Finish();
 
-  EventRegistry registry;
-  FailingStatsListener listener;
-  registry.Register(EventType::kShardStats, &listener);
   ParallelPipelineOptions popts;
   popts.num_shards = 2;
-  popts.stats_registry = &registry;
   ParallelJoinPipeline pipeline(
       [&](int) { return std::make_unique<PJoin>(sa, sb, jopts); }, popts);
   const Status st = pipeline.Run(left, right);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
 }
 
-// With healthy shards, a failing stats dispatch is the only error and must
-// surface (it is not swallowed either).
-TEST(ParallelPJoinTest, StatsDispatchErrorSurfacesWhenShardsSucceed) {
-  SchemaPtr sa = KeyPayloadSchema("a");
-  SchemaPtr sb = KeyPayloadSchema("b");
-  auto left = ElementsBuilder().Tup(KP(sa, 1, 0)).Finish();
-  auto right = ElementsBuilder(/*step=*/10).Tup(KP(sb, 1, 9)).Finish();
+/// A PJoin that sleeps on every tuple, so its shard consumes slower than
+/// the router dispatches.
+class SlowPJoin : public PJoin {
+ public:
+  using PJoin::PJoin;
 
-  EventRegistry registry;
-  FailingStatsListener listener;
-  registry.Register(EventType::kShardStats, &listener);
+ protected:
+  Status OnTupleHashed(int side, const Tuple& tuple,
+                       uint64_t key_hash) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    return PJoin::OnTupleHashed(side, tuple, key_hash);
+  }
+};
+
+// With a shard ring of two one-element batches and a slow shard, the router
+// must repeatedly find the ring full (backpressure), and the result must
+// still be exact.
+TEST(ParallelPJoinTest, BoundedRingsApplyBackpressure) {
+  DomainSpec domain;
+  domain.window_size = 8;
+  StreamSpec spec;
+  spec.num_tuples = 400;
+  spec.punct_mean_interarrival_tuples = 12;
+  const GeneratedStreams g = GenerateStreams(domain, spec, spec, /*seed=*/7);
   ParallelPipelineOptions popts;
-  popts.num_shards = 2;
-  popts.stats_registry = &registry;
+  popts.num_shards = 1;
+  popts.batch_size = 1;
+  popts.shard_queue_capacity = 2;
   ParallelJoinPipeline pipeline(
-      [&](int) {
-        return std::make_unique<PJoin>(sa, sb, SmallStateOptions());
-      },
+      [&](int) { return std::make_unique<SlowPJoin>(g.schema_a, g.schema_b); },
       popts);
-  const Status st = pipeline.Run(left, right);
-  EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+  std::vector<std::string> rows;
+  pipeline.set_result_callback(
+      [&rows](const Tuple& t) { rows.push_back(t.ToString()); });
+  ASSERT_TRUE(pipeline.Run(g.a, g.b).ok());
+  EXPECT_GT(pipeline.router_backpressure_waits(), 0);
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, ReferenceJoinRows(g.a, g.b,
+                                    pipeline.shard_join(0)->output_schema(),
+                                    0, 0));
 }
 
 TEST(ParallelPJoinTest, SingleShardMatchesMergedCountersOfReference) {

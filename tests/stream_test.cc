@@ -1,10 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-
 #include "stream/element.h"
-#include "stream/stream_buffer.h"
 #include "tuple/tuple.h"
 
 namespace pjoin {
@@ -49,175 +45,6 @@ TEST(StreamElementTest, ToStringDistinguishesKinds) {
             std::string::npos);
   EXPECT_NE(StreamElement::MakeEndOfStream(1).ToString().find("eos@"),
             std::string::npos);
-}
-
-TEST(StreamBufferTest, FifoOrder) {
-  SchemaPtr s = OneFieldSchema();
-  StreamBuffer buf;
-  buf.Push(StreamElement::MakeTuple(Tuple(s, {Value(int64_t{1})}), 10));
-  buf.Push(StreamElement::MakeTuple(Tuple(s, {Value(int64_t{2})}), 20));
-  EXPECT_EQ(buf.size(), 2u);
-  EXPECT_EQ(buf.PeekArrival().value(), 10);
-  auto a = buf.Pop();
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->tuple().field(0).AsInt64(), 1);
-  auto b = buf.Pop();
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->tuple().field(0).AsInt64(), 2);
-  EXPECT_FALSE(buf.Pop().has_value());
-}
-
-TEST(StreamBufferTest, CloseSemantics) {
-  SchemaPtr s = OneFieldSchema();
-  StreamBuffer buf;
-  buf.Push(StreamElement::MakeTuple(Tuple(s, {Value(int64_t{1})}), 10));
-  EXPECT_FALSE(buf.closed());
-  EXPECT_FALSE(buf.exhausted());
-  buf.Close();
-  EXPECT_TRUE(buf.closed());
-  EXPECT_FALSE(buf.exhausted());  // still has the queued element
-  EXPECT_TRUE(buf.Pop().has_value());
-  EXPECT_TRUE(buf.exhausted());
-}
-
-TEST(StreamBufferTest, EmptyPeekIsNull) {
-  StreamBuffer buf;
-  EXPECT_TRUE(buf.empty());
-  EXPECT_FALSE(buf.PeekArrival().has_value());
-}
-
-StreamElement IntElement(int64_t x, TimeMicros arrival = 0) {
-  return StreamElement::MakeTuple(
-      Tuple(OneFieldSchema(), {Value(x)}), arrival);
-}
-
-TEST(StreamBufferTest, TryPushOnClosedBufferFailsPrecondition) {
-  StreamBuffer buf;
-  buf.Close();
-  Status status = buf.TryPush(IntElement(1));
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(buf.exhausted());  // the rejected element was not enqueued
-}
-
-TEST(StreamBufferTest, TryPushOnFullBoundedBufferIsResourceExhausted) {
-  StreamBuffer buf(/*capacity=*/2);
-  EXPECT_EQ(buf.capacity(), 2u);
-  ASSERT_TRUE(buf.TryPush(IntElement(1)).ok());
-  ASSERT_TRUE(buf.TryPush(IntElement(2)).ok());
-  Status status = buf.TryPush(IntElement(3));
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-  // Popping frees a slot; the push then succeeds.
-  ASSERT_TRUE(buf.Pop().has_value());
-  EXPECT_TRUE(buf.TryPush(IntElement(3)).ok());
-  EXPECT_EQ(buf.size(), 2u);
-}
-
-TEST(StreamBufferTest, UnboundedBufferNeverExhausts) {
-  StreamBuffer buf;  // capacity 0 = unbounded
-  for (int64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(buf.TryPush(IntElement(i)).ok());
-  }
-  EXPECT_EQ(buf.size(), 1000u);
-  EXPECT_EQ(buf.backpressure_waits(), 0);
-}
-
-TEST(StreamBufferTest, PushBlockingWaitsForPopThenSucceeds) {
-  StreamBuffer buf(/*capacity=*/1);
-  ASSERT_TRUE(buf.PushBlocking(IntElement(1)).ok());
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    Status status = buf.PushBlocking(IntElement(2));  // blocks: buffer full
-    EXPECT_TRUE(status.ok());
-    pushed.store(true);
-  });
-  // The producer cannot finish until the consumer frees the slot.
-  while (buf.backpressure_waits() == 0) std::this_thread::yield();
-  EXPECT_FALSE(pushed.load());
-  auto first = buf.Pop();
-  ASSERT_TRUE(first.has_value());
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  auto second = buf.Pop();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->tuple().field(0).AsInt64(), 2);
-  EXPECT_EQ(buf.backpressure_waits(), 1);
-}
-
-TEST(StreamBufferTest, CloseUnblocksWaitingProducerWithError) {
-  StreamBuffer buf(/*capacity=*/1);
-  ASSERT_TRUE(buf.PushBlocking(IntElement(1)).ok());
-  std::thread producer([&] {
-    Status status = buf.PushBlocking(IntElement(2));
-    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  });
-  while (buf.backpressure_waits() == 0) std::this_thread::yield();
-  buf.Close();
-  producer.join();
-  // Only the first element made it in.
-  ASSERT_TRUE(buf.Pop().has_value());
-  EXPECT_TRUE(buf.exhausted());
-}
-
-TEST(StreamBufferTest, BatchRoundtripPreservesFifoOrder) {
-  StreamBuffer buf(/*capacity=*/0);
-  std::vector<StreamElement> batch;
-  for (int64_t i = 0; i < 10; ++i) batch.push_back(IntElement(i, i * 100));
-  EXPECT_EQ(buf.PushBatch(std::move(batch)), 10u);
-  EXPECT_EQ(buf.size(), 10u);
-
-  std::vector<StreamElement> first = buf.PopBatch(4);
-  ASSERT_EQ(first.size(), 4u);
-  for (int64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(first[static_cast<size_t>(i)].tuple().field(0).AsInt64(), i);
-  }
-  std::vector<StreamElement> rest = buf.PopBatch(100);
-  ASSERT_EQ(rest.size(), 6u);
-  EXPECT_EQ(rest.front().tuple().field(0).AsInt64(), 4);
-  EXPECT_EQ(rest.back().tuple().field(0).AsInt64(), 9);
-  EXPECT_TRUE(buf.PopBatch(1).empty());
-}
-
-TEST(StreamBufferTest, PushBatchBlocksOnFullBufferUntilPopBatch) {
-  StreamBuffer buf(/*capacity=*/3);
-  std::vector<StreamElement> batch;
-  for (int64_t i = 0; i < 8; ++i) batch.push_back(IntElement(i));
-  std::atomic<bool> done{false};
-  std::thread producer([&] {
-    EXPECT_EQ(buf.PushBatch(std::move(batch)), 8u);
-    done.store(true);
-  });
-  // The producer fills the 3-slot window and must then wait.
-  while (buf.backpressure_waits() == 0) std::this_thread::yield();
-  EXPECT_FALSE(done.load());
-  int64_t seen = 0;
-  int64_t next = 0;
-  while (seen < 8) {
-    for (const StreamElement& e : buf.PopBatch(2)) {
-      EXPECT_EQ(e.tuple().field(0).AsInt64(), next++);
-      ++seen;
-    }
-    std::this_thread::yield();
-  }
-  producer.join();
-  EXPECT_TRUE(done.load());
-  EXPECT_GE(buf.backpressure_waits(), 1);
-}
-
-TEST(StreamBufferTest, CloseWhileBatchedReturnsShortCount) {
-  StreamBuffer buf(/*capacity=*/2);
-  std::vector<StreamElement> batch;
-  for (int64_t i = 0; i < 6; ++i) batch.push_back(IntElement(i));
-  std::atomic<size_t> pushed{~size_t{0}};
-  std::thread producer(
-      [&] { pushed.store(buf.PushBatch(std::move(batch))); });
-  while (buf.backpressure_waits() == 0) std::this_thread::yield();
-  buf.Close();
-  producer.join();
-  // Only the elements that fit before Close made it in; the remainder of the
-  // batch is reported as not pushed.
-  EXPECT_EQ(pushed.load(), 2u);
-  EXPECT_EQ(buf.PopBatch(100).size(), 2u);
-  EXPECT_TRUE(buf.exhausted());
 }
 
 }  // namespace

@@ -6,15 +6,10 @@
 // (Clang only). Case 0 is the positive control: correctly-locked access
 // must compile cleanly. Every other case commits a locking mistake that
 // the analysis must reject, and its ctest entry is marked WILL_FAIL —
-// so removing a GUARDED_BY/REQUIRES annotation from StreamBuffer or
-// SharedCounterSet makes the corresponding probe compile, which fails
+// so removing a GUARDED_BY/REQUIRES annotation from RecoveringSpillStore
+// or SharedCounterSet makes the corresponding probe compile, which fails
 // the suite. That is the point: the annotations themselves are under
 // test.
-//
-// (The parallel pipeline used to be probed here too; its locked output
-// board is gone — the dataflow spine is lock-free SPSC rings, see
-// docs/PERFORMANCE.md — so the shared-state probes moved to
-// SharedCounterSet, the remaining cross-thread mutex user.)
 //
 // ThreadSafetyNegativeProbe is a friend of the probed classes so the
 // probes can name private guarded members directly; friendship does not
@@ -25,31 +20,31 @@
 #endif
 
 #include "common/metrics.h"
-#include "stream/stream_buffer.h"
+#include "storage/recovering_spill_store.h"
 
 namespace pjoin {
 
 class ThreadSafetyNegativeProbe {
  public:
-  static void ProbeBuffer(StreamBuffer& buffer);
+  static void ProbeStore(RecoveringSpillStore& store);
   static void ProbeCounters(SharedCounterSet& counters);
 };
 
-void ThreadSafetyNegativeProbe::ProbeBuffer(StreamBuffer& buffer) {
+void ThreadSafetyNegativeProbe::ProbeStore(RecoveringSpillStore& store) {
 #if PROBE_CASE == 0
   // Positive control: hold mu_ for every guarded access.
-  MutexLock lock(buffer.mu_);
-  if (buffer.closed_) buffer.queue_.clear();
-  if (buffer.HasSpaceLocked()) ++buffer.backpressure_waits_;
+  MutexLock lock(store.mu_);
+  if (store.degraded_) store.primary_ = nullptr;
+  [[maybe_unused]] SpillStore* active = store.ActiveLocked();
 #elif PROBE_CASE == 1
   // Reading a GUARDED_BY(mu_) member without the lock.
-  if (buffer.closed_) buffer.backpressure_waits_ = 0;
+  [[maybe_unused]] const bool degraded = store.degraded_;
 #elif PROBE_CASE == 2
-  // Mutating the guarded queue without the lock.
-  buffer.queue_.clear();
+  // Writing a GUARDED_BY(mu_) member without the lock.
+  store.primary_ = nullptr;
 #elif PROBE_CASE == 3
   // Calling a REQUIRES(mu_) method without holding mu_.
-  if (buffer.HasSpaceLocked()) buffer.WaitForSpaceLocked();
+  [[maybe_unused]] SpillStore* active = store.ActiveLocked();
 #endif
 }
 

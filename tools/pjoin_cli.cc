@@ -6,7 +6,7 @@
 //             [--left-key 0] [--right-key 0]
 //             [--algo pjoin|xjoin|shj]
 //             [--purge-threshold N] [--memory-threshold N]
-//             [--propagate-count N] [--threads]
+//             [--propagate-count N]
 //             [--out OUT.stream] [--stats]
 //             [--serve-port PORT] [--serve-linger-ms MS]
 //
@@ -43,7 +43,6 @@
 #include "join/shj.h"
 #include "join/xjoin.h"
 #include "ops/pipeline.h"
-#include "ops/threaded_pipeline.h"
 
 using namespace pjoin;
 
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) return Fail("unexpected argument " + key);
     key = key.substr(2);
-    if (key == "threads" || key == "stats") {
+    if (key == "stats") {
       args.named[key] = "1";
     } else if (i + 1 < argc) {
       args.named[key] = argv[++i];
@@ -146,16 +145,10 @@ int main(int argc, char** argv) {
                  server->port());
   }
 
-  Status status;
-  if (args.Has("threads")) {
-    ThreadedJoinPipeline pipeline(join.get());
-    status = pipeline.Run(*left, *right);
-  } else {
-    PipelineOptions popts;
-    popts.stall_gap_micros = 8000;
-    JoinPipeline pipeline(join.get(), nullptr, popts);
-    status = pipeline.Run(*left, *right);
-  }
+  PipelineOptions popts;
+  popts.stall_gap_micros = 8000;
+  JoinPipeline pipeline(join.get(), nullptr, popts);
+  const Status status = pipeline.Run(*left, *right);
   if (!status.ok()) return Fail(status.ToString());
 
   if (args.Has("out")) {
