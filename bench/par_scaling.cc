@@ -22,10 +22,6 @@
 //              elements; 0 = library defaults. CI's live-scrape smoke
 //              shrinks the rings so backpressure and spin-park paths
 //              demonstrably fire even on a small workload.
-//   --punct_barrier  dispatch broadcast punctuations behind an epoch
-//              barrier (router waits for all shards to drain). Fully
-//              synchronizing, results identical; shards that drain first
-//              go dry, so the smoke can assert pjoin_shard_spin_parks > 0.
 //   --stall_polls=N  empty polls before a shard runs stall work and parks
 //              (default: library's). The smoke sets 1 so every dry moment
 //              takes the spin-then-park slow path and its counter moves.
@@ -118,7 +114,6 @@ struct Cli {
   // ParallelPipelineOptions defaults. Small values force the backpressure
   // and park paths, which CI's live scrape asserts via their counters.
   int64_t ring = 0;
-  bool punct_barrier = false;
   int64_t stall_polls = 0;  // 0 = ParallelPipelineOptions default
   // Main-sweep skew + repartitioning (the CI forced-skew smoke): stream A
   // zipf exponent, adaptive shard map on the parallel runs, forced
@@ -172,8 +167,6 @@ Cli ParseCli(int argc, char** argv) {
       if (cli.reps < 1) cli.reps = 1;
     } else if (const char* v = value("--ring=")) {
       cli.ring = std::atoll(v);
-    } else if (arg == "--punct_barrier") {
-      cli.punct_barrier = true;
     } else if (const char* v = value("--stall_polls=")) {
       cli.stall_polls = std::atoll(v);
     } else if (const char* v = value("--zipf=")) {
@@ -300,8 +293,7 @@ Measured RunSingle(const std::string& name, const GeneratedStreams& streams,
 // memory-capped indexed configuration.
 Measured RunParallel(const GeneratedStreams& streams, int shards,
                      bool indexed_probe, int64_t memcap = 0,
-                     int64_t ring_capacity = 0, bool punct_barrier = false,
-                     int64_t stall_polls = 0,
+                     int64_t ring_capacity = 0, int64_t stall_polls = 0,
                      const RepartitionPolicy& repart = {}) {
   Measured m;
   m.name = "parallel_x" + std::to_string(shards) +
@@ -314,7 +306,6 @@ Measured RunParallel(const GeneratedStreams& streams, int shards,
     popts.input_buffer_capacity = static_cast<size_t>(ring_capacity);
     popts.shard_queue_capacity = static_cast<size_t>(ring_capacity);
   }
-  popts.punct_barrier = punct_barrier;
   if (stall_polls > 0) popts.stall_polls = stall_polls;
   popts.repartition = repart;
   ParallelJoinPipeline pipeline(
@@ -482,8 +473,7 @@ SkewPoint RunSkewPoint(const Cli& cli, double zipf_s, int shards) {
     Measured s = RunParallel(streams, shards, /*indexed_probe=*/true,
                              /*memcap=*/0, ring_capacity);
     Measured a = RunParallel(streams, shards, /*indexed_probe=*/true,
-                             /*memcap=*/0, ring_capacity,
-                             /*punct_barrier=*/false, /*stall_polls=*/0,
+                             /*memcap=*/0, ring_capacity, /*stall_polls=*/0,
                              adaptive);
     if (rep == 0 || s.wall_ms < point.static_run.wall_ms) {
       point.static_run = std::move(s);
@@ -749,7 +739,6 @@ int Main(int argc, char** argv) {
         [&, shards] { return RunParallel(streams, shards,
                                          /*indexed_probe=*/true,
                                          /*memcap=*/0, cli.ring,
-                                         cli.punct_barrier,
                                          cli.stall_polls, main_repart); });
   }
   if (!cli.shards.empty()) {
@@ -757,8 +746,8 @@ int Main(int argc, char** argv) {
     // of the parallel_x*_indexed speedup is the pipeline vs the index.
     configs.push_back([&] {
       return RunParallel(streams, cli.shards.back(), /*indexed_probe=*/false,
-                         /*memcap=*/0, cli.ring, cli.punct_barrier,
-                         cli.stall_polls, main_repart);
+                         /*memcap=*/0, cli.ring, cli.stall_polls,
+                         main_repart);
     });
   }
   if (cli.memcap > 0 && !cli.shards.empty()) {
@@ -767,8 +756,7 @@ int Main(int argc, char** argv) {
     // is measured (and traced) alongside the in-memory sweep.
     configs.push_back([&] {
       return RunParallel(streams, cli.shards.back(), /*indexed_probe=*/true,
-                         cli.memcap, cli.ring, cli.punct_barrier,
-                         cli.stall_polls);
+                         cli.memcap, cli.ring, cli.stall_polls);
     });
   }
   std::vector<Measured> measured(configs.size());
@@ -866,7 +854,6 @@ int Main(int argc, char** argv) {
       const Measured again = RunParallel(streams, widest,
                                          /*indexed_probe=*/true,
                                          /*memcap=*/0, cli.ring,
-                                         cli.punct_barrier,
                                          cli.stall_polls);
       all_pass = all_pass && again.oracle == baseline.oracle;
     }

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "common/macros.h"
-#include "common/mutex.h"
 
 namespace pjoin {
 
@@ -157,26 +156,6 @@ std::string CounterSet::ToString() const {
     os << name << "=" << value;
   }
   return os.str();
-}
-
-void SharedCounterSet::Add(const std::string& name, int64_t delta) {
-  MutexLock lock(mu_);
-  counters_.Add(name, delta);
-}
-
-int64_t SharedCounterSet::Get(const std::string& name) const {
-  MutexLock lock(mu_);
-  return counters_.Get(name);
-}
-
-void SharedCounterSet::Merge(const CounterSet& other) {
-  MutexLock lock(mu_);
-  counters_.Merge(other);
-}
-
-CounterSet SharedCounterSet::Snapshot() const {
-  MutexLock lock(mu_);
-  return counters_;
 }
 
 }  // namespace pjoin

@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 
 namespace pjoin {
 
@@ -102,28 +100,6 @@ class CounterSet {
 
  private:
   std::map<std::string, int64_t> counters_;
-};
-
-/// A CounterSet shared across pipeline threads (fault decorators, shard
-/// workers): every operation takes the internal mutex, and reads hand out
-/// snapshots by value, never references into guarded state.
-class SharedCounterSet {
- public:
-  /// Adds `delta` to counter `name`, creating it at zero if absent.
-  void Add(const std::string& name, int64_t delta = 1) EXCLUDES(mu_);
-  /// Value of counter `name`; 0 if never touched.
-  [[nodiscard]] int64_t Get(const std::string& name) const EXCLUDES(mu_);
-  /// Adds every counter of `other` into this set.
-  void Merge(const CounterSet& other) EXCLUDES(mu_);
-  /// Consistent copy of the full set.
-  [[nodiscard]] CounterSet Snapshot() const EXCLUDES(mu_);
-
- private:
-  // tests/thread_safety_negative.cc probes the GUARDED_BY annotations.
-  friend class ThreadSafetyNegativeProbe;
-
-  mutable Mutex mu_;
-  CounterSet counters_ GUARDED_BY(mu_);
 };
 
 }  // namespace pjoin

@@ -4,9 +4,8 @@
 // All decorators built from one FaultPlan share one injector, so the
 // injected-fault counters aggregate across stores and streams and the whole
 // run replays bit-identically from the plan's seed. Thread-safe: the
-// decorated stores and sources may live on different pipeline threads —
-// the random stream is GUARDED_BY its mutex, the counters live in a
-// SharedCounterSet.
+// decorated stores and sources may live on different pipeline threads, so
+// the random stream and the counters are GUARDED_BY one mutex.
 
 #ifndef PJOIN_FAULT_FAULT_INJECTOR_H_
 #define PJOIN_FAULT_FAULT_INJECTOR_H_
@@ -39,23 +38,29 @@ class FaultInjector {
   }
 
   /// Records one injected fault under `name` (e.g. "io_transient_write").
-  void Count(const std::string& name, int64_t delta = 1) {
+  void Count(const std::string& name, int64_t delta = 1) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
     counters_.Add(name, delta);
   }
 
-  [[nodiscard]] int64_t Get(const std::string& name) const {
+  [[nodiscard]] int64_t Get(const std::string& name) const EXCLUDES(mu_) {
+    MutexLock lock(mu_);
     return counters_.Get(name);
   }
 
   /// Snapshot of every injected-fault counter.
-  [[nodiscard]] CounterSet SnapshotCounters() const {
-    return counters_.Snapshot();
+  [[nodiscard]] CounterSet SnapshotCounters() const EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return counters_;
   }
 
  private:
+  // tests/thread_safety_negative.cc probes the GUARDED_BY annotations.
+  friend class ThreadSafetyNegativeProbe;
+
   mutable Mutex mu_;
   Rng rng_ GUARDED_BY(mu_);
-  SharedCounterSet counters_;
+  CounterSet counters_ GUARDED_BY(mu_);
 };
 
 }  // namespace pjoin

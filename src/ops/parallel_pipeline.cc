@@ -12,6 +12,10 @@ namespace pjoin {
 
 namespace {
 
+// A shard flushes its staged results into its output ring after this many
+// (releases always flush with the batch they end).
+constexpr size_t kResultFlush = 256;
+
 // Ring capacities are configured in elements but the rings carry batches;
 // 0 means "effectively unbounded" (a large default).
 size_t RingBatches(size_t capacity_elements, size_t batch_size) {
@@ -37,8 +41,8 @@ struct ParallelJoinPipeline::Shard {
   /// Worker → merger: result/release batches (worker produces, the
   /// router/caller thread consumes).
   SpscRing<OutBatch> out;
-  /// Elements the worker has fully processed; the router's epoch barrier
-  /// compares this against its enqueued count.
+  /// Elements the worker has fully processed (with `enqueued`, the live
+  /// backlog).
   std::atomic<int64_t> processed{0};
   /// Elements the router has pushed (written by the router only; atomic so
   /// the /statusz section can read it live).
@@ -62,7 +66,7 @@ struct ParallelJoinPipeline::Shard {
 
 ParallelJoinPipeline::ParallelJoinPipeline(JoinFactory factory,
                                            ParallelPipelineOptions options)
-    : options_(options) {
+    : options_(options), release_board_(options.num_shards) {
   PJOIN_DCHECK(factory != nullptr);
   PJOIN_DCHECK(options_.num_shards > 0);
   PJOIN_DCHECK(options_.batch_size > 0);
@@ -80,13 +84,6 @@ ParallelJoinPipeline::ParallelJoinPipeline(JoinFactory factory,
     shard->stats.shard = s;
     shards_.push_back(std::move(shard));
   }
-  // Output-schema positions of the two join keys, for the merger's
-  // routed-vs-broadcast release inference (PunctReleaseBoard).
-  release_board_.Configure(
-      joins_[0]->state(0).key_index(),
-      joins_[0]->state(0).schema()->num_fields() +
-          joins_[0]->state(1).key_index(),
-      options_.num_shards);
   // Key placement lives in one map consulted by tuple AND punctuation
   // routing; the repartition controller mutates it through handoffs.
   shard_map_.Reset(options_.num_shards);
@@ -103,18 +100,12 @@ ParallelJoinPipeline::ParallelJoinPipeline(JoinFactory factory,
 
 ParallelJoinPipeline::~ParallelJoinPipeline() = default;
 
-CounterSet ParallelJoinPipeline::MergedCounters() const {
-  CounterSet merged;
-  for (const auto& join : joins_) merged.Merge(join->counters());
-  return merged;
-}
-
 void ParallelJoinPipeline::FlushShardOut(Shard* shard, bool force) {
   if (shard->local_results.empty() && shard->local_releases.empty()) return;
   // Releases always flush promptly (the merger's board is waiting on them);
-  // bare results batch up to result_flush.
+  // bare results batch up to kResultFlush.
   if (!force && shard->local_releases.empty() &&
-      shard->local_results.size() < options_.result_flush) {
+      shard->local_results.size() < kResultFlush) {
     return;
   }
   OutBatch out;
@@ -127,7 +118,7 @@ void ParallelJoinPipeline::FlushShardOut(Shard* shard, bool force) {
   // The moved-from vector restarts at zero capacity; reserving the flush
   // threshold up front spares the next batch the doubling re-allocations
   // (each of which would move every staged Tuple again).
-  shard->local_results.reserve(options_.result_flush);
+  shard->local_results.reserve(kResultFlush);
   // Safe to park here: the merger (router/caller thread) drains these rings
   // whenever it waits on anything.
   shard->out.PushBlocking(std::move(out));
@@ -137,27 +128,23 @@ void ParallelJoinPipeline::FlushShardOut(Shard* shard, bool force) {
   out_activity_.notify_all();
 }
 
-void ParallelJoinPipeline::MergeOutBatch(OutBatch out) {
+void ParallelJoinPipeline::MergeOutBatch(int shard, OutBatch out) {
   TRACE_SPAN("par", "merge_drain");
   if (out.flow_id != 0) TRACE_FLOW_END("flow", "tuple_path", out.flow_id);
   for (Tuple& t : out.results) {
     ++results_emitted_;
     if (on_result_) on_result_(t);
   }
-  bool released = false;
   for (Punctuation& p : out.releases) {
     TRACE_INSTANT("par", "punct_release");
-    // The board reports completion once per full round of releases from
-    // the shards the router dispatched the punctuation to (1 for routed,
-    // all for broadcast) — emission happens exactly then.
-    if (release_board_.Release(p)) {
+    // One emission per round this release completed (ops/release_board.h).
+    for (int n = release_board_.Release(p, shard); n > 0; --n) {
       ++puncts_emitted_;
-      released = true;
       obs::FrontierTracker::Global().NoteReleased();
       if (on_punct_) on_punct_(p);
     }
   }
-  if (released || !out.releases.empty()) {
+  if (!out.releases.empty()) {
     punct_pending_gauge_.Set(release_board_.pending_rounds());
   }
   if (out.handoff != nullptr) HandleHandoffOut(std::move(*out.handoff));
@@ -171,7 +158,7 @@ size_t ParallelJoinPipeline::DrainOutputs() {
       if (repart_enabled_) {
         merged_results_[i] += static_cast<int64_t>(out.results.size());
       }
-      MergeOutBatch(std::move(out));
+      MergeOutBatch(static_cast<int>(i), std::move(out));
       ++merged;
     }
   }
@@ -226,7 +213,12 @@ void ParallelJoinPipeline::FlushStaged(int shard) {
   pending.elements.reserve(options_.batch_size);
   pending.sides.reserve(options_.batch_size);
   pending.key_hashes.reserve(options_.batch_size);
-  if (s.queue.TryPush(std::move(batch))) return;
+  PushRouted(shard, std::move(batch));
+}
+
+void ParallelJoinPipeline::PushRouted(int shard, RoutedBatch batch) {
+  SpscRing<RoutedBatch>& queue = shards_[static_cast<size_t>(shard)]->queue;
+  if (queue.TryPush(std::move(batch))) return;
   // Full shard ring. The router must NOT park indefinitely (it is also the
   // merger): drain the output rings — which is usually exactly what
   // unblocks the slow shard — and retry. When a retry round makes no merge
@@ -238,29 +230,12 @@ void ParallelJoinPipeline::FlushStaged(int shard) {
   backpressure_counter_.Add(1);
   while (true) {
     const size_t merged = DrainOutputs();
-    if (s.queue.TryPush(std::move(batch))) return;
+    if (queue.TryPush(std::move(batch))) return;
     if (merged == 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     } else {
       std::this_thread::yield();
     }
-  }
-}
-
-void ParallelJoinPipeline::EpochBarrier() {
-  TRACE_SPAN("par", "epoch_barrier");
-  ++epoch_barriers_;
-  while (true) {
-    bool drained = true;
-    for (const auto& shard : shards_) {
-      if (shard->processed.load() < shard->enqueued.load()) {
-        drained = false;
-        break;
-      }
-    }
-    if (drained) return;
-    DrainOutputs();
-    std::this_thread::yield();
   }
 }
 
@@ -418,48 +393,30 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
       // hold the key's state: the owning shard under the current map, or
       // every shard once the key is hot-replicated. Non-constant patterns
       // (range flush markers, wildcards) can cover keys of every shard and
-      // broadcast. Either way the fan-out is recorded on the release board
-      // at dispatch time — under runtime repartitioning the board's static
-      // pattern inference can no longer reconstruct it. Staged order keeps
-      // the punctuation behind every tuple dispatched before it, per shard.
+      // broadcast. Staged order keeps the punctuation behind every tuple
+      // dispatched before it, per shard.
       const Pattern& key_pattern = e->punctuation().pattern(key_index_[side]);
+      int target = -1;  // every shard
+      if (key_pattern.IsConstant()) {
+        const uint64_t h = key_pattern.constant().Hash();
+        if (!shard_map_.IsReplicated(h)) target = shard_map_.OwnerOf(h);
+      }
+      // The round is on the board before its first Stage: a Stage that
+      // finds a full ring drains the output rings, which may already carry
+      // a release of this round from a shard staged earlier in the loop.
+      release_board_.NoteDispatch(
+          joins_[0]->MakeOutputPunct(side, e->punctuation()), target);
       // Frontier accounting (obs/progress.h): every dispatch is an ingress
       // for the (side, scheme, shard) cell; the shard's join answers with
       // NoteProcessed, and the gap is the shard's frontier lag.
       const std::string_view scheme = PatternKindName(key_pattern.kind());
       const std::string punct_desc = e->punctuation().ToString();
       obs::FrontierTracker& frontier = obs::FrontierTracker::Global();
-      int fanout = num_shards();
-      if (key_pattern.IsConstant()) {
-        const uint64_t h = key_pattern.constant().Hash();
-        if (repart_enabled_ && shard_map_.IsReplicated(h)) {
-          for (int s = 0; s < num_shards(); ++s) {
-            Stage(s, static_cast<int8_t>(side), e, /*key_hash=*/0,
-                  route_now_us_);
-            frontier.NoteIngress(side, scheme, s, route_now_us_, punct_desc);
-          }
-        } else {
-          const int owner = shard_map_.OwnerOf(h);
-          Stage(owner, static_cast<int8_t>(side), e,
-                /*key_hash=*/0, route_now_us_);
-          frontier.NoteIngress(side, scheme, owner, route_now_us_,
-                               punct_desc);
-          fanout = 1;
-        }
-      } else {
-        for (int s = 0; s < num_shards(); ++s) {
-          Stage(s, static_cast<int8_t>(side), e, /*key_hash=*/0,
-                route_now_us_);
-          frontier.NoteIngress(side, scheme, s, route_now_us_, punct_desc);
-        }
-      }
-      if (repart_enabled_) {
-        release_board_.NoteDispatch(
-            joins_[0]->MakeOutputPunct(side, e->punctuation()), fanout);
-      }
-      if (options_.punct_barrier) {
-        for (int s = 0; s < num_shards(); ++s) FlushStaged(s);
-        EpochBarrier();
+      const int first = target < 0 ? 0 : target;
+      const int last = target < 0 ? num_shards() : target + 1;
+      for (int s = first; s < last; ++s) {
+        Stage(s, static_cast<int8_t>(side), e, /*key_hash=*/0, route_now_us_);
+        frontier.NoteIngress(side, scheme, s, route_now_us_, punct_desc);
       }
       break;
     }
@@ -516,20 +473,7 @@ void ParallelJoinPipeline::PushCommand(int shard, RepartCommand cmd) {
   RoutedBatch batch;
   batch.ingress_us = route_now_us_;
   batch.command = std::make_unique<RepartCommand>(std::move(cmd));
-  Shard& s = *shards_[static_cast<size_t>(shard)];
-  if (s.queue.TryPush(std::move(batch))) return;
-  // Same backpressure discipline as FlushStaged: the router never parks.
-  router_backpressure_waits_.fetch_add(1);
-  backpressure_counter_.Add(1);
-  while (true) {
-    const size_t merged = DrainOutputs();
-    if (s.queue.TryPush(std::move(batch))) return;
-    if (merged == 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    } else {
-      std::this_thread::yield();
-    }
-  }
+  PushRouted(shard, std::move(batch));
 }
 
 void ParallelJoinPipeline::ExecuteCommand(Shard* shard, RepartCommand& cmd) {
@@ -616,7 +560,6 @@ void ParallelJoinPipeline::HandleHandoffOut(HandoffOut out) {
     shard_map_.SetOwner(handoff->key_hash, handoff->to);
     migrations_completed_.fetch_add(1);
     migrations_counter_.Add(1);
-    controller_->OnMigrationCompleted();
   }
   fence_done_ = true;
 }
@@ -811,7 +754,7 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
   // emitted ahead of it.
   for (auto& shard_ptr : shards_) {
     Shard* shard = shard_ptr.get();
-    shard->local_results.reserve(options_.result_flush);
+    shard->local_results.reserve(kResultFlush);
     shard->join->set_result_callback([shard](Tuple&& t) {
       shard->local_results.push_back(std::move(t));
     });

@@ -35,21 +35,20 @@
 // restricted to the shard's keys, because a shard holds a tuple iff it
 // owns the tuple's key, and every punctuation reaches the shards owning
 // the keys it covers. Per-shard FIFO delivery preserves the relative
-// order of a punctuation and the tuples it covers; optionally an epoch
-// barrier additionally drains all shards before dispatch resumes, making
-// every punctuation a global synchronization point. Stalls are
-// detected per shard (a dry shard runs its disk join / reactive stage,
-// exactly as the single-threaded consumer would, then parks until data or
-// close).
+// order of a punctuation and the tuples it covers. Stalls are detected per
+// shard (a dry shard runs its disk join / reactive stage, exactly as the
+// single-threaded consumer would, then parks until data or close).
 //
 // Output runs through per-shard result rings of OutBatches — each carries
 // the shard's staged results followed by its punctuation releases — merged
-// on the caller's thread, which also keeps the release board (a plain map:
-// the merger is single-threaded, so no lock). A punctuation is emitted
-// only once every shard it was dispatched to has released it (one shard
-// for key-routed punctuations, all of them for broadcasts), and every
-// shard records a release only after the results it covers, so a released
-// punctuation never overtakes a result it covers (the §3.3 invariant).
+// on the caller's thread, which also keeps the release board (plain state:
+// the merger is single-threaded, so no lock). The router records each
+// punctuation round's target shards on the board before staging it; the
+// board credits each shard's release to that shard's oldest open round of
+// the same string and emits a round once all its shards have released it
+// (ops/release_board.h). Every shard records a release only after the
+// results it covers, so a released punctuation never overtakes a result it
+// covers (the §3.3 invariant).
 //
 // Blocking policy (deadlock-freedom on bounded rings): producers and
 // shards may park (their consumers always drain eventually); the
@@ -95,14 +94,6 @@ struct ParallelPipelineOptions {
   size_t shard_queue_capacity = 8192;
   /// Elements per RoutedBatch (router dispatch granularity).
   size_t batch_size = 256;
-  /// Flush a shard's staged results into its output ring after this many
-  /// results (releases always flush with the batch they end).
-  size_t result_flush = 256;
-  /// Broadcast punctuations behind an epoch barrier: the router waits until
-  /// every shard has drained its ring before dispatching anything newer.
-  /// FIFO delivery already preserves per-key punctuation order; the barrier
-  /// additionally makes punctuations global synchronization points.
-  bool punct_barrier = false;
   /// A dry shard reports a stall to its join (disk join / reactive stage)
   /// after this many consecutive empty polls, then parks until data/close.
   int64_t stall_polls = 4;
@@ -162,8 +153,6 @@ class ParallelJoinPipeline {
   int num_shards() const { return static_cast<int>(joins_.size()); }
   JoinOperator* shard_join(int shard) { return joins_[shard].get(); }
   const std::vector<ShardStats>& shard_stats() const { return shard_stats_; }
-  /// All shard counters merged into one set.
-  CounterSet MergedCounters() const;
   int64_t results_emitted() const { return results_emitted_; }
   int64_t puncts_emitted() const { return puncts_emitted_; }
   int64_t stalls_reported() const { return stalls_reported_; }
@@ -175,8 +164,6 @@ class ParallelJoinPipeline {
   /// Times a shard worker parked after spinning on an empty routed ring
   /// (also counter pjoin_shard_spin_parks).
   int64_t shard_spin_parks() const { return shard_spin_parks_.load(); }
-  /// Punctuation epoch barriers the router executed.
-  int64_t epoch_barriers() const { return epoch_barriers_; }
 
   // ---- Repartitioning introspection (atomics: readable mid-run) ----
   /// Key migrations completed (also counter pjoin_migrations_total).
@@ -304,7 +291,7 @@ class ParallelJoinPipeline {
   /// into element staging.
   void PumpRepartition();
   /// Pushes a command batch to `shard` behind its staged elements (FIFO
-  /// fencing), backpressuring like FlushStaged.
+  /// fencing).
   void PushCommand(int shard, RepartCommand cmd);
   /// Shard-side command execution (extract / install against the local
   /// join), answered through the shard's output ring.
@@ -317,9 +304,9 @@ class ParallelJoinPipeline {
   void Stage(int shard, int8_t side, const StreamElement* e,
              uint64_t key_hash, TimeMicros ingress_us, uint64_t flow_id = 0);
   void FlushStaged(int shard);
-  /// Waits until every shard has processed everything dispatched so far
-  /// (router thread; drains outputs while waiting).
-  void EpochBarrier();
+  /// Pushes `batch` into `shard`'s routed ring. The router never parks:
+  /// on a full ring it drains the output rings and retries.
+  void PushRouted(int shard, RoutedBatch batch);
   /// Drains all shard output rings into the user callbacks and the release
   /// board (router/caller thread only). Returns the number of OutBatches
   /// merged, so callers waiting on output can park when a sweep comes back
@@ -328,9 +315,10 @@ class ParallelJoinPipeline {
   /// Spray shard for one tuple of a replicated key: least merged output,
   /// round-robin until output differentiates the shards.
   int SprayTarget(uint64_t key_hash);
-  void MergeOutBatch(OutBatch out);
+  /// Emits `shard`'s results, then credits its releases on the board.
+  void MergeOutBatch(int shard, OutBatch out);
   /// Shard-side: pushes staged results/releases into the shard's output
-  /// ring when due (`force`, a pending release, or result_flush reached).
+  /// ring when due (`force`, a pending release, or kResultFlush reached).
   void FlushShardOut(Shard* shard, bool force);
 
   ParallelPipelineOptions options_;
@@ -384,7 +372,6 @@ class ParallelJoinPipeline {
   int64_t results_emitted_ = 0;
   int64_t puncts_emitted_ = 0;
   int64_t stalls_reported_ = 0;
-  int64_t epoch_barriers_ = 0;
   /// Atomics (default ordering — plain counters, no publication protocol)
   /// so the live /statusz section can read them mid-run.
   std::atomic<int64_t> router_backpressure_waits_{0};
@@ -403,7 +390,7 @@ class ParallelJoinPipeline {
   obs::Counter rollbacks_counter_;
   obs::Gauge hot_keys_gauge_;
   obs::Gauge imbalance_gauge_;
-  /// Release rounds still open on the board (pjoin_punct_pending_rounds).
+  /// Rounds partially released on the board (pjoin_punct_pending_rounds).
   obs::Gauge punct_pending_gauge_;
   bool ran_ = false;
 };

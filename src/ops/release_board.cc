@@ -1,59 +1,53 @@
 #include "ops/release_board.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
-#include "punct/pattern.h"
 
 namespace pjoin {
 
-void PunctReleaseBoard::Configure(size_t left_key_pos, size_t right_key_pos,
-                                  int num_shards) {
+PunctReleaseBoard::PunctReleaseBoard(int num_shards)
+    : num_shards_(num_shards) {
   PJOIN_DCHECK(num_shards > 0);
-  key_pos_[0] = left_key_pos;
-  key_pos_[1] = right_key_pos;
-  num_shards_ = num_shards;
 }
 
-int PunctReleaseBoard::ExpectedShards(const Punctuation& p) const {
-  // Mirrors the router's dispatch rule from the release side: a punctuation
-  // whose join-key pattern is a constant was routed to the key's owning
-  // shard alone, so exactly one release completes it; anything else was
-  // broadcast and needs a release from every shard.
-  for (const size_t pos : key_pos_) {
-    if (pos < p.num_patterns() && p.pattern(pos).IsConstant()) return 1;
-  }
-  return num_shards_;
+void PunctReleaseBoard::NoteDispatch(const Punctuation& p, int shard) {
+  PJOIN_DCHECK(shard < num_shards_);
+  Round round;
+  round.waiting.assign(static_cast<size_t>(num_shards_), shard < 0);
+  if (shard >= 0) round.waiting[static_cast<size_t>(shard)] = true;
+  round.shards = shard < 0 ? num_shards_ : 1;
+  round.remaining = round.shards;
+  open_[p.ToString()].push_back(std::move(round));
 }
 
-void PunctReleaseBoard::NoteDispatch(const Punctuation& p,
-                                     int expected_shards) {
-  PJOIN_DCHECK(expected_shards > 0);
-  counts_[p.ToString()].dispatched.push_back(expected_shards);
-}
-
-bool PunctReleaseBoard::Release(const Punctuation& p) {
-  Entry& e = counts_[p.ToString()];
-  if (e.expected == 0) {
-    // A new round opens: its fan-out is whatever the router recorded at
-    // dispatch time, or the static pattern inference when nothing was
-    // recorded. Interleaved releases of differently-fanned rounds of the
-    // same string still emit once per dispatched round — each completed
-    // count consumes exactly one recorded fan-out.
-    if (!e.dispatched.empty()) {
-      e.expected = e.dispatched.front();
-      e.dispatched.pop_front();
-    } else {
-      e.expected = ExpectedShards(p);
-    }
+int PunctReleaseBoard::Release(const Punctuation& p, int shard) {
+  const size_t s = static_cast<size_t>(shard);
+  const auto it = open_.find(p.ToString());
+  PJOIN_DCHECK(it != open_.end());
+  std::deque<Round>& rounds = it->second;
+  const auto round = std::find_if(
+      rounds.begin(), rounds.end(),
+      [s](const Round& r) { return r.waiting[s]; });
+  // A shard releases only what the router dispatched to it.
+  PJOIN_DCHECK(round != rounds.end());
+  round->waiting[s] = false;
+  --round->remaining;
+  if (round->remaining == round->shards - 1 && round->remaining > 0) {
+    ++pending_;  // first release of a multi-shard round
+  } else if (round->remaining == 0 && round->shards > 1) {
+    --pending_;  // last release
   }
-  const bool was_mid_round = e.count != 0;
-  if (++e.count < e.expected) {
-    if (!was_mid_round) ++pending_;
-    return false;
+  // Emit completed rounds in dispatch order: a complete round behind an
+  // open one waits, since the open round's shards may still hold results
+  // the shared string covers.
+  int completed = 0;
+  while (!rounds.empty() && rounds.front().remaining == 0) {
+    rounds.pop_front();
+    ++completed;
   }
-  e.count = 0;
-  e.expected = 0;
-  if (was_mid_round) --pending_;
-  return true;
+  if (rounds.empty()) open_.erase(it);
+  return completed;
 }
 
 }  // namespace pjoin

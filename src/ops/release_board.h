@@ -2,32 +2,38 @@
 // releases — the merger-side half of the parallel pipeline's punctuation
 // contract (paper §3.3; docs/PERFORMANCE.md "The lock-free spine").
 //
-// The router dispatches a punctuation either to one shard (constant
-// join-key pattern — only the key's owning shard can hold covered state)
-// or to every shard (broadcast). Each receiving shard releases it after
-// the results it covers. The board counts those releases and reports
-// completion exactly when the last expected shard has released, so the
-// pipeline emits each punctuation exactly once: never early (a missing
-// shard could still hold covered results), never twice, and tolerant of
-// the same punctuation string recurring in the stream (counting, not
-// erase-at-full-round).
+// One rule decides when a punctuation leaves the pipeline. The router
+// records each dispatched round — the shards it sent that punctuation to —
+// before staging it to any of them. Each receiving shard releases the
+// punctuation after the results it covers, and the board credits that
+// release to the shard's oldest open round of the same output string. A
+// round is emitted once every one of its shards has released it, and never
+// ahead of an older round of the same string. So a released punctuation
+// never overtakes a result it covers: each of the round's shards has
+// released it, and each flushes its results before its releases.
+//
+// Counting per shard, not per string, matters because rounds of one string
+// overlap: a left and a right punctuation over the same keys map to the
+// same output string, and so do the two sides' punctuations of a
+// hot-replicated key. A fast shard's second release must not stand in for
+// a slow shard's first.
 //
 // Threading: the board is deliberately plain sequential state, owned by
 // the single merger thread (router/caller). The concurrency around it —
 // shards pushing releases through their output rings, the merger draining
 // them — lives in SpscRing; tests/model_check_test.cc model-checks the
-// combined rings+board protocol (exactly-once under every interleaving,
-// both routed and broadcast) by driving this same class from model
-// threads over SpscRing<_, mc::ModelPolicy> edges.
+// combined rings+board protocol (exactly-once, never ahead of a shard's
+// release, under every interleaving) by driving this same class from
+// model threads over SpscRing<_, mc::ModelPolicy> edges.
 
 #ifndef PJOIN_OPS_RELEASE_BOARD_H_
 #define PJOIN_OPS_RELEASE_BOARD_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "punct/punctuation.h"
 
@@ -35,53 +41,36 @@ namespace pjoin {
 
 class PunctReleaseBoard {
  public:
-  PunctReleaseBoard() = default;
+  explicit PunctReleaseBoard(int num_shards);
 
-  /// `left_key_pos` / `right_key_pos`: positions of the two join keys in
-  /// the join's *output* schema (the join transfers the key pattern to
-  /// both, so a constant at either identifies a key-routed punctuation).
-  /// `num_shards`: broadcast fan-out.
-  void Configure(size_t left_key_pos, size_t right_key_pos, int num_shards);
+  /// Records one dispatched round of output punctuation `p`: sent to
+  /// `shard` alone, or to every shard when `shard` is negative. Must run
+  /// before the round's first element is staged, because staging can drain
+  /// the output rings and a shard may already have released it.
+  void NoteDispatch(const Punctuation& p, int shard);
 
-  /// How many shard releases complete one emission of `p`: 1 for a
-  /// constant-key punctuation (routed to the key's owning shard alone),
-  /// num_shards for a broadcast pattern. This static inference is the
-  /// fallback when the router recorded no NoteDispatch for `p`.
-  int ExpectedShards(const Punctuation& p) const;
+  /// Credits `shard`'s release of `p` to that shard's oldest open round of
+  /// `p` and returns how many rounds of `p` this completed — the number of
+  /// times the caller emits `p` now (usually 0 or 1).
+  int Release(const Punctuation& p, int shard);
 
-  /// Records, at dispatch time, how many shards the router actually sent
-  /// the round of `p` to. Under runtime repartitioning the fan-out of a
-  /// constant-key punctuation is dynamic — 1 before a key is replicated,
-  /// num_shards after — so the pattern inference can no longer reconstruct
-  /// it; the router (the same thread as the merger) records the truth
-  /// instead. Rounds of the same punctuation string consume their recorded
-  /// fan-outs in dispatch order.
-  void NoteDispatch(const Punctuation& p, int expected_shards);
-
-  /// Records one shard's release of `p`. Returns true exactly when this
-  /// release completes a full round — the caller emits `p` then and only
-  /// then.
-  bool Release(const Punctuation& p);
-
-  /// Punctuations currently mid-round (released by some but not yet all
-  /// expected shards). 0 after a clean run. O(1) — maintained on Release,
-  /// so the merger can publish it per batch (pjoin_punct_pending_rounds).
+  /// Rounds that some, but not all, of their shards have released. 0 after
+  /// a clean run. O(1) — maintained on Release, so the merger can publish
+  /// it per batch (pjoin_punct_pending_rounds).
   int64_t pending_rounds() const { return pending_; }
 
  private:
-  struct Entry {
-    int count = 0;
-    int expected = 0;  // resolved when a round opens; 0 between rounds
-    /// Fan-outs recorded by NoteDispatch, consumed FIFO as rounds open.
-    /// Empty when the router never recorded one (single-shard callers,
-    /// model-check harness) — ExpectedShards infers instead.
-    std::deque<int> dispatched;
+  struct Round {
+    /// Per shard: still owes a release to this round.
+    std::vector<bool> waiting;
+    int shards = 0;     // fan-out
+    int remaining = 0;  // shards still waiting
   };
 
-  size_t key_pos_[2] = {0, 0};
-  int num_shards_ = 1;
-  std::map<std::string, Entry> counts_;
-  /// Entries with count != 0 (mid-round), kept in lockstep by Release.
+  int num_shards_;
+  /// Open rounds per output string, in dispatch order. An entry is erased
+  /// once its last round is emitted.
+  std::unordered_map<std::string, std::deque<Round>> open_;
   int64_t pending_ = 0;
 };
 

@@ -4,6 +4,23 @@
 
 namespace pjoin {
 
+namespace {
+
+// Sketch capacity (distinct keys tracked). Space-saving guarantees any key
+// with frequency > total/capacity is present.
+constexpr size_t kHotKeySketchCapacity = 64;
+// Migration additionally requires imbalance >= this (typically above the
+// policy's imbalance_trigger): moving a key relocates ALL of its future
+// work onto one other shard, which only pays off under sustained, strong
+// imbalance — under mild skew it is pure churn. Replication has no such
+// cliff (it spreads work instead of moving it) and acts at the base
+// trigger.
+constexpr double kMigrateTrigger = 1.5;
+// Cap on concurrently replicated keys.
+constexpr int kMaxHotKeys = 4;
+
+}  // namespace
+
 HotKeyDetector::HotKeyDetector(size_t capacity, int num_shards)
     : capacity_(capacity == 0 ? 1 : capacity),
       window_load_(static_cast<size_t>(num_shards), 0) {
@@ -80,7 +97,9 @@ std::vector<HotKeyDetector::Entry> HotKeyDetector::TopK() const {
 
 RepartitionController::RepartitionController(const RepartitionPolicy& policy,
                                              ShardMap* map)
-    : policy_(policy), map_(map), detector_(policy.topk, map->num_shards()) {
+    : policy_(policy),
+      map_(map),
+      detector_(kHotKeySketchCapacity, map->num_shards()) {
   PJOIN_DCHECK(policy_.sample_every > 0);
   PJOIN_DCHECK(policy_.check_interval > 0);
 }
@@ -124,7 +143,7 @@ RepartitionDecision RepartitionController::Decide() {
   // by moving it (it saturates whichever shard owns it); spreading its
   // probe work across all shards can.
   if (!forced && window_observed > 0 &&
-      map_->replicated_keys() < policy_.max_hot_keys) {
+      map_->replicated_keys() < kMaxHotKeys) {
     for (const HotKeyDetector::Entry& e : top) {
       const double share = static_cast<double>(e.count) /
                            static_cast<double>(window_observed);
@@ -144,12 +163,7 @@ RepartitionDecision RepartitionController::Decide() {
   // Migration: move the hottest key owned by the most loaded shard to the
   // least loaded one. Forced mode (tests) takes the sketch's top key
   // regardless of thresholds.
-  if (!forced && (imbalance < policy_.migrate_trigger ||
-                  hottest != prev_hottest)) {
-    return none;
-  }
-  if (policy_.max_migrations > 0 &&
-      migrations_completed_ >= policy_.max_migrations) {
+  if (!forced && (imbalance < kMigrateTrigger || hottest != prev_hottest)) {
     return none;
   }
   for (const HotKeyDetector::Entry& e : top) {

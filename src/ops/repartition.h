@@ -53,9 +53,6 @@ namespace pjoin {
 /// pipeline pays nothing (no sketch, no per-tuple checks).
 struct RepartitionPolicy {
   bool enabled = false;
-  /// Sketch capacity (distinct keys tracked). Space-saving guarantees any
-  /// key with frequency > total/capacity is present.
-  size_t topk = 64;
   /// Update the sketch once per this many routed tuples (load counters
   /// update on every tuple). Sampling keeps the unskewed routing hot path
   /// flat; frequency *fractions* are unbiased under uniform sampling.
@@ -66,20 +63,9 @@ struct RepartitionPolicy {
   int64_t min_tuples = 8192;
   /// Act only when max_window_load / mean_window_load >= this.
   double imbalance_trigger = 1.25;
-  /// Migration additionally requires imbalance >= this (typically above
-  /// imbalance_trigger): moving a key relocates ALL of its future work
-  /// onto one other shard, which only pays off under sustained, strong
-  /// imbalance — under mild skew it is pure churn. Replication has no
-  /// such cliff (it spreads work instead of moving it) and acts at the
-  /// base trigger.
-  double migrate_trigger = 1.5;
   /// Replicate a key when its sampled frequency share within the current
   /// observation window >= this fraction.
   double hot_fraction = 0.10;
-  /// Cap on concurrently replicated keys.
-  int max_hot_keys = 4;
-  /// Cap on completed migrations per run (0 = unlimited).
-  int64_t max_migrations = 0;
   /// Test hook: force one migration attempt every N routed tuples
   /// (bypasses the imbalance/hotness thresholds; 0 = off). Targets the
   /// sketch's current top key, so forced runs still move real traffic.
@@ -269,7 +255,6 @@ class RepartitionController {
   /// The pipeline reports a refused/failed handoff; the key is blocklisted
   /// so the controller stops retrying it.
   void OnHandoffRejected(uint64_t key_hash) { rejected_.insert(key_hash); }
-  void OnMigrationCompleted() { ++migrations_completed_; }
 
   const HotKeyDetector& detector() const { return detector_; }
   /// max/mean shard load of the last closed window (for the imbalance
@@ -286,7 +271,6 @@ class RepartitionController {
   /// Hottest shard of the previous imbalanced window (-1 after a balanced
   /// one) — the migration persistence check.
   int last_hottest_ = -1;
-  int64_t migrations_completed_ = 0;
   double last_imbalance_ = 0.0;
   std::unordered_set<uint64_t> rejected_;
 };

@@ -26,6 +26,7 @@ namespace {
 
 using testing::KeyPayloadSchema;
 using testing::ReferenceJoinRows;
+using testing::ReleaseOrderChecker;
 using testing::RunJoin;
 
 struct FuzzStreams {
@@ -126,16 +127,13 @@ TEST_P(JoinFuzz, AllJoinsAllConfigsMatchReference) {
 
     // Theorem 1 checked inline: emitted punctuations must never be
     // contradicted by later results.
-    std::vector<Punctuation> emitted;
-    bool violated = false;
+    ReleaseOrderChecker order;
     join.set_punct_callback(
-        [&emitted](const Punctuation& p) { emitted.push_back(p); });
+        [&order](const Punctuation& p) { order.OnPunct(p); });
     std::vector<std::string> rows;
     join.set_result_callback([&](const Tuple& t) {
       rows.push_back(t.ToString());
-      for (const Punctuation& p : emitted) {
-        if (p.Matches(t)) violated = true;
-      }
+      order.OnResult(t);
     });
     PipelineOptions popts;
     popts.stall_gap_micros = 3000;
@@ -148,8 +146,8 @@ TEST_P(JoinFuzz, AllJoinsAllConfigsMatchReference) {
         << " prop=" << opts.runtime.propagate_count_threshold
         << " eager_idx=" << opts.eager_index_build
         << " otf=" << opts.drop_on_the_fly;
-    EXPECT_FALSE(violated) << "Theorem 1 violated (seed " << GetParam()
-                           << ")";
+    EXPECT_EQ(order.violations(), 0)
+        << "Theorem 1 violated (seed " << GetParam() << ")";
   }
 }
 

@@ -44,11 +44,13 @@ namespace pjoin {
 namespace {
 
 using pjoin::testing::ElementsBuilder;
+using pjoin::testing::GatedPJoin;
 using pjoin::testing::JsonParser;
 using pjoin::testing::JsonValue;
 using pjoin::testing::KeyPayloadSchema;
 using pjoin::testing::KeyPunct;
 using pjoin::testing::KP;
+using pjoin::testing::TestGate;
 
 // ---- HTTP client (same idiom as http_server_test.cc) ----
 
@@ -265,50 +267,6 @@ TEST_F(HealthTest, ReportJsonIsParseableAndComplete) {
 }
 
 // ---- The forced-stall pipeline ----
-
-/// Open/closed gate the blocked shard waits on.
-class TestGate {
- public:
-  void Open() {
-    MutexLock lock(mu_);
-    open_ = true;
-    cv_.NotifyAll();
-  }
-  void WaitOpen() {
-    MutexLock lock(mu_);
-    while (!open_) cv_.Wait(mu_);
-  }
-
- private:
-  Mutex mu_;
-  CondVar cv_;
-  bool open_ = false;
-};
-
-/// A PJoin whose tuple path blocks on `gate` after `free_tuples` tuples —
-/// the deterministic stand-in for a shard wedged behind a blocked sink: the
-/// router keeps dispatching punctuations (frontier ingress) that the shard
-/// can no longer process.
-class GatedPJoin : public PJoin {
- public:
-  GatedPJoin(SchemaPtr left, SchemaPtr right, JoinOptions options,
-             TestGate* gate, int64_t free_tuples)
-      : PJoin(std::move(left), std::move(right), std::move(options)),
-        gate_(gate),
-        free_tuples_(free_tuples) {}
-
- protected:
-  Status OnTupleHashed(int side, const Tuple& tuple,
-                       uint64_t key_hash) override {
-    if (++seen_ > free_tuples_) gate_->WaitOpen();
-    return PJoin::OnTupleHashed(side, tuple, key_hash);
-  }
-
- private:
-  TestGate* gate_;
-  const int64_t free_tuples_;
-  int64_t seen_ = 0;
-};
 
 /// Records kStallDiagnosed dispatches from the watchdog thread.
 class StallListener : public EventListener {

@@ -17,10 +17,11 @@
 //                        "data race" report — that is the mutation
 //                        self-test.
 //   ReleaseBoardModel  — the shard-release → merger-drain → board protocol
-//                        emits every punctuation exactly once (key-routed
-//                        expect 1 release, broadcast expect N) under every
-//                        interleaving, using the real merger's
-//                        activity-eventcount final-drain loop.
+//                        emits every recorded round exactly once
+//                        (key-routed rounds to 1 shard, broadcast rounds to
+//                        N) and never before each of its shards released
+//                        it, under every interleaving, using the real
+//                        merger's activity-eventcount final-drain loop.
 //
 // Every Explore prints its "[MC] ..." summary line; the CI model-check job
 // pipes test output through tools/mc_report.py, which aggregates
@@ -340,7 +341,6 @@ TEST(SpscRingModel, FifoUnderTsoStoreBuffers) {
 // ---------------------------------------------------------------------------
 
 Punctuation RoutedPunct() {
-  // Constant at a configured key position → dispatched to one shard.
   return Punctuation(
       {Pattern::Constant(Value(int64_t{7})), Pattern::Wildcard()});
 }
@@ -352,25 +352,25 @@ Punctuation BroadcastPunct() {
 // Two shards feed punctuation releases through capacity-1 rings; the
 // merger (model thread 0) drains exactly as ParallelJoinPipeline's final
 // drain does: load the activity count, sweep all rings, re-check
-// exhaustion, park on the loaded value. Key-routed punctuations release
-// from shard 0 only (the router dispatched to one shard); broadcasts
-// release from both.
-void BoardBody(const Punctuation& punct, int rounds,
+// exhaustion, park on the loaded value. Every round goes to `target`
+// (negative: both shards), recorded on the board before the shards start,
+// as the router records a round before staging it.
+void BoardBody(const Punctuation& punct, int target, int rounds,
                int64_t expected_emissions) {
   constexpr int kShards = 2;
   using PunctRing = SpscRing<Punctuation, mc::ModelPolicy>;
-  PunctReleaseBoard board;
-  board.Configure(/*left_key_pos=*/0, /*right_key_pos=*/1, kShards);
-  const int expected = board.ExpectedShards(punct);
+  PunctReleaseBoard board(kShards);
+  for (int rd = 0; rd < rounds; ++rd) board.NoteDispatch(punct, target);
 
   PunctRing ring0 = PunctRing::WithExactCapacity(1);
   PunctRing ring1 = PunctRing::WithExactCapacity(1);
   PunctRing* rings[kShards] = {&ring0, &ring1};
   mc::atomic<uint32_t> activity{0};
+  auto in_round = [target](int s) { return target < 0 || s == target; };
 
   std::vector<std::unique_ptr<mc::Thread>> shards;
   for (int s = 0; s < kShards; ++s) {
-    const bool releasing = expected == kShards || s == 0;
+    const bool releasing = in_round(s);
     shards.push_back(std::make_unique<mc::Thread>([&, s, releasing] {
       if (releasing) {
         for (int rd = 0; rd < rounds; ++rd) {
@@ -388,17 +388,28 @@ void BoardBody(const Punctuation& punct, int rounds,
   }
 
   int64_t emitted = 0;
+  int64_t popped[kShards] = {0, 0};
   for (;;) {
     const uint32_t seq = activity.load(std::memory_order_acquire);
     size_t merged = 0;
     bool all_exhausted = true;
-    for (PunctRing* ring : rings) {
+    for (int s = 0; s < kShards; ++s) {
       Punctuation p;
-      while (ring->TryPop(&p)) {
-        if (board.Release(p)) ++emitted;
+      while (rings[s]->TryPop(&p)) {
+        ++popped[s];
+        for (int n = board.Release(p, s); n > 0; --n) {
+          ++emitted;
+          // §3.3: the k-th emission needs every shard of the round to have
+          // released k times — one shard's releases never stand in for
+          // another's.
+          for (int t = 0; t < kShards; ++t) {
+            mc::Check(!in_round(t) || popped[t] >= emitted,
+                      "punctuation emitted before all its shards released");
+          }
+        }
         ++merged;
       }
-      if (!ring->exhausted()) all_exhausted = false;
+      if (!rings[s]->exhausted()) all_exhausted = false;
     }
     mc::Check(emitted <= expected_emissions,
               "punctuation emitted more than once per round");
@@ -418,7 +429,8 @@ TEST(ReleaseBoardModel, KeyRoutedFiresExactlyOnce) {
   opts.label = "board_routed";
   opts.max_preemptions = 2;
   auto r = RunExplore(opts, [] {
-    BoardBody(RoutedPunct(), /*rounds=*/1, /*expected_emissions=*/1);
+    BoardBody(RoutedPunct(), /*target=*/0, /*rounds=*/1,
+              /*expected_emissions=*/1);
   });
   EXPECT_MC_OK(r);
   EXPECT_MC_EXHAUSTIVE(r);
@@ -429,7 +441,8 @@ TEST(ReleaseBoardModel, BroadcastFiresOncePerFullRound) {
   opts.label = "board_broadcast";
   opts.max_preemptions = 2;
   auto r = RunExplore(opts, [] {
-    BoardBody(BroadcastPunct(), /*rounds=*/1, /*expected_emissions=*/1);
+    BoardBody(BroadcastPunct(), /*target=*/-1, /*rounds=*/1,
+              /*expected_emissions=*/1);
   });
   EXPECT_MC_OK(r);
   EXPECT_MC_EXHAUSTIVE(r);
@@ -440,33 +453,51 @@ TEST(ReleaseBoardModel, RecurringPunctuationEmitsPerRound) {
   opts.label = "board_recurring";
   opts.max_preemptions = 1;
   auto r = RunExplore(opts, [] {
-    BoardBody(BroadcastPunct(), /*rounds=*/2, /*expected_emissions=*/2);
+    BoardBody(BroadcastPunct(), /*target=*/-1, /*rounds=*/2,
+              /*expected_emissions=*/2);
   });
   EXPECT_MC_OK(r);
   EXPECT_MC_EXHAUSTIVE(r);
 }
 
-// Sequential board semantics (no threads): the expected-shards inference
-// matches the router's dispatch rule, and counting (not erasing) tolerates
-// a recurring punctuation string.
-TEST(ReleaseBoardModel, ExpectedShardsInference) {
-  PunctReleaseBoard board;
-  board.Configure(0, 1, 4);
-  EXPECT_EQ(board.ExpectedShards(RoutedPunct()), 1);
-  EXPECT_EQ(board.ExpectedShards(BroadcastPunct()), 4);
-  // Constant at the right key position only — still routed.
-  Punctuation right_keyed(
-      {Pattern::Wildcard(), Pattern::Constant(Value(int64_t{3}))});
-  EXPECT_EQ(board.ExpectedShards(right_keyed), 1);
+// Sequential board semantics (no threads): each release is credited to its
+// shard's oldest open round of the string, and rounds of one string are
+// emitted in dispatch order.
+TEST(ReleaseBoardModel, CreditsEachShardsOldestRoundInDispatchOrder) {
+  PunctReleaseBoard board(/*num_shards=*/3);
+  const Punctuation p = BroadcastPunct();
 
-  EXPECT_FALSE(board.Release(BroadcastPunct()));
-  EXPECT_FALSE(board.Release(BroadcastPunct()));
+  // Two all-shard rounds: shard 0's second release must not stand in for
+  // the other shards' first.
+  board.NoteDispatch(p, -1);
+  board.NoteDispatch(p, -1);
+  EXPECT_EQ(board.Release(p, 0), 0);
+  EXPECT_EQ(board.Release(p, 0), 0);
+  EXPECT_EQ(board.pending_rounds(), 2);
+  EXPECT_EQ(board.Release(p, 1), 0);
+  EXPECT_EQ(board.Release(p, 2), 1);
   EXPECT_EQ(board.pending_rounds(), 1);
-  EXPECT_FALSE(board.Release(BroadcastPunct()));
-  EXPECT_TRUE(board.Release(BroadcastPunct()));
+  EXPECT_EQ(board.Release(p, 1), 0);
+  EXPECT_EQ(board.Release(p, 2), 1);
   EXPECT_EQ(board.pending_rounds(), 0);
-  EXPECT_TRUE(board.Release(RoutedPunct()));
-  EXPECT_TRUE(board.Release(RoutedPunct()));
+
+  // One-shard and all-shard rounds of one string: A to shard 2, B to all,
+  // C to shard 1.
+  board.NoteDispatch(p, 2);
+  board.NoteDispatch(p, -1);
+  board.NoteDispatch(p, 1);
+  EXPECT_EQ(board.Release(p, 1), 0);  // shard 1's oldest round is B
+  EXPECT_EQ(board.Release(p, 1), 0);  // C complete, held behind A and B
+  EXPECT_EQ(board.Release(p, 0), 0);
+  EXPECT_EQ(board.pending_rounds(), 1);  // B; C has all its releases
+  EXPECT_EQ(board.Release(p, 2), 1);     // A
+  EXPECT_EQ(board.Release(p, 2), 2);     // B, then the held C
+  EXPECT_EQ(board.pending_rounds(), 0);
+
+  // A one-shard round completes on its shard's release alone.
+  board.NoteDispatch(RoutedPunct(), 0);
+  EXPECT_EQ(board.Release(RoutedPunct(), 0), 1);
+  EXPECT_EQ(board.pending_rounds(), 0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Equivalence tests for the partition-parallel pipeline: for every shard
 // count the merged parallel output multiset must equal the single-threaded
-// reference, across operators (PJoin / XJoin), seeds, punctuation densities
-// and key skews.
+// reference, across operators (PJoin / XJoin), seeds, punctuation styles
+// and densities, and key skews — and no released punctuation may precede a
+// result it covers (§3.3).
 
 #include "ops/parallel_pipeline.h"
 
@@ -27,6 +28,7 @@ using testing::KeyPunct;
 using testing::KP;
 using testing::KeyPayloadSchema;
 using testing::ReferenceJoinRows;
+using testing::ReleaseOrderChecker;
 using testing::RunJoin;
 using testing::RunResult;
 
@@ -51,7 +53,8 @@ std::unique_ptr<JoinOperator> MakeJoin(Operator op, const SchemaPtr& left,
 }
 
 /// Runs the parallel pipeline and returns the merged output in RunJoin's
-/// canonicalization (sorted result rows + punctuations in emission order).
+/// canonicalization (sorted result rows + punctuations in emission order),
+/// checking §3.3 on the merged output stream.
 RunResult RunParallel(Operator op, const SchemaPtr& left_schema,
                       const SchemaPtr& right_schema, const JoinOptions& jopts,
                       const std::vector<StreamElement>& left,
@@ -63,12 +66,19 @@ RunResult RunParallel(Operator op, const SchemaPtr& left_schema,
       [&](int) { return MakeJoin(op, left_schema, right_schema, jopts); },
       popts);
   RunResult out;
-  last->set_result_callback(
-      [&out](const Tuple& t) { out.results.push_back(t.ToString()); });
-  last->set_punct_callback(
-      [&out](const Punctuation& p) { out.punctuations.push_back(p); });
+  ReleaseOrderChecker order;
+  last->set_result_callback([&out, &order](const Tuple& t) {
+    out.results.push_back(t.ToString());
+    order.OnResult(t);
+  });
+  last->set_punct_callback([&out, &order](const Punctuation& p) {
+    out.punctuations.push_back(p);
+    order.OnPunct(p);
+  });
   const Status st = last->Run(left, right);
   EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(order.violations(), 0)
+      << "results emitted after a released punctuation covering them";
   out.stalls = last->stalls_reported();
   std::sort(out.results.begin(), out.results.end());
   if (out_pipeline != nullptr) *out_pipeline = last.get();
@@ -89,12 +99,15 @@ struct Workload {
 };
 
 Workload MakeWorkload(const std::string& name, uint64_t seed,
-                      double punct_rate, double zipf_s) {
+                      double punct_rate, double zipf_s,
+                      PunctStyle style = PunctStyle::kConstant) {
   DomainSpec domain;
   domain.window_size = 16;
   StreamSpec spec;
   spec.num_tuples = 1200;
   spec.punct_mean_interarrival_tuples = punct_rate;
+  spec.punct_style = style;
+  spec.punct_batch = style == PunctStyle::kConstant ? 1 : 4;
   spec.zipf_s = zipf_s;
   spec.flush_punctuations_at_end = true;
   return Workload{name, GenerateStreams(domain, spec, spec, seed)};
@@ -102,26 +115,35 @@ Workload MakeWorkload(const std::string& name, uint64_t seed,
 
 class ParallelEquivalenceTest : public ::testing::TestWithParam<Operator> {};
 
+// Range and enum-list punctuations broadcast, and a left and a right
+// punctuation over the same keys share one output string: their rounds
+// must be credited per shard, or a fast shard's two releases emit the
+// punctuation while a slow shard still holds covered results.
 TEST_P(ParallelEquivalenceTest, MatchesReferenceAcrossSeedsAndShards) {
   const Operator op = GetParam();
-  for (const uint64_t seed : {7u, 21u, 1234u}) {
-    Workload w = MakeWorkload("uniform", seed, /*punct_rate=*/25.0,
-                              /*zipf_s=*/0.0);
-    const std::vector<std::string> reference = ReferenceJoinRows(
-        w.streams.a, w.streams.b,
-        MakeJoin(op, w.streams.schema_a, w.streams.schema_b, JoinOptions())
-            ->output_schema(),
-        0, 0);
-    const JoinOptions jopts = SmallStateOptions();
-    for (const int shards : {1, 2, 4}) {
-      ParallelPipelineOptions popts;
-      popts.num_shards = shards;
-      popts.batch_size = 64;
-      const RunResult got =
-          RunParallel(op, w.streams.schema_a, w.streams.schema_b, jopts,
-                      w.streams.a, w.streams.b, popts);
-      EXPECT_EQ(got.results, reference)
-          << "seed=" << seed << " shards=" << shards;
+  for (const PunctStyle style :
+       {PunctStyle::kConstant, PunctStyle::kRange, PunctStyle::kEnumList}) {
+    for (const uint64_t seed : {7u, 21u, 1234u}) {
+      Workload w = MakeWorkload("uniform", seed, /*punct_rate=*/25.0,
+                                /*zipf_s=*/0.0, style);
+      const std::vector<std::string> reference = ReferenceJoinRows(
+          w.streams.a, w.streams.b,
+          MakeJoin(op, w.streams.schema_a, w.streams.schema_b, JoinOptions())
+              ->output_schema(),
+          0, 0);
+      const JoinOptions jopts = SmallStateOptions();
+      for (const int shards : {1, 2, 4}) {
+        SCOPED_TRACE("style=" + std::to_string(static_cast<int>(style)) +
+                     " seed=" + std::to_string(seed) +
+                     " shards=" + std::to_string(shards));
+        ParallelPipelineOptions popts;
+        popts.num_shards = shards;
+        popts.batch_size = 64;
+        const RunResult got =
+            RunParallel(op, w.streams.schema_a, w.streams.schema_b, jopts,
+                        w.streams.a, w.streams.b, popts);
+        EXPECT_EQ(got.results, reference);
+      }
     }
   }
 }
@@ -228,28 +250,6 @@ TEST(ParallelPJoinTest, PunctuationsReleasedOnceAndAfterCoveredResults) {
     }
     EXPECT_EQ(state, ref_join->total_state_tuples()) << "shards=" << shards;
   }
-}
-
-TEST(ParallelPJoinTest, EpochBarrierModeMatchesReference) {
-  Workload w = MakeWorkload("barrier", /*seed=*/404, /*punct_rate=*/10.0,
-                            /*zipf_s=*/0.0);
-  const JoinOptions jopts = SmallStateOptions();
-  auto ref_join =
-      std::make_unique<PJoin>(w.streams.schema_a, w.streams.schema_b, jopts);
-  const RunResult ref = RunJoin(ref_join.get(), w.streams.a, w.streams.b);
-
-  ParallelPipelineOptions popts;
-  popts.num_shards = 4;
-  popts.punct_barrier = true;
-  ParallelJoinPipeline* pipeline = nullptr;
-  const RunResult got =
-      RunParallel(Operator::kPJoin, w.streams.schema_a, w.streams.schema_b,
-                  jopts, w.streams.a, w.streams.b, popts, &pipeline);
-  EXPECT_EQ(got.results, ref.results);
-  // One barrier per broadcast punctuation.
-  EXPECT_EQ(pipeline->epoch_barriers(),
-            w.streams.NumPunctuations(w.streams.a) +
-                w.streams.NumPunctuations(w.streams.b));
 }
 
 TEST(ParallelPJoinTest, ShardStatsCoverAllRoutedElements) {
@@ -360,7 +360,7 @@ TEST(ParallelPJoinTest, BoundedRingsApplyBackpressure) {
                                     0, 0));
 }
 
-TEST(ParallelPJoinTest, SingleShardMatchesMergedCountersOfReference) {
+TEST(ParallelPJoinTest, SingleShardMatchesReferenceState) {
   Workload w = MakeWorkload("one-shard", /*seed=*/77, /*punct_rate=*/15.0,
                             /*zipf_s=*/0.0);
   const JoinOptions jopts = SmallStateOptions();

@@ -1,17 +1,20 @@
 // Tests for the runtime repartitioning layer (ops/repartition.h) and its
 // integration into the parallel pipeline: shard-map unit semantics, the
-// space-saving hot-key detector, recorded punctuation fan-outs on the
-// release board, and the dual-view migration oracle — for skewed streams
-// with forced mid-stream migrations / hot-key replication, the adaptive
-// pipeline's merged output must equal the single-threaded reference with
-// zero lost or duplicated results and exactly-once punctuation release,
-// including when a fault plan fails the handoff mid-flight.
+// space-saving hot-key detector, and the dual-view migration oracle — for
+// skewed streams with forced mid-stream migrations / hot-key replication,
+// the adaptive pipeline's merged output must equal the single-threaded
+// reference with zero lost or duplicated results and exactly-once
+// punctuation release, never ahead of a covered result (§3.3), including
+// when a fault plan fails the handoff mid-flight.
 
 #include "ops/repartition.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,18 +22,21 @@
 #include "fault/fault_plan.h"
 #include "gen/stream_generator.h"
 #include "join/pjoin.h"
+#include "obs/metrics_registry.h"
 #include "ops/parallel_pipeline.h"
-#include "ops/release_board.h"
 #include "test_util.h"
 
 namespace pjoin {
 namespace {
 
 using testing::ElementsBuilder;
+using testing::GatedPJoin;
 using testing::KeyPayloadSchema;
 using testing::KeyPunct;
 using testing::KP;
 using testing::ReferenceJoinRows;
+using testing::ReleaseOrderChecker;
+using testing::TestGate;
 
 /// Canonicalized pipeline output: sorted result rows and sorted released
 /// punctuation strings (multiset comparisons across runs).
@@ -115,37 +121,6 @@ TEST(HotKeyDetectorTest, WindowImbalanceTracksLoadsAndResets) {
   EXPECT_EQ(detector.window_tuples(), 0);
 }
 
-// ---- Release board: recorded fan-outs ----
-
-TEST(ReleaseBoardTest, RecordedFanoutOverridesPatternInference) {
-  PunctReleaseBoard board;
-  board.Configure(/*left_key_pos=*/0, /*right_key_pos=*/2, /*num_shards=*/4);
-  // Output-schema punctuation with a constant join key: the static
-  // inference says one shard.
-  std::vector<Pattern> patterns(4, Pattern::Wildcard());
-  patterns[0] = Pattern::Constant(Value(int64_t{5}));
-  patterns[2] = Pattern::Constant(Value(int64_t{5}));
-  const Punctuation p(std::move(patterns));
-  ASSERT_EQ(board.ExpectedShards(p), 1);
-  // The router replicated the key and broadcast this round to all 4 shards.
-  board.NoteDispatch(p, 4);
-  EXPECT_FALSE(board.Release(p));
-  EXPECT_FALSE(board.Release(p));
-  EXPECT_FALSE(board.Release(p));
-  EXPECT_EQ(board.pending_rounds(), 1);
-  EXPECT_TRUE(board.Release(p));
-  EXPECT_EQ(board.pending_rounds(), 0);
-  // The recorded fan-out was consumed; the next round falls back to the
-  // pattern inference (one shard).
-  EXPECT_TRUE(board.Release(p));
-  // Recorded fan-outs of the same string are consumed in dispatch order.
-  board.NoteDispatch(p, 2);
-  board.NoteDispatch(p, 1);
-  EXPECT_FALSE(board.Release(p));
-  EXPECT_TRUE(board.Release(p));
-  EXPECT_TRUE(board.Release(p));
-}
-
 // ---- Pipeline integration: the dual-view migration oracle ----
 
 JoinOptions MemoryOnlyOptions() {
@@ -176,14 +151,19 @@ ParallelRun RunPipeline(const SchemaPtr& left_schema,
         return std::make_unique<PJoin>(left_schema, right_schema, jopts);
       },
       popts);
-  run.pipeline->set_result_callback([&run](const Tuple& t) {
+  ReleaseOrderChecker order;
+  run.pipeline->set_result_callback([&run, &order](const Tuple& t) {
     run.out.results.push_back(t.ToString());
+    order.OnResult(t);
   });
-  run.pipeline->set_punct_callback([&run](const Punctuation& p) {
+  run.pipeline->set_punct_callback([&run, &order](const Punctuation& p) {
     run.out.punctuations.push_back(p.ToString());
+    order.OnPunct(p);
   });
   const Status st = run.pipeline->Run(left, right);
   EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(order.violations(), 0)
+      << "results emitted after a released punctuation covering them";
   std::sort(run.out.results.begin(), run.out.results.end());
   std::sort(run.out.punctuations.begin(), run.out.punctuations.end());
   return run;
@@ -304,6 +284,99 @@ TEST(RepartitionOracleTest, HotKeyReplicationMatchesReference) {
   EXPECT_EQ(adaptive.out.results, reference);
   EXPECT_EQ(adaptive.out.punctuations, static_run.out.punctuations);
   EXPECT_GT(adaptive.pipeline->hot_keys_active(), 0);
+}
+
+// A replicated key's constant punctuation is a broadcast round, and the
+// board must know that before any shard can release it. Shard 1 owns the
+// hot key and keeps the sprayed side's pre-handoff tuples; it is gated with
+// a full ring when the punctuation reaches it, so the router drains outputs
+// in the middle of dispatching the round and merges shard 0's release
+// (shard 0 holds none of the key's left tuples, so it owes nothing). Had
+// the round not been recorded before staging, that release alone would
+// emit the punctuation ahead of the results shard 1 still owes for the key.
+TEST(RepartitionOracleTest, ReplicatedKeyPunctuationWaitsForEveryShard) {
+  const SchemaPtr sa = KeyPayloadSchema("a");
+  const SchemaPtr sb = KeyPayloadSchema("b");
+  const ShardMap static_map(2);
+  int64_t hot = 0;
+  while (static_map.StaticShardOf(Value(hot).Hash()) != 1) ++hot;
+  // One decision window of left tuples, all of the hot key: the controller
+  // replicates it with the left side sprayed. Everything after is parked by
+  // the replication fence and replayed under the new map.
+  constexpr int64_t kWindow = 8;
+  std::vector<StreamElement> l;
+  std::vector<StreamElement> r;
+  for (int64_t i = 0; i < kWindow; ++i) {
+    l.push_back(StreamElement::MakeTuple(KP(sa, hot, i), 1000 * (i + 1), i));
+  }
+  for (int64_t i = 0; i < 3; ++i) {
+    r.push_back(
+        StreamElement::MakeTuple(KP(sb, hot, 100 + i), 8100 + 100 * i, i));
+  }
+  l.push_back(StreamElement::MakePunctuation(KeyPunct(hot), 9000, kWindow));
+  r.push_back(StreamElement::MakePunctuation(KeyPunct(hot), 9500, 3));
+  r.push_back(StreamElement::MakeEndOfStream(9600, 4));
+  l.push_back(StreamElement::MakeEndOfStream(10000, kWindow + 1));
+
+  const JoinOptions jopts = MemoryOnlyOptions();
+  auto ref_join = std::make_unique<PJoin>(sa, sb, jopts);
+  const testing::RunResult ref = testing::RunJoin(ref_join.get(), l, r);
+
+  ParallelPipelineOptions popts;
+  popts.num_shards = 2;
+  popts.batch_size = 1;
+  popts.shard_queue_capacity = 2;
+  popts.repartition.enabled = true;
+  popts.repartition.sample_every = 1;
+  popts.repartition.check_interval = kWindow;
+  popts.repartition.min_tuples = kWindow;
+  popts.repartition.imbalance_trigger = 1.05;
+  popts.repartition.hot_fraction = 0.05;
+  TestGate gate;
+  ParallelJoinPipeline pipeline(
+      [&](int shard) -> std::unique_ptr<JoinOperator> {
+        if (shard == 0) return std::make_unique<PJoin>(sa, sb, jopts);
+        // Blocks on the first replayed right tuple.
+        return std::make_unique<GatedPJoin>(sa, sb, jopts, &gate,
+                                            /*free_tuples=*/kWindow);
+      },
+      popts);
+  std::vector<std::string> results;
+  int64_t puncts = 0;
+  ReleaseOrderChecker order;
+  std::atomic<bool> emitted{false};
+  pipeline.set_result_callback([&](const Tuple& t) {
+    results.push_back(t.ToString());
+    order.OnResult(t);
+  });
+  pipeline.set_punct_callback([&](const Punctuation& p) {
+    ++puncts;
+    order.OnPunct(p);
+    emitted.store(true);
+  });
+  obs::Gauge pending = obs::MetricsRegistry::Global().GetGauge(
+      "pjoin_punct_pending_rounds", "pipeline=parallel");
+  pending.Set(0);
+  // Opens the gate once shard 0's release has reached the merger: the
+  // round is then pending on the board (or, on a board that lost the
+  // round, already emitted).
+  std::thread opener([&] {
+    for (int i = 0; i < 10000 && !emitted.load() && pending.Get() == 0;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    gate.Open();
+  });
+  const Status st = pipeline.Run(l, r);
+  opener.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_GT(pipeline.hot_keys_active(), 0);
+  std::sort(results.begin(), results.end());
+  EXPECT_EQ(results, ref.results);
+  EXPECT_EQ(order.violations(), 0)
+      << "results emitted after a released punctuation covering them";
+  EXPECT_EQ(puncts, static_cast<int64_t>(ref.punctuations.size()));
+  EXPECT_EQ(pending.Get(), 0);
 }
 
 // Mid-handoff failures (FaultPlan::migration): a failed install returns

@@ -1,5 +1,6 @@
 // Shared helpers for the test suite: a nested-loop reference join, result
-// canonicalization, and small construction shortcuts.
+// canonicalization, an output release-order checker, a gated join, and
+// small construction shortcuts.
 
 #ifndef PJOIN_TESTS_TEST_UTIL_H_
 #define PJOIN_TESTS_TEST_UTIL_H_
@@ -9,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "common/mutex.h"
 #include "join/join_base.h"
+#include "join/pjoin.h"
 #include "ops/pipeline.h"
 #include "stream/element.h"
 #include "tuple/tuple.h"
@@ -96,6 +99,69 @@ inline std::vector<std::string> ReferenceJoinRows(
   std::sort(out.begin(), out.end());
   return out;
 }
+
+/// The §3.3 invariant on a join's output: a released punctuation never
+/// precedes a result it covers. Feed it the output in emission order; a
+/// result that an earlier-released punctuation matches is a violation.
+class ReleaseOrderChecker {
+ public:
+  void OnResult(const Tuple& t) {
+    for (const Punctuation& p : released_) {
+      if (p.Matches(t)) {
+        ++violations_;
+        return;
+      }
+    }
+  }
+  void OnPunct(const Punctuation& p) { released_.push_back(p); }
+  int64_t violations() const { return violations_; }
+
+ private:
+  std::vector<Punctuation> released_;
+  int64_t violations_ = 0;
+};
+
+/// Open/closed gate a blocked join waits on.
+class TestGate {
+ public:
+  void Open() {
+    MutexLock lock(mu_);
+    open_ = true;
+    cv_.NotifyAll();
+  }
+  void WaitOpen() {
+    MutexLock lock(mu_);
+    while (!open_) cv_.Wait(mu_);
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool open_ GUARDED_BY(mu_) = false;
+};
+
+/// A PJoin whose tuple path blocks on `gate` after `free_tuples` tuples —
+/// the deterministic stand-in for a shard wedged behind a blocked sink.
+class GatedPJoin : public PJoin {
+ public:
+  GatedPJoin(SchemaPtr left, SchemaPtr right, JoinOptions options,
+             TestGate* gate, int64_t free_tuples)
+      : PJoin(std::move(left), std::move(right), std::move(options)),
+        gate_(gate),
+        free_tuples_(free_tuples) {}
+
+ protected:
+  Status OnTupleHashed(int side, const Tuple& tuple,
+                       uint64_t key_hash) override {
+    if (++seen_ > free_tuples_) gate_->WaitOpen();
+    return PJoin::OnTupleHashed(side, tuple, key_hash);
+  }
+
+ private:
+  TestGate* gate_;
+  const int64_t free_tuples_;
+  int64_t seen_ = 0;
+};
 
 /// Builds a (key:int64, payload:int64) schema.
 inline SchemaPtr KeyPayloadSchema(const std::string& payload_name = "p") {

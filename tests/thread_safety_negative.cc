@@ -7,7 +7,7 @@
 // must compile cleanly. Every other case commits a locking mistake that
 // the analysis must reject, and its ctest entry is marked WILL_FAIL —
 // so removing a GUARDED_BY/REQUIRES annotation from RecoveringSpillStore
-// or SharedCounterSet makes the corresponding probe compile, which fails
+// or FaultInjector makes the corresponding probe compile, which fails
 // the suite. That is the point: the annotations themselves are under
 // test.
 //
@@ -19,7 +19,7 @@
 #error "compile with -DPROBE_CASE=<n>"
 #endif
 
-#include "common/metrics.h"
+#include "fault/fault_injector.h"
 #include "storage/recovering_spill_store.h"
 
 namespace pjoin {
@@ -27,7 +27,7 @@ namespace pjoin {
 class ThreadSafetyNegativeProbe {
  public:
   static void ProbeStore(RecoveringSpillStore& store);
-  static void ProbeCounters(SharedCounterSet& counters);
+  static void ProbeInjector(FaultInjector& injector);
 };
 
 void ThreadSafetyNegativeProbe::ProbeStore(RecoveringSpillStore& store) {
@@ -48,17 +48,17 @@ void ThreadSafetyNegativeProbe::ProbeStore(RecoveringSpillStore& store) {
 #endif
 }
 
-void ThreadSafetyNegativeProbe::ProbeCounters(SharedCounterSet& counters) {
+void ThreadSafetyNegativeProbe::ProbeInjector(FaultInjector& injector) {
 #if PROBE_CASE == 0
-  // Positive control: the shared set is touched under mu_.
-  MutexLock lock(counters.mu_);
-  counters.counters_.Add("probe");
+  // Positive control: the injector's counters are touched under mu_.
+  MutexLock lock(injector.mu_);
+  injector.counters_.Add("probe");
 #elif PROBE_CASE == 4
   // Unguarded mutation of the guarded counter set.
-  counters.counters_.Add("probe");
+  injector.counters_.Add("probe");
 #elif PROBE_CASE == 5
   // Unguarded read of the guarded counter set.
-  [[maybe_unused]] const int64_t v = counters.counters_.Get("probe");
+  [[maybe_unused]] const int64_t v = injector.counters_.Get("probe");
 #endif
 }
 
