@@ -47,12 +47,9 @@
 //                    pipeline; GET /quitquitquit ends the linger early.
 //   --zipf=S   skew stream A of the MAIN sweep (zipf exponent over the open
 //              window; B stays uniform). The CI forced-skew smoke uses this
-//              with --repartition so migration/hot-key metrics move.
+//              with --repartition so the hot-key metrics move.
 //   --repartition    enable runtime repartitioning (adaptive shard map) on
 //              the main sweep's parallel runs.
-//   --force_migrate=N  with --repartition: force a migration attempt every
-//              N routed tuples (test hook; guarantees pjoin_migrations_total
-//              moves even on small smoke workloads).
 //   --skew_sweep=0   disable the zipf skew sweep (adaptive vs static
 //              parallel pipeline at --skew_list exponents, "skew_sweep" in
 //              the JSON; the CI skew-gate consumes it).
@@ -116,11 +113,9 @@ struct Cli {
   int64_t ring = 0;
   int64_t stall_polls = 0;  // 0 = ParallelPipelineOptions default
   // Main-sweep skew + repartitioning (the CI forced-skew smoke): stream A
-  // zipf exponent, adaptive shard map on the parallel runs, forced
-  // migration cadence (0 = only policy-triggered decisions).
+  // zipf exponent, adaptive shard map on the parallel runs.
   double zipf = 0.0;
   bool repartition = false;
-  int64_t force_migrate = 0;
   // Skew sweep: adaptive vs static parallel pipeline at a ladder of zipf
   // exponents, A-side skewed / B uniform ("skew_sweep" in the JSON; the
   // perf gate's skew leg compares the static/adaptive ratio per exponent).
@@ -173,8 +168,6 @@ Cli ParseCli(int argc, char** argv) {
       cli.zipf = std::atof(v);
     } else if (arg == "--repartition") {
       cli.repartition = true;
-    } else if (const char* v = value("--force_migrate=")) {
-      cli.force_migrate = std::atoll(v);
     } else if (const char* v = value("--skew_sweep=")) {
       cli.skew_sweep = std::atoi(v) != 0;
     } else if (const char* v = value("--skew_tuples=")) {
@@ -258,7 +251,6 @@ struct Measured {
   int64_t state_tuples = 0;
   std::vector<ShardStats> shard_stats;
   // Repartitioning activity (0 unless the run had an adaptive shard map).
-  int64_t migrations = 0;
   int64_t hot_keys = 0;
   int64_t rollbacks = 0;
 
@@ -327,7 +319,6 @@ Measured RunParallel(const GeneratedStreams& streams, int shards,
       1e3;
   m.shard_stats = pipeline.shard_stats();
   for (const ShardStats& s : m.shard_stats) m.state_tuples += s.state_tuples;
-  m.migrations = pipeline.migrations_completed();
   m.hot_keys = pipeline.hot_keys_active();
   m.rollbacks = pipeline.migration_rollbacks();
   return m;
@@ -508,7 +499,6 @@ void WriteSkewSweepJson(std::ofstream& out, const Cli& cli, int shards,
         << ", \"adaptive_bottleneck_share\": "
         << BottleneckShare(p.adaptive_run)
         << ", \"oracle_pass\": " << (p.oracle_pass ? "true" : "false")
-        << ", \"migrations\": " << p.adaptive_run.migrations
         << ", \"hot_keys\": " << p.adaptive_run.hot_keys
         << ", \"rollbacks\": " << p.adaptive_run.rollbacks << "}"
         << (i + 1 == points.size() ? "" : ",") << "\n";
@@ -678,10 +668,9 @@ int Main(int argc, char** argv) {
   const GeneratedStreams streams = GenerateStreams(domain, spec_a, spec, 2004);
 
   // Adaptive shard map for the main sweep's parallel runs (the forced-skew
-  // smoke turns this on so the migration/hot-key metrics move live).
+  // smoke turns this on so the hot-key metrics move live).
   RepartitionPolicy main_repart;
   main_repart.enabled = cli.repartition;
-  main_repart.force_migration_interval = cli.force_migrate;
 
   if (!cli.trace.empty()) {
     obs::Tracer::Global().Start();
@@ -801,18 +790,17 @@ int Main(int argc, char** argv) {
     std::printf("  skew sweep (%lld tuples/stream, window %lld, x%d):\n",
                 static_cast<long long>(cli.skew_tuples),
                 static_cast<long long>(cli.skew_window), skew_shards);
-    std::printf("  %-8s %10s %11s %7s %9s %9s %5s %4s %7s\n", "zipf_s",
+    std::printf("  %-8s %10s %11s %7s %9s %9s %4s %7s\n", "zipf_s",
                 "static_ms", "adaptive_ms", "ratio", "st_share", "ad_share",
-                "migr", "hot", "oracle");
+                "hot", "oracle");
     for (const double s : cli.skew_list) {
       SkewPoint point = RunSkewPoint(cli, s, skew_shards);
       all_pass = all_pass && point.oracle_pass;
-      std::printf("  %-8.2f %10.1f %11.1f %6.2fx %9.3f %9.3f %5lld %4lld %7s\n",
+      std::printf("  %-8.2f %10.1f %11.1f %6.2fx %9.3f %9.3f %4lld %7s\n",
                   point.zipf_s, point.static_run.wall_ms,
                   point.adaptive_run.wall_ms, point.StaticOverAdaptive(),
                   BottleneckShare(point.static_run),
                   BottleneckShare(point.adaptive_run),
-                  static_cast<long long>(point.adaptive_run.migrations),
                   static_cast<long long>(point.adaptive_run.hot_keys),
                   point.oracle_pass ? "PASS" : "FAIL");
       skew_points.push_back(std::move(point));

@@ -4,10 +4,43 @@
 #include <cstdlib>
 #include <sstream>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define PJOIN_MC_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PJOIN_MC_ASAN 1
+#endif
+#endif
+#ifdef PJOIN_MC_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace pjoin {
 namespace mc {
 
 namespace {
+
+// AddressSanitizer keeps one stack range per OS thread. Every fiber switch
+// names the destination stack before it (StartSwitch) and confirms the
+// arrival after it (FinishSwitch); without that, an exception unwinding on
+// a fiber stack makes ASan clear the wrong range and abort. A null `save`
+// tells ASan the departing fiber never resumes. Both are no-ops without
+// ASan.
+void StartSwitch([[maybe_unused]] void** save,
+                 [[maybe_unused]] const void* bottom,
+                 [[maybe_unused]] size_t size) {
+#ifdef PJOIN_MC_ASAN
+  __sanitizer_start_switch_fiber(save, bottom, size);
+#endif
+}
+
+void FinishSwitch([[maybe_unused]] void* save,
+                  [[maybe_unused]] const void** bottom_old,
+                  [[maybe_unused]] size_t* size_old) {
+#ifdef PJOIN_MC_ASAN
+  __sanitizer_finish_switch_fiber(save, bottom_old, size_old);
+#endif
+}
 
 // All model threads are fibers on ONE OS thread, so a plain global is safe.
 Execution* g_current = nullptr;
@@ -267,18 +300,22 @@ void Execution::SwitchFrom(int from, int to) {
   ThreadState& t = threads_[to];
   t.state = State::kRunning;
   current_ = to;
+  StartSwitch(&threads_[from].asan_fake_stack, t.stack.get(),
+              kFiberStackSize);
   if (!t.started) {
     PrepareStart(to);
     swapcontext(&threads_[from].ctx, &t.start_ctx);
   } else {
     swapcontext(&threads_[from].ctx, &t.ctx);
   }
+  FinishSwitch(threads_[from].asan_fake_stack, nullptr, nullptr);
 }
 
 void Execution::JumpTo(int to) {
   ThreadState& t = threads_[to];
   t.state = State::kRunning;
   current_ = to;
+  StartSwitch(nullptr, t.stack.get(), kFiberStackSize);
   if (!t.started) {
     PrepareStart(to);
     setcontext(&t.start_ctx);
@@ -288,9 +325,24 @@ void Execution::JumpTo(int to) {
   std::abort();  // setcontext does not return
 }
 
+void Execution::ReturnToMain() {
+  StartSwitch(nullptr, main_stack_bottom_, main_stack_size_);
+  setcontext(&main_ctx_);
+  std::abort();  // setcontext does not return
+}
+
 void Execution::TrampolineEntry() {
   Execution* e = g_current;
   const int tid = e->starting_tid_;
+  const void* from_bottom = nullptr;
+  size_t from_size = 0;
+  FinishSwitch(nullptr, &from_bottom, &from_size);
+  if (tid == 0) {
+    // Fiber 0 is always entered from RunSchedule: remember that stack for
+    // the switch back.
+    e->main_stack_bottom_ = from_bottom;
+    e->main_stack_size_ = from_size;
+  }
   try {
     if (e->abort_) throw AbortExecution{};
     e->threads_[tid].fn();
@@ -330,17 +382,24 @@ void Execution::TransferAfterFinish(int tid) {
         next = i;
         break;
       }
-      if (next < 0) setcontext(&main_ctx_);
+      if (next < 0) ReturnToMain();
       JumpTo(next);
     }
-    std::vector<Action> enabled = ComputeEnabled(/*self_enabled=*/false);
-    if (enabled.empty()) {
-      if (AllFinished()) setcontext(&main_ctx_);
+    Action a{Action::kDeadlock, -1};
+    {
+      // Scoped: the jumps below never return, so a vector still alive at
+      // one of them would never be freed.
+      const std::vector<Action> enabled =
+          ComputeEnabled(/*self_enabled=*/false);
+      if (!enabled.empty()) {
+        a = enabled[ChooseIndex(static_cast<int>(enabled.size()))];
+      }
+    }
+    if (a.kind == Action::kDeadlock) {
+      if (AllFinished()) ReturnToMain();
       FailNoThrow(DeadlockMessage());
       continue;  // falls into the abort chain above
     }
-    const int choice = ChooseIndex(static_cast<int>(enabled.size()));
-    const Action a = enabled[choice];
     if (a.kind == Action::kFlush) {
       DoFlushOldest(a.tid);
       continue;
@@ -356,8 +415,10 @@ void Execution::RunSchedule(const std::function<void()>& body) {
   t0.state = State::kRunning;
   current_ = 0;
   PrepareStart(0);
+  StartSwitch(&main_asan_fake_stack_, t0.stack.get(), kFiberStackSize);
   swapcontext(&main_ctx_, &t0.start_ctx);
   // Back here only when every fiber has finished (TransferAfterFinish).
+  FinishSwitch(main_asan_fake_stack_, nullptr, nullptr);
   g_current = nullptr;
 }
 

@@ -33,7 +33,9 @@
 //
 // The fibers share one OS thread, so model "threads" never run in
 // parallel: all model state is mutated race-free by construction, and a
-// run's decision sequence fully determines its behavior.
+// run's decision sequence fully determines its behavior. Under
+// AddressSanitizer every fiber switch is announced to it, so a model
+// thread that unwinds on its own stack is checked like any other.
 
 #ifndef PJOIN_CHECK_SCHEDULER_H_
 #define PJOIN_CHECK_SCHEDULER_H_
@@ -228,6 +230,7 @@ class Execution {
     int join_target = -1;
     VectorClock clock;
     std::vector<BufferedStore> buffer;  // TSO store buffer (FIFO)
+    void* asan_fake_stack = nullptr;    // saved across a switch (ASan only)
   };
 
   struct Action {
@@ -263,6 +266,8 @@ class Execution {
   void SwitchFrom(int from, int to);
   /// Resumes `to` from a fiber that will never run again (finished).
   [[noreturn]] void JumpTo(int to);
+  /// Resumes RunSchedule from a finished fiber.
+  [[noreturn]] void ReturnToMain();
   [[noreturn]] void TransferAfterFinish(int tid);
   void PrepareStart(int tid);
   bool AllFinished() const;
@@ -292,6 +297,10 @@ class Execution {
   std::vector<const void*> locs_;  // loc-id assignment, first-touch order
 
   ucontext_t main_ctx_{};
+  // The caller's stack, as ASan reported it when fiber 0 first started.
+  void* main_asan_fake_stack_ = nullptr;
+  const void* main_stack_bottom_ = nullptr;
+  size_t main_stack_size_ = 0;
 };
 
 }  // namespace mc

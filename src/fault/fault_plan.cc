@@ -31,8 +31,7 @@ std::string StreamFaultSpec::ToString() const {
 
 std::string MigrationFaultSpec::ToString() const {
   std::ostringstream os;
-  os << "migration{extract_err=" << extract_error_rate
-     << " install_err=" << install_error_rate << "}";
+  os << "migration{extract_err=" << extract_error_rate << "}";
   return os.str();
 }
 

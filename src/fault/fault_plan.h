@@ -2,7 +2,7 @@
 //
 // The plan is pure data — it says *what* can go wrong and how often; the
 // seeded FaultInjector decides *when*, deterministically, so every chaos run
-// is exactly reproducible from (plan, seed). Two fault families:
+// is exactly reproducible from (plan, seed). Three fault families:
 //
 //  - I/O faults (IoFaultSpec), applied by FaultySpillStore to any SpillStore:
 //    transient errors, a permanent failure after a write/read budget, short
@@ -12,6 +12,9 @@
 //    PerturbStream to an element stream: late tuples that match an
 //    already-emitted punctuation, malformed punctuations, duplicates,
 //    (order-preserving-multiset) reordering, and producer stalls.
+//
+//  - Handoff faults (MigrationFaultSpec), applied by ParallelJoinPipeline:
+//    a failed state extract at the source of a hot-key replication.
 //
 // See docs/ROBUSTNESS.md for the full fault model and the degradation
 // ladder that answers each fault.
@@ -107,21 +110,17 @@ struct StreamFaultSpec {
   std::string ToString() const;
 };
 
-/// Faults injected into the parallel pipeline's key-migration handoff
-/// (ops/repartition.h). Rolled on the router thread from the plan's seed,
-/// so a chaos run replays bit-identically; the pipeline answers every
-/// injected failure with a clean rollback (source keeps / regains the
-/// key's state, the shard map stays unchanged).
+/// Faults injected into the parallel pipeline's hot-key replication
+/// handoff (ops/repartition.h). Rolled on the router thread from the plan's
+/// seed, so a chaos run replays bit-identically; the pipeline answers every
+/// injected failure with a clean rollback (the key stays at its owner, the
+/// shard map stays unchanged). Installs cannot fail, so the extract is the
+/// only step with a fault.
 struct MigrationFaultSpec {
   /// Probability that a handoff's source-side state extraction fails.
   double extract_error_rate = 0.0;
-  /// Probability that a migration's destination-side install fails; the
-  /// payload travels back and is re-installed at the source.
-  double install_error_rate = 0.0;
 
-  bool enabled() const {
-    return extract_error_rate > 0 || install_error_rate > 0;
-  }
+  bool enabled() const { return extract_error_rate > 0; }
 
   std::string ToString() const;
 };

@@ -133,43 +133,30 @@ Punctuation JoinOperator::MakeOutputPunct(int side,
   return Punctuation(std::move(patterns));
 }
 
-Result<KeyStateHandoff> JoinOperator::ExtractKeyState(const Value& key,
-                                                      bool copy) {
+Result<KeyStateHandoff> JoinOperator::ExtractKeyState(const Value& key) {
   KeyStateHandoff handoff;
   handoff.key = key;
   handoff.key_hash = key.Hash();
-  // Eligibility first, mutation second (all-or-nothing): the key's
-  // partitions must be fully memory-resident on BOTH sides — a
-  // disk-resident or purge-buffered slice cannot be carved out of its
-  // duplicate-avoidance history, and an unindexed disk portion may hide
-  // more tuples of the key.
   for (int side = 0; side < 2; ++side) {
+    // The copy must be the key's whole state, so its partitions must be
+    // fully memory-resident on BOTH sides: disk-resident and purge-buffered
+    // tuples are not copied, and an unindexed disk portion may hide more
+    // tuples of the key.
     const HashState& st = *states_[side];
     const int p = st.PartitionOfHash(handoff.key_hash);
     if (st.disk_tuples(p) > 0 || !st.purge_buffer(p).empty() ||
         st.has_unindexed_disk()) {
       return Status::FailedPrecondition(
-          "key state not memory-resident; handoff refused: " +
-          st.name());
+          "key state not memory-resident; handoff refused: " + st.name());
     }
-  }
-  for (int side = 0; side < 2; ++side) {
-    HashState& st = *states_[side];
-    const int p = st.PartitionOfHash(handoff.key_hash);
-    if (copy) {
-      st.ForEachMemoryMatch(p, key, handoff.key_hash,
-                            [&](const TupleEntry& e) {
-                              handoff.entries[side].push_back(e);
-                            });
-    } else {
-      handoff.entries[side] = st.ExtractMemoryMatching(
-          p, [&](const TupleEntry& e) { return st.KeyOf(e.tuple) == key; });
-    }
+    st.ForEachMemoryMatch(p, key, handoff.key_hash, [&](const TupleEntry& e) {
+      handoff.entries[side].push_back(e);
+    });
   }
   return handoff;
 }
 
-Status JoinOperator::InstallKeyState(KeyStateHandoff handoff) {
+void JoinOperator::InstallKeyState(KeyStateHandoff handoff) {
   for (int side = 0; side < 2; ++side) {
     for (TupleEntry& e : handoff.entries[side]) {
       e.ats = NextTick();
@@ -179,7 +166,6 @@ Status JoinOperator::InstallKeyState(KeyStateHandoff handoff) {
       states_[side]->InsertMemory(std::move(e));
     }
   }
-  return Status::OK();
 }
 
 int64_t JoinOperator::ProbeOppositeMemory(int side, const Tuple& tuple,

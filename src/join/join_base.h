@@ -118,13 +118,12 @@ struct ElementBatch {
   size_t size = 0;
 };
 
-/// One key's in-memory join state, extracted from (or copied out of) an
-/// operator — the payload of the parallel pipeline's migration /
-/// replication handoff (ops/repartition.h). Ticks and punctuation links
-/// are source-relative and deliberately not carried: only memory-resident,
-/// punctuation-free state is eligible (ExtractKeyState refuses anything
-/// else), and such entries re-insert cleanly under the destination's tick
-/// stream.
+/// One key's in-memory join state, copied out of an operator — the payload
+/// of the parallel pipeline's hot-key replication handoff
+/// (ops/repartition.h). Ticks and punctuation links are source-relative and
+/// deliberately not carried: only memory-resident, punctuation-free state
+/// is eligible (ExtractKeyState refuses anything else), and such entries
+/// re-insert cleanly under the destination's tick stream.
 struct KeyStateHandoff {
   Value key;
   uint64_t key_hash = 0;
@@ -182,22 +181,19 @@ class JoinOperator {
 
   // ---- Key-state handoff (runtime repartitioning) ----
 
-  /// Removes (copy = false, migration) or copies (copy = true, hot-key
-  /// replication) every in-memory tuple of `key` from both sides' states.
-  /// Refuses with FailedPrecondition — leaving the operator untouched —
-  /// when the key's state is not cleanly movable: a partition holding it
-  /// has disk-resident or purge-buffered tuples, the disk portion is
-  /// unindexed, or (PJoin) a punctuation already covers the key, so moving
-  /// its entries would desynchronize match counts and could release a
-  /// punctuation while covered state lives elsewhere. The caller answers a
-  /// refusal by keeping the key where it is.
-  virtual Result<KeyStateHandoff> ExtractKeyState(const Value& key,
-                                                  bool copy);
+  /// Copies every in-memory tuple of `key` from both sides' states; the
+  /// operator keeps its own state. Refuses with FailedPrecondition when the
+  /// copy would not be the key's whole state: a partition holding it has
+  /// disk-resident or purge-buffered tuples, the disk portion is unindexed,
+  /// or (PJoin) a punctuation already covers the key, so its entries are
+  /// tied to match counts that a replica could not keep in step. The
+  /// caller answers a refusal by keeping the key where it is.
+  virtual Result<KeyStateHandoff> ExtractKeyState(const Value& key);
   /// Installs a handoff's entries into this operator's states under fresh
   /// ticks. Install never probes: every result pair among the entries was
   /// already emitted at the source, and pairs with future tuples arise from
   /// future probes.
-  virtual Status InstallKeyState(KeyStateHandoff handoff);
+  void InstallKeyState(KeyStateHandoff handoff);
 
   // ---- Introspection ----
   CounterSet& counters() { return counters_; }

@@ -533,7 +533,7 @@ Status PJoin::RunPropagation() {
   return Status::OK();
 }
 
-Result<KeyStateHandoff> PJoin::ExtractKeyState(const Value& key, bool copy) {
+Result<KeyStateHandoff> PJoin::ExtractKeyState(const Value& key) {
   // A punctuation covering the key on either side means its entries are
   // woven into the propagation machinery: the covered side's entries are
   // (or will be) pinned by match counts, and the covering punctuation's
@@ -545,35 +545,20 @@ Result<KeyStateHandoff> PJoin::ExtractKeyState(const Value& key, bool copy) {
           "key covered by a punctuation; handoff refused");
     }
   }
-  Result<KeyStateHandoff> result = JoinOperator::ExtractKeyState(key, copy);
+  Result<KeyStateHandoff> result = JoinOperator::ExtractKeyState(key);
   if (!result.ok()) return result;
-  KeyStateHandoff handoff = std::move(result).value();
   // The key-level check cannot see payload-constrained punctuations (a
   // constant key plus constant payload pattern indexes specific tuples
-  // without covering the key). If any extracted entry carries a pid, put
-  // everything back — pids intact, so the match counts stay exact — and
-  // refuse.
-  bool pinned = false;
-  for (int side = 0; side < 2 && !pinned; ++side) {
-    for (const TupleEntry& e : handoff.entries[side]) {
+  // without covering the key). If any copied entry carries a pid, refuse.
+  for (const std::vector<TupleEntry>& entries : result.value().entries) {
+    for (const TupleEntry& e : entries) {
       if (e.pid != kNullPid) {
-        pinned = true;
-        break;
+        return Status::FailedPrecondition(
+            "key state pinned by an indexed punctuation; handoff refused");
       }
     }
   }
-  if (pinned) {
-    if (!copy) {
-      for (int side = 0; side < 2; ++side) {
-        for (TupleEntry& e : handoff.entries[side]) {
-          mutable_state(side).InsertMemory(std::move(e));
-        }
-      }
-    }
-    return Status::FailedPrecondition(
-        "key state pinned by an indexed punctuation; handoff refused");
-  }
-  return handoff;
+  return result;
 }
 
 void PJoin::DiscardEntry(int side, const TupleEntry& entry) {

@@ -43,14 +43,13 @@ class PJoin : public JoinOperator {
   /// punctuations now (§3.5).
   Status RequestPropagation();
 
-  /// Key-state handoff with punctuation-aware eligibility: additionally
+  /// Key-state copy with punctuation-aware eligibility: additionally
   /// refuses when either punctuation set covers `key` (a covered key's
-  /// entries are pinned by match counts — moving them could propagate a
-  /// punctuation while covered state lives at another shard) or when an
-  /// extracted entry is pinned by a payload-constrained punctuation the
-  /// key-level check cannot see (the state is restored before refusing).
-  Result<KeyStateHandoff> ExtractKeyState(const Value& key,
-                                          bool copy) override;
+  /// entries are pinned by match counts — replicating them could propagate
+  /// a punctuation while covered state lives at another shard) or when a
+  /// copied entry is pinned by a payload-constrained punctuation the
+  /// key-level check cannot see.
+  Result<KeyStateHandoff> ExtractKeyState(const Value& key) override;
 
   // ---- Introspection ----
   const PunctuationSet& punct_set(int side) const;

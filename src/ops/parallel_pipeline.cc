@@ -147,7 +147,13 @@ void ParallelJoinPipeline::MergeOutBatch(int shard, OutBatch out) {
   if (!out.releases.empty()) {
     punct_pending_gauge_.Set(release_board_.pending_rounds());
   }
-  if (out.handoff != nullptr) HandleHandoffOut(std::move(*out.handoff));
+  if (out.handoff != nullptr) {
+    // The source's extract answer. This can run deep inside DrainOutputs,
+    // so PumpRepartition acts on it at the router's next safe point.
+    PJOIN_DCHECK(active_handoff_ != nullptr &&
+                 active_handoff_->id == out.handoff->handoff_id);
+    active_handoff_->answer = std::move(out.handoff);
+  }
 }
 
 size_t ParallelJoinPipeline::DrainOutputs() {
@@ -349,7 +355,7 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
               route_now_us_, fid);
         break;
       }
-      if (fence_active_ && h == active_handoff_->key_hash) {
+      if (active_handoff_ != nullptr && h == active_handoff_->key_hash) {
         // The fenced key's stream pauses at the router while its state is
         // in flight; everything else keeps flowing.
         deferred_.emplace_back(static_cast<int8_t>(side), e);
@@ -381,7 +387,7 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
       break;
     }
     case ElementKind::kPunctuation: {
-      if (fence_active_) {
+      if (active_handoff_ != nullptr) {
         // Any punctuation may interact with the in-flight key (a range can
         // cover it; even a constant-key one races the ownership flip), and
         // a punctuation only ever covers PAST tuples — parking it with the
@@ -421,7 +427,7 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
       break;
     }
     case ElementKind::kEndOfStream: {
-      if (fence_active_) {
+      if (active_handoff_ != nullptr) {
         // EOS must stay behind every parked element, and parking it keeps
         // the router loop alive until the fence resolves.
         deferred_.emplace_back(static_cast<int8_t>(side), e);
@@ -437,38 +443,29 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
 }
 
 void ParallelJoinPipeline::StartHandoff(const RepartitionDecision& decision) {
-  PJOIN_DCHECK(!fence_active_);
+  PJOIN_DCHECK(active_handoff_ == nullptr);
   handoffs_started_.fetch_add(1);
-  fence_active_ = true;
-  auto handoff = std::make_unique<ActiveHandoff>();
-  handoff->id = ++next_handoff_id_;
-  handoff->key = decision.key;
-  handoff->key_hash = decision.key_hash;
-  handoff->from = decision.from;
-  handoff->to = decision.to;
-  handoff->replicate =
-      decision.kind == RepartitionDecision::Kind::kReplicate;
-  handoff->spray_side = decision.spray_side;
+  active_handoff_ = std::make_unique<ActiveHandoff>();
+  active_handoff_->id = ++next_handoff_id_;
+  active_handoff_->key_hash = decision.key_hash;
+  active_handoff_->from = decision.from;
+  active_handoff_->spray_side = decision.spray_side;
   RepartCommand cmd;
   cmd.kind = RepartCommand::Kind::kExtract;
   cmd.key = decision.key;
-  cmd.key_hash = decision.key_hash;
-  cmd.copy = handoff->replicate;
-  cmd.handoff_id = handoff->id;
+  cmd.handoff_id = active_handoff_->id;
   if (repart_injector_ != nullptr) {
     cmd.inject_failure = repart_injector_->Roll(
         options_.repartition.fault_plan->migration.extract_error_rate);
     if (cmd.inject_failure) repart_injector_->Count("migration_extract");
   }
-  const int source = handoff->from;
-  active_handoff_ = std::move(handoff);
-  PushCommand(source, std::move(cmd));
+  PushCommand(decision.from, std::move(cmd));
 }
 
 void ParallelJoinPipeline::PushCommand(int shard, RepartCommand cmd) {
   // FIFO fencing: everything staged for this shard precedes the command,
   // so the source has processed every pre-fence element of the key before
-  // it extracts, and the destination before it installs.
+  // it extracts, and everything routed later follows it.
   FlushStaged(shard);
   RoutedBatch batch;
   batch.ingress_us = route_now_us_;
@@ -478,28 +475,20 @@ void ParallelJoinPipeline::PushCommand(int shard, RepartCommand cmd) {
 
 void ParallelJoinPipeline::ExecuteCommand(Shard* shard, RepartCommand& cmd) {
   TRACE_SPAN("par", "repart_command");
+  if (cmd.kind == RepartCommand::Kind::kInstall) {
+    shard->join->InstallKeyState(std::move(cmd.payload));
+    return;
+  }
   auto answer = std::make_unique<HandoffOut>();
   answer->handoff_id = cmd.handoff_id;
-  if (cmd.kind == RepartCommand::Kind::kExtract) {
-    if (cmd.inject_failure) {
-      answer->status = Status::IOError("injected migration extract fault");
-    } else {
-      Result<KeyStateHandoff> extracted =
-          shard->join->ExtractKeyState(cmd.key, cmd.copy);
-      if (extracted.ok()) {
-        answer->payload = std::move(extracted).value();
-      } else {
-        answer->status = extracted.status();
-      }
-    }
+  if (cmd.inject_failure) {
+    answer->status = Status::IOError("injected migration extract fault");
   } else {
-    answer->install_ack = true;
-    if (cmd.inject_failure) {
-      answer->status = Status::IOError("injected migration install fault");
-      // The state travels back so the router can restore it at the source.
-      answer->payload = std::move(cmd.payload);
+    Result<KeyStateHandoff> extracted = shard->join->ExtractKeyState(cmd.key);
+    if (extracted.ok()) {
+      answer->payload = std::move(extracted).value();
     } else {
-      answer->status = shard->join->InstallKeyState(std::move(cmd.payload));
+      answer->status = extracted.status();
     }
   }
   // The router is fenced on this answer: flush anything staged first (the
@@ -513,119 +502,42 @@ void ParallelJoinPipeline::ExecuteCommand(Shard* shard, RepartCommand& cmd) {
   out_activity_.notify_all();
 }
 
-void ParallelJoinPipeline::HandleHandoffOut(HandoffOut out) {
-  ActiveHandoff* handoff = active_handoff_.get();
-  PJOIN_DCHECK(handoff != nullptr && handoff->id == out.handoff_id);
-  if (handoff == nullptr || handoff->id != out.handoff_id) return;
-  if (!out.install_ack) {
-    // The source's extract answer.
-    if (!out.status.ok()) {
-      // Refused (ineligible state) or injected failure: nothing moved —
-      // abandon the handoff, keep the key where it is.
-      migration_rollbacks_.fetch_add(1);
-      rollbacks_counter_.Add(1);
-      controller_->OnHandoffRejected(handoff->key_hash);
-      fence_done_ = true;
-      return;
+void ParallelJoinPipeline::PumpRepartition() {
+  if (active_handoff_ == nullptr || active_handoff_->answer == nullptr) return;
+  const std::unique_ptr<ActiveHandoff> handoff = std::move(active_handoff_);
+  HandoffOut& answer = *handoff->answer;
+  if (answer.status.ok()) {
+    // Exactly-once across the replica set: only the BUILD (broadcast)
+    // side's state is installed at the other shards. The spray side's
+    // pre-handoff tuples stay at the owner alone — a post-handoff build
+    // tuple broadcasts to every shard and must find each spray tuple at
+    // exactly one of them.
+    answer.payload.entries[handoff->spray_side].clear();
+    // Each install sits in its destination's ring ahead of every element
+    // routed after it, and an install cannot fail, so the map flips and
+    // the fence lifts now — no destination is waited on.
+    for (int s = 0; s < num_shards(); ++s) {
+      if (s == handoff->from) continue;
+      RepartCommand cmd;
+      cmd.kind = RepartCommand::Kind::kInstall;
+      cmd.payload = answer.payload;  // one copy per destination
+      PushCommand(s, std::move(cmd));
     }
-    handoff->payload = std::move(out.payload);
-    handoff->phase = ActiveHandoff::Phase::kInstall;
-    send_installs_ = true;
-    return;
-  }
-  if (handoff->phase == ActiveHandoff::Phase::kRollback) {
-    // The source re-accepted the payload; the failed handoff is fully
-    // unwound (the map never changed).
-    migration_rollbacks_.fetch_add(1);
-    rollbacks_counter_.Add(1);
-    controller_->OnHandoffRejected(handoff->key_hash);
-    fence_done_ = true;
-    return;
-  }
-  if (!out.status.ok()) {
-    // Install failed mid-handoff: the payload travelled back — restore it
-    // at the source before unfencing.
-    handoff->payload = std::move(out.payload);
-    handoff->phase = ActiveHandoff::Phase::kRollback;
-    send_rollback_ = true;
-    return;
-  }
-  if (--handoff->pending_installs > 0) return;
-  // All installs landed: flip the map, then let PumpRepartition unfence
-  // and replay the parked elements under the new placement.
-  if (handoff->replicate) {
     shard_map_.MarkReplicated(handoff->key_hash, handoff->spray_side);
     hot_keys_gauge_.Set(shard_map_.replicated_keys());
   } else {
-    shard_map_.SetOwner(handoff->key_hash, handoff->to);
-    migrations_completed_.fetch_add(1);
-    migrations_counter_.Add(1);
+    // Refused (ineligible state) or injected failure: nothing moved — the
+    // key stays where it is and is not tried again.
+    migration_rollbacks_.fetch_add(1);
+    rollbacks_counter_.Add(1);
+    controller_->OnHandoffRejected(handoff->key_hash);
   }
-  fence_done_ = true;
-}
-
-void ParallelJoinPipeline::PumpRepartition() {
-  if (!repart_enabled_) return;
-  if (send_installs_) {
-    send_installs_ = false;
-    ActiveHandoff* handoff = active_handoff_.get();
-    if (handoff->replicate) {
-      handoff->pending_installs = num_shards() - 1;
-      // Exactly-once across the replica set: only the BUILD (broadcast)
-      // side's state is installed at the other shards. The spray side's
-      // pre-handoff tuples stay at the owner alone — a post-handoff build
-      // tuple broadcasts to every shard and must find each spray tuple at
-      // exactly one of them.
-      handoff->payload.entries[handoff->spray_side].clear();
-      for (int s = 0; s < num_shards(); ++s) {
-        if (s == handoff->from) continue;
-        RepartCommand cmd;
-        cmd.kind = RepartCommand::Kind::kInstall;
-        cmd.key = handoff->key;
-        cmd.key_hash = handoff->key_hash;
-        cmd.handoff_id = handoff->id;
-        cmd.payload = handoff->payload;  // one copy per destination
-        PushCommand(s, std::move(cmd));
-      }
-    } else {
-      handoff->pending_installs = 1;
-      RepartCommand cmd;
-      cmd.kind = RepartCommand::Kind::kInstall;
-      cmd.key = handoff->key;
-      cmd.key_hash = handoff->key_hash;
-      cmd.handoff_id = handoff->id;
-      cmd.payload = std::move(handoff->payload);
-      if (repart_injector_ != nullptr) {
-        cmd.inject_failure = repart_injector_->Roll(
-            options_.repartition.fault_plan->migration.install_error_rate);
-        if (cmd.inject_failure) repart_injector_->Count("migration_install");
-      }
-      PushCommand(handoff->to, std::move(cmd));
-    }
-  }
-  if (send_rollback_) {
-    send_rollback_ = false;
-    ActiveHandoff* handoff = active_handoff_.get();
-    handoff->pending_installs = 1;
-    RepartCommand cmd;
-    cmd.kind = RepartCommand::Kind::kInstall;
-    cmd.key = handoff->key;
-    cmd.key_hash = handoff->key_hash;
-    cmd.handoff_id = handoff->id;
-    cmd.payload = std::move(handoff->payload);
-    PushCommand(handoff->from, std::move(cmd));
-  }
-  if (fence_done_) {
-    fence_done_ = false;
-    fence_active_ = false;
-    active_handoff_.reset();
-    // Replay everything the fence parked, in arrival order, under the
-    // updated map. A replay cannot start a new fence (decisions are made
-    // only in the router main loop), so this does not recurse.
-    std::vector<std::pair<int8_t, const StreamElement*>> parked;
-    parked.swap(deferred_);
-    for (const auto& [side, e] : parked) RouteElement(side, e);
-  }
+  // Replay everything the fence parked, in arrival order, under the
+  // updated map. A replay cannot start a new fence (decisions are made
+  // only in the router main loop), so this does not recurse.
+  std::vector<std::pair<int8_t, const StreamElement*>> parked;
+  parked.swap(deferred_);
+  for (const auto& [side, e] : parked) RouteElement(side, e);
 }
 
 void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
@@ -699,7 +611,7 @@ void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
     if (e->kind() == ElementKind::kEndOfStream) eos_consumed[side] = true;
     RouteElement(side, e);
     if (repart_enabled_) {
-      if (!fence_active_ && controller_->ShouldCheck()) {
+      if (active_handoff_ == nullptr && controller_->ShouldCheck()) {
         const RepartitionDecision decision = controller_->Decide();
         imbalance_gauge_.Set(
             static_cast<int64_t>(controller_->last_imbalance() * 1000.0));
@@ -717,7 +629,7 @@ void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
       in_occupancy[1].Set(static_cast<int64_t>(in[1]->size()));
     }
   }
-  PJOIN_DCHECK(!fence_active_ && deferred_.empty());
+  PJOIN_DCHECK(active_handoff_ == nullptr && deferred_.empty());
   for (int s = 0; s < num_shards(); ++s) {
     FlushStaged(s);
     shards_[static_cast<size_t>(s)]->queue.Close();
@@ -734,8 +646,6 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   backpressure_counter_ = registry.GetCounter("pjoin_router_backpressure_waits",
                                               "pipeline=parallel");
-  migrations_counter_ =
-      registry.GetCounter("pjoin_migrations_total", "pipeline=parallel");
   rollbacks_counter_ = registry.GetCounter("pjoin_migration_rollbacks_total",
                                            "pipeline=parallel");
   hot_keys_gauge_ =

@@ -39,6 +39,13 @@
 // shard (a dry shard runs its disk join / reactive stage, exactly as the
 // single-threaded consumer would, then parks until data or close).
 //
+// Runtime repartitioning (ops/repartition.h, off by default) spreads a hot
+// key over every shard with one in-band handoff: the router fences the key
+// (parking its tuples and every punctuation), the owner copies the key's
+// state into its answer, and once the answer is merged the router queues
+// the copy to every other shard ahead of anything it routes later, lifts
+// the fence and replays what it parked.
+//
 // Output runs through per-shard result rings of OutBatches — each carries
 // the shard's staged results followed by its punctuation releases — merged
 // on the caller's thread, which also keeps the release board (plain state:
@@ -105,9 +112,9 @@ struct ParallelPipelineOptions {
   /// router→shard→merger as Chrome flow arrows (TRACE_FLOW_*). 0 disables
   /// sampling.
   uint64_t flow_sample_period = 1024;
-  /// Runtime repartitioning (ops/repartition.h): hot-key replication and
-  /// key migration between shards via epoch-fenced handoffs. Disabled by
-  /// default — the static pipeline pays nothing.
+  /// Runtime repartitioning (ops/repartition.h): hot-key replication via
+  /// fenced handoffs. Disabled by default — the static pipeline pays
+  /// nothing.
   RepartitionPolicy repartition;
 };
 
@@ -166,12 +173,13 @@ class ParallelJoinPipeline {
   int64_t shard_spin_parks() const { return shard_spin_parks_.load(); }
 
   // ---- Repartitioning introspection (atomics: readable mid-run) ----
-  /// Key migrations completed (also counter pjoin_migrations_total).
-  int64_t migrations_completed() const { return migrations_completed_.load(); }
-  /// Handoffs refused or failed and rolled back cleanly (also counter
-  /// pjoin_migration_rollbacks_total).
+  /// Always 0: replication is the only repartition action. Kept because
+  /// the repository benchmark still reports it (repart.migrations).
+  int64_t migrations_completed() const { return 0; }
+  /// Handoffs whose extract the source refused or failed; the key stays
+  /// where it was (also counter pjoin_migration_rollbacks_total).
   int64_t migration_rollbacks() const { return migration_rollbacks_.load(); }
-  /// Epoch-fenced handoffs started (migrations + replications + rollbacks).
+  /// Fenced handoffs started (replications + rollbacks).
   int64_t handoffs_started() const { return handoffs_started_.load(); }
   /// Keys currently hot-replicated (also gauge pjoin_hot_keys_active).
   int64_t hot_keys_active() const { return shard_map_.replicated_keys(); }
@@ -187,32 +195,27 @@ class ParallelJoinPipeline {
 
   /// An in-band repartitioning command, delivered through a shard's routed
   /// ring so FIFO order fences it behind every element dispatched before
-  /// it. kExtract asks the (fenced) source to extract or copy a key's
-  /// state; kInstall delivers the payload to a destination.
+  /// it and ahead of every element routed after it. kExtract asks the
+  /// (fenced) source to copy a key's state and answer; kInstall delivers
+  /// the copy to a destination, which does not answer.
   struct RepartCommand {
     enum class Kind { kExtract, kInstall };
     Kind kind = Kind::kExtract;
+    /// kExtract: the key whose state to copy.
     Value key;
-    uint64_t key_hash = 0;
-    /// Extract: copy (replication — source keeps its state) instead of
-    /// move (migration).
-    bool copy = false;
     uint64_t handoff_id = 0;
-    /// Router-decided fault injection (FaultPlan::migration): the shard
-    /// fails the step without touching state.
+    /// Router-decided fault injection (FaultPlan::migration): the source
+    /// fails the extract.
     bool inject_failure = false;
     /// kInstall: the state to install.
     KeyStateHandoff payload;
   };
 
-  /// A shard's answer to a RepartCommand, shipped through its output ring.
+  /// The source's answer to a kExtract, shipped through its output ring.
   struct HandoffOut {
     uint64_t handoff_id = 0;
-    /// False: extract answer (payload on success). True: install answer —
-    /// on an injected failure the payload travels back so the router can
-    /// restore it at the source.
-    bool install_ack = false;
     Status status;
+    /// The copied state (on success).
     KeyStateHandoff payload;
   };
 
@@ -247,30 +250,23 @@ class ParallelJoinPipeline {
     /// Flow id carried over from the newest sampled RoutedBatch this shard
     /// processed (0 = none): lets the merger close the flow arrow.
     uint64_t flow_id = 0;
-    /// A handoff answer rides alone in its own batch, behind the output
+    /// An extract answer rides alone in its own batch, behind the output
     /// the shard staged before executing the command.
     std::unique_ptr<HandoffOut> handoff;
   };
 
-  /// Router-side state of the (single) in-flight handoff. While it is
-  /// active the fenced key's tuples, all punctuations, and end-of-stream
-  /// markers are parked in arrival order; everything else keeps flowing.
+  /// Router-side state of the (single) in-flight handoff; its existence
+  /// is the fence. Until the source answers, the fenced key's tuples, all
+  /// punctuations, and end-of-stream markers are parked in arrival order;
+  /// everything else keeps flowing.
   struct ActiveHandoff {
     uint64_t id = 0;
-    Value key;
     uint64_t key_hash = 0;
+    /// The key's owner, which copies the state.
     int from = 0;
-    int to = 0;
-    bool replicate = false;
     int spray_side = 0;
-    /// Installs still outstanding (num_shards-1 for replication, 1 for
-    /// migration and rollback).
-    int pending_installs = 0;
-    enum class Phase { kExtract, kInstall, kRollback };
-    Phase phase = Phase::kExtract;
-    /// Extracted state, held between the extract answer and the install
-    /// dispatch (replication installs copy from it per destination).
-    KeyStateHandoff payload;
+    /// The source's extract answer (null until it arrives).
+    std::unique_ptr<HandoffOut> answer;
   };
 
   // Per-shard context: the two rings, progress counters, staging buffers.
@@ -282,23 +278,21 @@ class ParallelJoinPipeline {
   /// shard map and fence state; both the main router loop and the
   /// post-fence replay of parked elements go through here.
   void RouteElement(int side, const StreamElement* e);
-  /// Opens the epoch fence for one decision and sends the extract command.
+  /// Opens the fence for one decision and sends the extract command.
   void StartHandoff(const RepartitionDecision& decision);
-  /// Router-thread half of the handoff state machine: sends pending
-  /// install / rollback commands and, when the fence resolved, replays the
-  /// parked elements under the updated map. Called only from safe points
-  /// (never from inside DrainOutputs), so command pushes cannot recurse
-  /// into element staging.
+  /// Router-thread half of the handoff: once the source has answered, sends
+  /// the installs and marks the key replicated (or blocklists a refused
+  /// key), lifts the fence and replays the parked elements under the
+  /// updated map. Called only from safe points (never from inside
+  /// DrainOutputs, where the answer lands), so command pushes cannot
+  /// recurse into element staging.
   void PumpRepartition();
   /// Pushes a command batch to `shard` behind its staged elements (FIFO
   /// fencing).
   void PushCommand(int shard, RepartCommand cmd);
-  /// Shard-side command execution (extract / install against the local
-  /// join), answered through the shard's output ring.
+  /// Shard-side command execution against the local join; an extract is
+  /// answered through the shard's output ring.
   void ExecuteCommand(Shard* shard, RepartCommand& cmd);
-  /// Merger-side handoff answer: advances the state machine by setting
-  /// flags PumpRepartition acts on (this can run deep inside DrainOutputs).
-  void HandleHandoffOut(HandoffOut out);
   /// Appends element `e` (borrowed) to `shard`'s pending batch, flushing
   /// when full.
   void Stage(int shard, int8_t side, const StreamElement* e,
@@ -337,17 +331,12 @@ class ParallelJoinPipeline {
   std::unique_ptr<RepartitionController> controller_;
   std::unique_ptr<FaultInjector> repart_injector_;
   uint64_t next_handoff_id_ = 0;
+  /// The in-flight handoff; non-null while the fence is up.
   std::unique_ptr<ActiveHandoff> active_handoff_;
-  bool fence_active_ = false;
   /// Elements parked by the fence, in arrival order: the fenced key's
   /// tuples, every punctuation, and end-of-stream markers (a parked EOS
-  /// keeps the router loop alive until the fence resolves).
+  /// keeps the router loop alive until the fence lifts).
   std::vector<std::pair<int8_t, const StreamElement*>> deferred_;
-  // Merger → router signals (same thread; flags only so HandleHandoffOut
-  // never stages elements from inside DrainOutputs).
-  bool send_installs_ = false;
-  bool send_rollback_ = false;
-  bool fence_done_ = false;
   /// Per-side join-key positions and EOS-routed markers of the running
   /// RouterLoop (members so the deferred replay shares them).
   size_t key_index_[2] = {0, 0};
@@ -383,10 +372,8 @@ class ParallelJoinPipeline {
   /// cycles the shard workers need to produce the output it waits for.
   std::atomic<uint32_t> out_activity_{0};
   obs::Counter backpressure_counter_;
-  std::atomic<int64_t> migrations_completed_{0};
   std::atomic<int64_t> migration_rollbacks_{0};
   std::atomic<int64_t> handoffs_started_{0};
-  obs::Counter migrations_counter_;
   obs::Counter rollbacks_counter_;
   obs::Gauge hot_keys_gauge_;
   obs::Gauge imbalance_gauge_;

@@ -5,11 +5,11 @@
 // Three pieces, all owned and driven by the single router/merger thread —
 // none of this is shared state, so none of it takes a lock:
 //
-//  - ShardMap: the one source of truth for key → shard ownership. Base
-//    mapping is the mixed key-hash modulo; migrations add per-key overrides
-//    and hot keys a replication entry. Both tuple routing AND punctuation
-//    routing consult this map, so the two can never disagree about a key's
-//    owner (the bug class this replaces: two copies of the owner
+//  - ShardMap: the one source of truth for key → shard placement. Every key
+//    is owned by its mixed key-hash modulo; a hot key additionally gets a
+//    replication entry. Both tuple routing AND punctuation routing consult
+//    this map, so the two can never disagree about where a key's state
+//    lives (the bug class this replaces: two copies of the owner
 //    computation drifting apart).
 //
 //  - HotKeyDetector: a space-saving top-k sketch (Metwally et al.) over the
@@ -19,12 +19,12 @@
 //
 //  - RepartitionController: the decision policy. Every check_interval
 //    routed tuples it compares the window's shard loads; when the imbalance
-//    ratio crosses the trigger it either *replicates* the dominant key
-//    (frequency share >= hot_fraction: build side broadcast to all shards,
-//    probe side sprayed round-robin) or *migrates* the hottest key owned by
-//    the most loaded shard to the least loaded one. The pipeline executes
-//    the decision via an epoch-fenced handoff through the existing SPSC
-//    rings (ops/parallel_pipeline.h) and reports the outcome back.
+//    ratio crosses the trigger it *replicates* the dominant key (frequency
+//    share >= hot_fraction: build side broadcast to all shards, probe side
+//    sprayed). Replication is the only remedy: a key that saturates its
+//    owner would saturate any single shard it moved to. The pipeline
+//    executes the decision via a fenced handoff through the existing SPSC
+//    rings (ops/parallel_pipeline.h) and reports a refusal back.
 //
 // Replication protocol (why it is exactly-once): for a hot key k, the
 // sprayed side's tuples each go to exactly one shard, where they probe the
@@ -66,11 +66,7 @@ struct RepartitionPolicy {
   /// Replicate a key when its sampled frequency share within the current
   /// observation window >= this fraction.
   double hot_fraction = 0.10;
-  /// Test hook: force one migration attempt every N routed tuples
-  /// (bypasses the imbalance/hotness thresholds; 0 = off). Targets the
-  /// sketch's current top key, so forced runs still move real traffic.
-  int64_t force_migration_interval = 0;
-  /// Fault injection for the migration handoff (plan.migration rates,
+  /// Fault injection for the handoff's extract (plan.migration rate,
   /// rolled deterministically from plan.seed on the router thread).
   /// Borrowed; must outlive the pipeline run. nullptr = no injection.
   const FaultPlan* fault_plan = nullptr;
@@ -86,32 +82,16 @@ class ShardMap {
   void Reset(int num_shards) {
     PJOIN_DCHECK(num_shards > 0);
     num_shards_ = num_shards;
-    overrides_.clear();
     replicated_.clear();
   }
 
-  /// The shard owning `key_hash` under the current map: a migration
-  /// override when one exists, otherwise the static mixed-hash mapping.
+  /// The shard owning `key_hash`: the mixed hash modulo the shard count.
   /// (The hash is mixed before the modulo because its low bits already
-  /// select the partition inside a shard's HashState.)
+  /// select the partition inside a shard's HashState.) A replicated key
+  /// keeps its owner, which holds the sprayed side's pre-handoff state.
   int OwnerOf(uint64_t key_hash) const {
-    if (!overrides_.empty()) {
-      const auto it = overrides_.find(key_hash);
-      if (it != overrides_.end()) return it->second;
-    }
-    return StaticShardOf(key_hash);
-  }
-
-  /// The static (pre-migration) mapping, also the base of OwnerOf.
-  int StaticShardOf(uint64_t key_hash) const {
     const uint64_t mixed = (key_hash * 0x9e3779b97f4a7c15ull) >> 32;
     return static_cast<int>(mixed % static_cast<uint64_t>(num_shards_));
-  }
-
-  /// Installs a migration override (handoff completed).
-  void SetOwner(uint64_t key_hash, int shard) {
-    PJOIN_DCHECK(shard >= 0 && shard < num_shards_);
-    overrides_[key_hash] = shard;
   }
 
   // ---- Hot-key replication ----
@@ -140,9 +120,6 @@ class ShardMap {
     return shard;
   }
 
-  int64_t migrated_keys() const {
-    return static_cast<int64_t>(overrides_.size());
-  }
   int64_t replicated_keys() const {
     return static_cast<int64_t>(replicated_.size());
   }
@@ -154,7 +131,6 @@ class ShardMap {
   };
 
   int num_shards_;
-  std::unordered_map<uint64_t, int> overrides_;
   std::unordered_map<uint64_t, Replicated> replicated_;
 };
 
@@ -212,18 +188,16 @@ class HotKeyDetector {
   std::vector<int64_t> window_load_;
 };
 
-/// One action for the pipeline to execute via an epoch-fenced handoff.
+/// One action for the pipeline to execute via a fenced handoff.
 struct RepartitionDecision {
-  enum class Kind { kNone, kReplicate, kMigrate };
+  enum class Kind { kNone, kReplicate };
   Kind kind = Kind::kNone;
   Value key;
   uint64_t key_hash = 0;
   /// Current owner (handoff source).
   int from = 0;
-  /// Migration destination (unused for replication).
-  int to = 0;
-  /// Replication: the side sprayed round-robin (the heavier side); the
-  /// other side broadcasts.
+  /// The side sprayed across the shards (the heavier side); the other side
+  /// broadcasts.
   int spray_side = 0;
 };
 
@@ -252,8 +226,8 @@ class RepartitionController {
   /// Closes the window and returns the action to take (possibly kNone).
   RepartitionDecision Decide();
 
-  /// The pipeline reports a refused/failed handoff; the key is blocklisted
-  /// so the controller stops retrying it.
+  /// The pipeline reports a refused or failed extract; the key is
+  /// blocklisted so the controller stops retrying it.
   void OnHandoffRejected(uint64_t key_hash) { rejected_.insert(key_hash); }
 
   const HotKeyDetector& detector() const { return detector_; }
@@ -267,10 +241,6 @@ class RepartitionController {
   HotKeyDetector detector_;
   int64_t since_sample_ = 0;
   int64_t since_check_ = 0;
-  int64_t since_forced_ = 0;
-  /// Hottest shard of the previous imbalanced window (-1 after a balanced
-  /// one) — the migration persistence check.
-  int last_hottest_ = -1;
   double last_imbalance_ = 0.0;
   std::unordered_set<uint64_t> rejected_;
 };

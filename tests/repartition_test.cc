@@ -1,11 +1,11 @@
 // Tests for the runtime repartitioning layer (ops/repartition.h) and its
 // integration into the parallel pipeline: shard-map unit semantics, the
-// space-saving hot-key detector, and the dual-view migration oracle — for
-// skewed streams with forced mid-stream migrations / hot-key replication,
-// the adaptive pipeline's merged output must equal the single-threaded
-// reference with zero lost or duplicated results and exactly-once
-// punctuation release, never ahead of a covered result (§3.3), including
-// when a fault plan fails the handoff mid-flight.
+// space-saving hot-key detector, and the replication oracle — for skewed
+// streams with mid-stream hot-key replication, the adaptive pipeline's
+// merged output must equal the single-threaded reference with zero lost or
+// duplicated results and exactly-once punctuation release, never ahead of
+// a covered result (§3.3), including when a fault plan fails the handoff's
+// extract.
 
 #include "ops/repartition.h"
 
@@ -53,23 +53,7 @@ TEST(ShardMapTest, StaticMappingIsStableAndInRange) {
     const int shard = map.OwnerOf(h);
     EXPECT_GE(shard, 0);
     EXPECT_LT(shard, 4);
-    EXPECT_EQ(shard, map.StaticShardOf(h));
     EXPECT_EQ(shard, map.OwnerOf(h)) << "must be deterministic";
-  }
-}
-
-TEST(ShardMapTest, MigrationOverrideRedirectsOnlyThatKey) {
-  ShardMap map(4);
-  const uint64_t h = 0xdeadbeefull;
-  const int before = map.OwnerOf(h);
-  const int target = (before + 2) % 4;
-  map.SetOwner(h, target);
-  EXPECT_EQ(map.OwnerOf(h), target);
-  EXPECT_EQ(map.migrated_keys(), 1);
-  // Other keys keep their static placement.
-  for (uint64_t other = 0; other < 100; ++other) {
-    if (other == h) continue;
-    EXPECT_EQ(map.OwnerOf(other), map.StaticShardOf(other));
   }
 }
 
@@ -121,7 +105,7 @@ TEST(HotKeyDetectorTest, WindowImbalanceTracksLoadsAndResets) {
   EXPECT_EQ(detector.window_tuples(), 0);
 }
 
-// ---- Pipeline integration: the dual-view migration oracle ----
+// ---- Pipeline integration: the replication oracle ----
 
 JoinOptions MemoryOnlyOptions() {
   // Keys stay memory-resident so their state is handoff-eligible (disk
@@ -185,12 +169,12 @@ GeneratedStreams SkewedStreams(uint64_t seed, double zipf_s,
   return GenerateStreams(domain, spec_a, spec_b, seed);
 }
 
-// The dual-view oracle: a skewed stream with migrations forced mid-stream
-// must produce exactly the single-threaded reference result multiset, and
-// the released punctuation multiset of a static run of the same pipeline
-// (exactly-once: nothing lost at the old owner, nothing duplicated at the
-// new one, every dispatched punctuation round released exactly once).
-TEST(RepartitionOracleTest, ForcedMigrationsMatchReferenceAcrossSeeds) {
+// The replication oracle: a skewed stream whose hot keys are replicated
+// mid-stream must produce exactly the single-threaded reference result
+// multiset, and the released punctuation multiset of a static run of the
+// same pipeline (exactly-once: no result lost or duplicated across the
+// replicas, every dispatched punctuation round released exactly once).
+TEST(RepartitionOracleTest, MidStreamReplicationMatchesReferenceAcrossSeeds) {
   for (const uint64_t seed : {11u, 42u, 77u, 1234u}) {
     GeneratedStreams streams = SkewedStreams(seed, /*zipf_s=*/1.2,
                                              /*num_tuples=*/2000);
@@ -213,18 +197,18 @@ TEST(RepartitionOracleTest, ForcedMigrationsMatchReferenceAcrossSeeds) {
     adaptive_opts.repartition.sample_every = 1;
     adaptive_opts.repartition.check_interval = 128;
     adaptive_opts.repartition.min_tuples = 256;
-    adaptive_opts.repartition.force_migration_interval = 256;
+    adaptive_opts.repartition.imbalance_trigger = 1.0;
+    adaptive_opts.repartition.hot_fraction = 0.05;
     ParallelRun adaptive =
         RunPipeline(streams.schema_a, streams.schema_b, jopts, streams.a,
                     streams.b, adaptive_opts);
     EXPECT_EQ(adaptive.out.results, reference) << "seed=" << seed;
     EXPECT_EQ(adaptive.out.punctuations, static_run.out.punctuations)
         << "seed=" << seed;
-    EXPECT_GT(adaptive.pipeline->handoffs_started(), 0) << "seed=" << seed;
-    EXPECT_GT(adaptive.pipeline->migrations_completed(), 0)
-        << "seed=" << seed;
-    EXPECT_EQ(adaptive.pipeline->shard_map().migrated_keys(),
-              adaptive.pipeline->migrations_completed())
+    EXPECT_GT(adaptive.pipeline->hot_keys_active(), 0) << "seed=" << seed;
+    EXPECT_EQ(adaptive.pipeline->handoffs_started(),
+              adaptive.pipeline->hot_keys_active() +
+                  adaptive.pipeline->migration_rollbacks())
         << "seed=" << seed;
   }
 }
@@ -299,7 +283,7 @@ TEST(RepartitionOracleTest, ReplicatedKeyPunctuationWaitsForEveryShard) {
   const SchemaPtr sb = KeyPayloadSchema("b");
   const ShardMap static_map(2);
   int64_t hot = 0;
-  while (static_map.StaticShardOf(Value(hot).Hash()) != 1) ++hot;
+  while (static_map.OwnerOf(Value(hot).Hash()) != 1) ++hot;
   // One decision window of left tuples, all of the hot key: the controller
   // replicates it with the left side sprayed. Everything after is parked by
   // the replication fence and replayed under the new map.
@@ -379,49 +363,136 @@ TEST(RepartitionOracleTest, ReplicatedKeyPunctuationWaitsForEveryShard) {
   EXPECT_EQ(pending.Get(), 0);
 }
 
-// Mid-handoff failures (FaultPlan::migration): a failed install returns
-// the extracted state to the source and the map never changes; a failed
-// extract aborts before anything moves. Either way the run's output is
-// untouched and every handoff is accounted as a rollback.
-TEST(RepartitionFaultTest, FailedHandoffRollsBackCleanly) {
-  for (const bool fail_install : {true, false}) {
-    GeneratedStreams streams = SkewedStreams(/*seed=*/99, /*zipf_s=*/1.2,
-                                             /*num_tuples=*/2000);
-    const JoinOptions jopts = MemoryOnlyOptions();
-    const std::vector<std::string> reference = ReferenceJoinRows(
-        streams.a, streams.b,
-        PJoin(streams.schema_a, streams.schema_b, jopts).output_schema(), 0,
-        0);
-
-    FaultPlan plan;
-    plan.seed = 7;
-    if (fail_install) {
-      plan.migration.install_error_rate = 1.0;
-    } else {
-      plan.migration.extract_error_rate = 1.0;
-    }
-    ASSERT_TRUE(plan.migration.enabled());
-
-    ParallelPipelineOptions popts;
-    popts.num_shards = 4;
-    popts.batch_size = 64;
-    popts.repartition.enabled = true;
-    popts.repartition.sample_every = 1;
-    popts.repartition.check_interval = 128;
-    popts.repartition.min_tuples = 256;
-    popts.repartition.force_migration_interval = 256;
-    popts.repartition.fault_plan = &plan;
-    ParallelRun run =
-        RunPipeline(streams.schema_a, streams.schema_b, jopts, streams.a,
-                    streams.b, popts);
-    EXPECT_EQ(run.out.results, reference) << "fail_install=" << fail_install;
-    EXPECT_GT(run.pipeline->migration_rollbacks(), 0)
-        << "fail_install=" << fail_install;
-    EXPECT_EQ(run.pipeline->migrations_completed(), 0)
-        << "fail_install=" << fail_install;
-    EXPECT_EQ(run.pipeline->shard_map().migrated_keys(), 0)
-        << "fail_install=" << fail_install;
+// The fence lifts as soon as the source answers: installs get no answer,
+// and each sits in its destination's ring ahead of every element routed
+// after it. Shard 0, a replication destination, is wedged on an earlier
+// tuple of its own before its install reaches it, with rings that hold the
+// whole input. The owner must still receive the replayed punctuations of
+// the hot key and release them, leaving their rounds pending on shard 0; a
+// fence that waited for every destination to acknowledge its install
+// would park those punctuations until the gate opens.
+TEST(RepartitionOracleTest, SlowDestinationDoesNotHoldTheFence) {
+  const SchemaPtr sa = KeyPayloadSchema("a");
+  const SchemaPtr sb = KeyPayloadSchema("b");
+  const ShardMap static_map(2);
+  int64_t hot = 0;
+  while (static_map.OwnerOf(Value(hot).Hash()) != 1) ++hot;
+  int64_t cold = hot + 1;
+  while (static_map.OwnerOf(Value(cold).Hash()) != 0) ++cold;
+  // One decision window of left tuples: a cold tuple that wedges shard 0,
+  // then the hot key, which the controller replicates with the left side
+  // sprayed. Everything after is parked by the fence and replayed.
+  constexpr int64_t kWindow = 8;
+  std::vector<StreamElement> l;
+  std::vector<StreamElement> r;
+  l.push_back(StreamElement::MakeTuple(KP(sa, cold, 0), 1000, 0));
+  for (int64_t i = 1; i < kWindow; ++i) {
+    l.push_back(StreamElement::MakeTuple(KP(sa, hot, i), 1000 * (i + 1), i));
   }
+  for (int64_t i = 0; i < 3; ++i) {
+    r.push_back(
+        StreamElement::MakeTuple(KP(sb, hot, 100 + i), 8100 + 100 * i, i));
+  }
+  l.push_back(StreamElement::MakePunctuation(KeyPunct(hot), 9000, kWindow));
+  r.push_back(StreamElement::MakePunctuation(KeyPunct(hot), 9500, 3));
+  r.push_back(StreamElement::MakeEndOfStream(9600, 4));
+  l.push_back(StreamElement::MakeEndOfStream(10000, kWindow + 1));
+
+  const JoinOptions jopts = MemoryOnlyOptions();
+  auto ref_join = std::make_unique<PJoin>(sa, sb, jopts);
+  const testing::RunResult ref = testing::RunJoin(ref_join.get(), l, r);
+
+  ParallelPipelineOptions popts;
+  popts.num_shards = 2;
+  popts.batch_size = 1;
+  popts.shard_queue_capacity = 64;
+  popts.repartition.enabled = true;
+  popts.repartition.sample_every = 1;
+  popts.repartition.check_interval = kWindow;
+  popts.repartition.min_tuples = kWindow;
+  popts.repartition.imbalance_trigger = 1.05;
+  popts.repartition.hot_fraction = 0.05;
+  TestGate gate;
+  ParallelJoinPipeline pipeline(
+      [&](int shard) -> std::unique_ptr<JoinOperator> {
+        // Blocks on its first tuple, the cold one.
+        if (shard == 0) {
+          return std::make_unique<GatedPJoin>(sa, sb, jopts, &gate,
+                                              /*free_tuples=*/0);
+        }
+        return std::make_unique<PJoin>(sa, sb, jopts);
+      },
+      popts);
+  std::vector<std::string> results;
+  int64_t puncts = 0;
+  ReleaseOrderChecker order;
+  pipeline.set_result_callback([&](const Tuple& t) {
+    results.push_back(t.ToString());
+    order.OnResult(t);
+  });
+  pipeline.set_punct_callback([&](const Punctuation& p) {
+    ++puncts;
+    order.OnPunct(p);
+  });
+  obs::Gauge pending = obs::MetricsRegistry::Global().GetGauge(
+      "pjoin_punct_pending_rounds", "pipeline=parallel");
+  pending.Set(0);
+  std::atomic<bool> owner_released{false};
+  std::thread opener([&] {
+    for (int i = 0; i < 10000 && pending.Get() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    owner_released.store(pending.Get() > 0);
+    gate.Open();
+  });
+  const Status st = pipeline.Run(l, r);
+  opener.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(owner_released.load())
+      << "the owner never released the hot key's punctuation while a "
+         "destination was wedged: the fence waited on the destination";
+  EXPECT_GT(pipeline.hot_keys_active(), 0);
+  std::sort(results.begin(), results.end());
+  EXPECT_EQ(results, ref.results);
+  EXPECT_EQ(order.violations(), 0)
+      << "results emitted after a released punctuation covering them";
+  EXPECT_EQ(puncts, static_cast<int64_t>(ref.punctuations.size()));
+  EXPECT_EQ(pending.Get(), 0);
+}
+
+// A failed extract (FaultPlan::migration) aborts the replication before
+// anything moves: the run's output is untouched, every handoff is
+// accounted as a rollback, and no key is ever replicated.
+TEST(RepartitionFaultTest, FailedHandoffRollsBackCleanly) {
+  GeneratedStreams streams = SkewedStreams(/*seed=*/99, /*zipf_s=*/1.2,
+                                           /*num_tuples=*/2000);
+  const JoinOptions jopts = MemoryOnlyOptions();
+  const std::vector<std::string> reference = ReferenceJoinRows(
+      streams.a, streams.b,
+      PJoin(streams.schema_a, streams.schema_b, jopts).output_schema(), 0, 0);
+
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.migration.extract_error_rate = 1.0;
+  ASSERT_TRUE(plan.migration.enabled());
+
+  ParallelPipelineOptions popts;
+  popts.num_shards = 4;
+  popts.batch_size = 64;
+  popts.repartition.enabled = true;
+  popts.repartition.sample_every = 1;
+  popts.repartition.check_interval = 128;
+  popts.repartition.min_tuples = 256;
+  popts.repartition.imbalance_trigger = 1.0;
+  popts.repartition.hot_fraction = 0.05;
+  popts.repartition.fault_plan = &plan;
+  ParallelRun run = RunPipeline(streams.schema_a, streams.schema_b, jopts,
+                                streams.a, streams.b, popts);
+  EXPECT_EQ(run.out.results, reference);
+  EXPECT_GT(run.pipeline->migration_rollbacks(), 0);
+  EXPECT_EQ(run.pipeline->handoffs_started(),
+            run.pipeline->migration_rollbacks());
+  EXPECT_EQ(run.pipeline->hot_keys_active(), 0);
 }
 
 // Disabled policy is byte-for-byte the static pipeline: no handoffs, no
@@ -435,9 +506,7 @@ TEST(RepartitionOracleTest, DisabledPolicyNeverRepartitions) {
   ParallelRun run = RunPipeline(streams.schema_a, streams.schema_b, jopts,
                                 streams.a, streams.b, popts);
   EXPECT_EQ(run.pipeline->handoffs_started(), 0);
-  EXPECT_EQ(run.pipeline->migrations_completed(), 0);
   EXPECT_EQ(run.pipeline->hot_keys_active(), 0);
-  EXPECT_EQ(run.pipeline->shard_map().migrated_keys(), 0);
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ Kinds:
                point's oracle passes; no point's adaptive share is worse
                than static; at the highest skew the adaptive share strictly
                beats static AND the repartitioner actually engaged
-               (migrations + hot keys > 0); at zipf 0 the adaptive wall
+               (hot keys > 0); at zipf 0 the adaptive wall
                time stays within the (generous) overhead ceiling.
 
 --self-test checks the gate against itself: the checked-in baselines must
@@ -180,8 +180,7 @@ def compare_skew_sweep(baseline, fresh, tolerance):
         ad = float(p["adaptive_bottleneck_share"])
         verdict = "OK" if ad <= st + SKEW_SHARE_EPS else "REGRESSION"
         print(f"  skew@s={s:g}: bottleneck share adaptive {ad:.3f} vs "
-              f"static {st:.3f} (migr {p.get('migrations', 0)}, "
-              f"hot {p.get('hot_keys', 0)}) {verdict}")
+              f"static {st:.3f} (hot {p.get('hot_keys', 0)}) {verdict}")
         if ad > st + SKEW_SHARE_EPS:
             findings += fail(
                 f"skew_sweep s={s:g}: adaptive bottleneck share {ad:.3f} "
@@ -199,7 +198,7 @@ def compare_skew_sweep(baseline, fresh, tolerance):
         p = fresh_pts[top_s]
         st = float(p["static_bottleneck_share"])
         ad = float(p["adaptive_bottleneck_share"])
-        engaged = int(p.get("migrations", 0)) + int(p.get("hot_keys", 0))
+        engaged = int(p.get("hot_keys", 0))
         if ad >= st:
             findings += fail(
                 f"skew_sweep s={top_s:g}: adaptive bottleneck share "
@@ -207,7 +206,7 @@ def compare_skew_sweep(baseline, fresh, tolerance):
         if engaged <= 0:
             findings += fail(
                 f"skew_sweep s={top_s:g}: repartitioner never engaged "
-                "(0 migrations, 0 hot keys) — detector or handoff is dead")
+                "(0 hot keys) — detector or handoff is dead")
 
     # At zipf 0 adaptivity has nothing to exploit; its only legitimate
     # cost is detector overhead. Wall time IS machine-dependent, so the
