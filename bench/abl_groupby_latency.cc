@@ -7,6 +7,7 @@
 // Without propagation every result waits for end-of-stream.
 
 #include <unordered_map>
+#include <vector>
 
 #include "bench_util.h"
 #include "gen/auction.h"
@@ -21,7 +22,7 @@ using namespace pjoin::bench;
 namespace {
 
 struct LatencyRun {
-  Histogram latency_ms;
+  std::vector<int64_t> latency_ms;
   int64_t emitted_before_eos = 0;
   int64_t emitted_total = 0;
 };
@@ -48,7 +49,7 @@ LatencyRun Run(const AuctionStreams& streams, bool propagate,
     auto it = close_time.find(t.field(0).AsInt64());
     if (it != close_time.end()) {
       const TimeMicros emit_time = at_eos ? eos_time : join.last_arrival();
-      out.latency_ms.Add(
+      out.latency_ms.push_back(
           std::max<int64_t>(0, (emit_time - it->second) / 1000));
     }
   });
@@ -91,17 +92,16 @@ int main() {
   PrintMetric("items emitted before EOS (without)",
               static_cast<double>(without.emitted_before_eos));
   std::printf("  latency with propagation:    %s\n",
-              with.latency_ms.ToString().c_str());
+              SampleSummary(with.latency_ms).c_str());
   std::printf("  latency without propagation: %s\n",
-              without.latency_ms.ToString().c_str());
+              SampleSummary(without.latency_ms).c_str());
   PrintShapeCheck("propagation lets most groups finish before end-of-stream",
                   with.emitted_before_eos * 10 > with.emitted_total * 8);
   PrintShapeCheck("without propagation nothing finishes early",
                   without.emitted_before_eos == 0);
   PrintShapeCheck(
       "median group latency at least 10x lower with propagation",
-      with.latency_ms.Percentile(0.5) * 10 <
-          without.latency_ms.Percentile(0.5) + 1);
+      Median(with.latency_ms) * 10 < Median(without.latency_ms) + 1);
   PrintShapeCheck("same final answers",
                   with.emitted_total == without.emitted_total);
   return 0;

@@ -1,9 +1,9 @@
 // Ablation A9: serial vs threaded execution. ParallelJoinPipeline with one
-// shard runs one producer thread per input, a router that merges the inputs
-// in arrival order over lock-free rings, and the join on a shard worker —
-// the deployment shape of a real stream system. Results must be identical;
-// this measures the coordination overhead and the stall-driven background
-// work.
+// shard runs a router on the calling thread that merges the inputs in
+// arrival order and hands them over a lock-free ring to the join on a shard
+// worker — the deployment shape of a real stream system. Results must be
+// identical; this measures the coordination overhead and the stall-driven
+// background work.
 
 #include <memory>
 

@@ -5,6 +5,7 @@
 
 #include "bench_util.h"
 #include "gen/stream_generator.h"
+#include "stream/arrival_merge.h"
 #include "window/window_pjoin.h"
 
 using namespace pjoin;
@@ -32,23 +33,13 @@ WindowRun Run(const GeneratedStreams& g, TimeMicros window,
   join.set_punct_callback([&out](const Punctuation&) { ++out.puncts_out; });
 
   TimeSeries state;
-  size_t ia = 0;
-  size_t ib = 0;
   int64_t processed = 0;
-  while (ia < g.a.size() || ib < g.b.size()) {
-    int side;
-    if (ia >= g.a.size()) {
-      side = 1;
-    } else if (ib >= g.b.size()) {
-      side = 0;
-    } else {
-      side = g.a[ia].arrival() <= g.b[ib].arrival() ? 0 : 1;
-    }
-    const StreamElement& e = side == 0 ? g.a[ia++] : g.b[ib++];
-    Status st = join.OnElement(side, e);
+  for (ArrivalMerge merge(g.a, g.b); !merge.done();) {
+    const auto [side, e] = merge.Next();
+    Status st = join.OnElement(side, *e);
     PJOIN_DCHECK(st.ok());
     if (++processed % 200 == 0) {
-      state.Record(e.arrival(), join.state_tuples());
+      state.Record(e->arrival(), join.state_tuples());
     }
   }
   out.mean_state = state.MeanValue();

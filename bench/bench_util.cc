@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "ops/pipeline.h"
@@ -100,6 +101,24 @@ void PrintTable(const std::string& axis_name, TimeMicros horizon, int buckets,
 void PrintMetric(const std::string& name, double value,
                  const std::string& unit) {
   std::printf("  %-42s %14.2f %s\n", name.c_str(), value, unit.c_str());
+}
+
+int64_t Median(std::vector<int64_t> samples) {
+  if (samples.empty()) return 0;
+  const auto mid =
+      samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
+}
+
+std::string SampleSummary(const std::vector<int64_t>& samples) {
+  const int64_t max =
+      samples.empty() ? 0 : *std::max_element(samples.begin(), samples.end());
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "count=%zu median=%lld max=%lld",
+                samples.size(), static_cast<long long>(Median(samples)),
+                static_cast<long long>(max));
+  return buf;
 }
 
 void PrintShapeCheck(const std::string& expectation, bool holds) {

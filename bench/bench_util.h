@@ -78,6 +78,13 @@ void PrintTable(const std::string& axis_name, TimeMicros horizon, int buckets,
 void PrintMetric(const std::string& name, double value,
                  const std::string& unit = "");
 
+/// Exact median of `samples` (the upper middle one of an even count); 0 when
+/// empty.
+int64_t Median(std::vector<int64_t> samples);
+
+/// "count=N median=M max=X" over `samples`, for latency lines.
+std::string SampleSummary(const std::vector<int64_t>& samples);
+
 /// Prints the shape-check verdict line used by EXPERIMENTS.md.
 void PrintShapeCheck(const std::string& expectation, bool holds);
 

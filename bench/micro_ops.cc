@@ -15,6 +15,7 @@
 #include "join/punct_index.h"
 #include "punct/punctuation_set.h"
 #include "storage/simulated_disk.h"
+#include "stream/arrival_merge.h"
 #include "tuple/tuple.h"
 
 namespace pjoin {
@@ -278,18 +279,12 @@ struct DispatchFixture {
     const auto probe = MakeJoin();
     const size_t key_index[2] = {probe->state(0).key_index(),
                                  probe->state(1).key_index()};
-    size_t ia = 0, ib = 0;
-    while (ia < streams.a.size() || ib < streams.b.size()) {
-      const bool take_a =
-          ib >= streams.b.size() ||
-          (ia < streams.a.size() &&
-           streams.a[ia].arrival() <= streams.b[ib].arrival());
-      const StreamElement& e = take_a ? streams.a[ia++] : streams.b[ib++];
-      const int side = take_a ? 0 : 1;
-      elements.push_back(&e);
+    for (ArrivalMerge merge(streams.a, streams.b); !merge.done();) {
+      const auto [side, e] = merge.Next();
+      elements.push_back(e);
       sides.push_back(static_cast<int8_t>(side));
       hashes.push_back(
-          e.is_tuple() ? e.tuple().field(key_index[side]).Hash() : 0);
+          e->is_tuple() ? e->tuple().field(key_index[side]).Hash() : 0);
     }
   }
 

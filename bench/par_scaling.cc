@@ -18,8 +18,8 @@
 //   --check    exit non-zero if any oracle fails (CI perf-smoke mode).
 //   --reps     wall-clock repetitions per configuration (default 3); the
 //              best run is reported, de-noising the perf gate's ratios.
-//   --ring     capacity of every pipeline ring (input and shard) in
-//              elements; 0 = library defaults. CI's live-scrape smoke
+//   --ring     capacity of every router→shard ring in elements;
+//              0 = library defaults. CI's live-scrape smoke
 //              shrinks the rings so backpressure and spin-park paths
 //              demonstrably fire even on a small workload.
 //   --stall_polls=N  empty polls before a shard runs stall work and parks
@@ -295,7 +295,6 @@ Measured RunParallel(const GeneratedStreams& streams, int shards,
   ParallelPipelineOptions popts;
   popts.num_shards = shards;
   if (ring_capacity > 0) {
-    popts.input_buffer_capacity = static_cast<size_t>(ring_capacity);
     popts.shard_queue_capacity = static_cast<size_t>(ring_capacity);
   }
   if (stall_polls > 0) popts.stall_polls = stall_polls;

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
+#include "stream/arrival_merge.h"
 #include "window/window_pjoin.h"
 
 using namespace pjoin;
@@ -91,15 +92,9 @@ int main() {
       [&sensors_finalized](const Punctuation&) { ++sensors_finalized; });
 
   // Drive both streams in global arrival order.
-  size_t it = 0;
-  size_t ih = 0;
-  while (it < fleet.temp.size() || ih < fleet.hum.size()) {
-    const bool take_temp =
-        ih >= fleet.hum.size() ||
-        (it < fleet.temp.size() &&
-         fleet.temp[it].arrival() <= fleet.hum[ih].arrival());
-    Status st = take_temp ? join.OnElement(0, fleet.temp[it++])
-                          : join.OnElement(1, fleet.hum[ih++]);
+  for (ArrivalMerge merge(fleet.temp, fleet.hum); !merge.done();) {
+    const auto [side, e] = merge.Next();
+    Status st = join.OnElement(side, *e);
     if (!st.ok()) {
       std::fprintf(stderr, "join failed: %s\n", st.ToString().c_str());
       return 1;

@@ -12,6 +12,7 @@
 #endif
 #endif
 #ifdef PJOIN_MC_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -51,6 +52,15 @@ constexpr size_t kFiberStackSize = 256 * 1024;
 // reordering the spine's protocols are sensitive to.
 constexpr size_t kStoreBufferCap = 2;
 
+// A reused fiber stack may still carry ASan poison from the frames of the
+// fiber that ran on it last, which left by jumping away instead of
+// returning through them. A no-op without ASan.
+void UnpoisonStack([[maybe_unused]] char* stack) {
+#ifdef PJOIN_MC_ASAN
+  __asan_unpoison_memory_region(stack, kFiberStackSize);
+#endif
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -80,8 +90,13 @@ std::string ExploreResult::TraceString() const {
 Execution* Execution::Current() { return g_current; }
 
 Execution::Execution(const ExploreOptions& options, Run mode,
-                     const std::vector<int>* prefix, uint64_t walk_seed)
-    : options_(options), mode_(mode), prefix_(prefix), rng_(walk_seed) {
+                     const std::vector<int>* prefix, uint64_t walk_seed,
+                     std::vector<std::unique_ptr<char[]>>* stacks)
+    : options_(options),
+      mode_(mode),
+      prefix_(prefix),
+      stacks_(stacks),
+      rng_(walk_seed) {
   // Fibers park their ucontext inside ThreadState; reserving up front
   // guarantees the vector never relocates live contexts.
   threads_.reserve(kMaxModelThreads);
@@ -96,7 +111,15 @@ int Execution::CreateThread(std::function<void()> fn) {
   ThreadState& t = threads_.back();
   t.fn = std::move(fn);
   t.state = State::kReady;
-  t.stack = std::make_unique<char[]>(kFiberStackSize);
+  // Stacks are not zero-filled (a fiber writes its frames before reading
+  // them) and are reused by every schedule of the Explore.
+  std::vector<std::unique_ptr<char[]>>& stacks = *stacks_;
+  if (stacks.size() <= static_cast<size_t>(tid)) {
+    stacks.push_back(std::make_unique_for_overwrite<char[]>(kFiberStackSize));
+  } else {
+    UnpoisonStack(stacks[static_cast<size_t>(tid)].get());
+  }
+  t.stack = stacks[static_cast<size_t>(tid)].get();
   if (tid > 0) {
     // Thread creation is a happens-before edge: the child starts with the
     // parent's clock; the parent then advances so post-fork parent events
@@ -290,7 +313,7 @@ void Execution::PrepareStart(int tid) {
   t.started = true;
   starting_tid_ = tid;
   getcontext(&t.start_ctx);
-  t.start_ctx.uc_stack.ss_sp = t.stack.get();
+  t.start_ctx.uc_stack.ss_sp = t.stack;
   t.start_ctx.uc_stack.ss_size = kFiberStackSize;
   t.start_ctx.uc_link = nullptr;  // fibers exit via TransferAfterFinish
   makecontext(&t.start_ctx, reinterpret_cast<void (*)()>(&TrampolineEntry), 0);
@@ -300,8 +323,7 @@ void Execution::SwitchFrom(int from, int to) {
   ThreadState& t = threads_[to];
   t.state = State::kRunning;
   current_ = to;
-  StartSwitch(&threads_[from].asan_fake_stack, t.stack.get(),
-              kFiberStackSize);
+  StartSwitch(&threads_[from].asan_fake_stack, t.stack, kFiberStackSize);
   if (!t.started) {
     PrepareStart(to);
     swapcontext(&threads_[from].ctx, &t.start_ctx);
@@ -315,7 +337,7 @@ void Execution::JumpTo(int to) {
   ThreadState& t = threads_[to];
   t.state = State::kRunning;
   current_ = to;
-  StartSwitch(nullptr, t.stack.get(), kFiberStackSize);
+  StartSwitch(nullptr, t.stack, kFiberStackSize);
   if (!t.started) {
     PrepareStart(to);
     setcontext(&t.start_ctx);
@@ -415,7 +437,7 @@ void Execution::RunSchedule(const std::function<void()>& body) {
   t0.state = State::kRunning;
   current_ = 0;
   PrepareStart(0);
-  StartSwitch(&main_asan_fake_stack_, t0.stack.get(), kFiberStackSize);
+  StartSwitch(&main_asan_fake_stack_, t0.stack, kFiberStackSize);
   swapcontext(&main_ctx_, &t0.start_ctx);
   // Back here only when every fiber has finished (TransferAfterFinish).
   FinishSwitch(main_asan_fake_stack_, nullptr, nullptr);
@@ -483,9 +505,11 @@ ExploreResult Explore(const ExploreOptions& options,
   // Depth-first over decision sequences: re-run with a replay prefix, then
   // backtrack the deepest non-saturated choice.
   std::vector<int> prefix;
+  std::vector<std::unique_ptr<char[]>> stacks;
   for (;;) {
     if (res.schedules >= options.max_schedules) break;  // truncated
-    Execution exec(options, Execution::Run::kDfs, &prefix, /*walk_seed=*/0);
+    Execution exec(options, Execution::Run::kDfs, &prefix, /*walk_seed=*/0,
+                   &stacks);
     exec.RunSchedule(body);
     ++res.schedules;
     res.points += exec.steps_;
@@ -509,7 +533,7 @@ ExploreResult Explore(const ExploreOptions& options,
 
   for (int64_t i = 0; i < options.random_walks; ++i) {
     Execution exec(options, Execution::Run::kRandom, nullptr,
-                   options.seed + static_cast<uint64_t>(i));
+                   options.seed + static_cast<uint64_t>(i), &stacks);
     exec.RunSchedule(body);
     ++res.schedules;
     res.points += exec.steps_;

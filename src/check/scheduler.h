@@ -222,7 +222,7 @@ class Execution {
   struct ThreadState {
     ucontext_t ctx{};        // saved at every park point
     ucontext_t start_ctx{};  // entry context (makecontext)
-    std::unique_ptr<char[]> stack;
+    char* stack = nullptr;  // one of the Explore's reused stacks
     std::function<void()> fn;
     State state = State::kFinished;
     bool started = false;
@@ -249,8 +249,11 @@ class Execution {
     int16_t loc_id;
   };
 
+  /// `stacks` holds the fiber stacks every schedule of one Explore reuses
+  /// (tid i runs on stacks[i]); CreateThread grows it on first need.
   Execution(const ExploreOptions& options, Run mode,
-            const std::vector<int>* prefix, uint64_t walk_seed);
+            const std::vector<int>* prefix, uint64_t walk_seed,
+            std::vector<std::unique_ptr<char[]>>* stacks);
 
   void RunSchedule(const std::function<void()>& body);  // called by Explore
   static void TrampolineEntry();
@@ -280,6 +283,7 @@ class Execution {
   ExploreOptions options_;
   Run mode_;
   const std::vector<int>* prefix_;  // DFS replay prefix (may be null)
+  std::vector<std::unique_ptr<char[]>>* stacks_;
   std::mt19937_64 rng_;
 
   std::vector<ThreadState> threads_;

@@ -1,8 +1,6 @@
 #include "common/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
@@ -61,75 +59,6 @@ std::vector<Sample> TimeSeries::Resample(TimeMicros horizon,
     out.push_back(Sample{t, last});
   }
   return out;
-}
-
-Histogram::Histogram()
-    : buckets_{},
-      count_(0),
-      sum_(0),
-      min_(std::numeric_limits<int64_t>::max()),
-      max_(std::numeric_limits<int64_t>::min()) {}
-
-int Histogram::BucketFor(int64_t value) {
-  if (value <= 0) return 0;
-  int b = 1;
-  uint64_t v = static_cast<uint64_t>(value);
-  while (v >>= 1) ++b;
-  return std::min(b, kNumBuckets - 1);
-}
-
-void Histogram::Add(int64_t value) {
-  ++buckets_[BucketFor(value)];
-  ++count_;
-  sum_ += value;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
-}
-
-double Histogram::mean() const {
-  return count_ == 0 ? 0.0
-                     : static_cast<double>(sum_) / static_cast<double>(count_);
-}
-
-int64_t Histogram::Percentile(double q) const {
-  if (count_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  if (q >= 1.0) return max_;
-  const double target = q * static_cast<double>(count_);
-  int64_t seen = 0;
-  for (int b = 0; b < kNumBuckets; ++b) {
-    const int64_t n = buckets_[b];
-    if (n == 0) continue;
-    if (static_cast<double>(seen) + static_cast<double>(n) > target) {
-      if (b == 0) return 0;  // bucket 0 holds values <= 0
-      // Interpolate within bucket b's range [2^(b-1), 2^b - 1] by the
-      // quantile's position among the bucket's n values, then clamp to the
-      // observed [min_, max_] so sparse tail buckets cannot report a value
-      // the histogram never saw.
-      const double lo = std::ldexp(1.0, b - 1);
-      const double hi = std::ldexp(1.0, b) - 1.0;
-      const double frac = (target - static_cast<double>(seen)) /
-                          static_cast<double>(n);
-      double value = lo + frac * (hi - lo);
-      value = std::min(value, static_cast<double>(max_));
-      value = std::max(value, static_cast<double>(min_));
-      return static_cast<int64_t>(std::llround(value));
-    }
-    seen += n;
-  }
-  return max_;
-}
-
-std::string Histogram::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "count=%lld mean=%.1f min=%lld p50=%lld p95=%lld max=%lld",
-                static_cast<long long>(count_), mean(),
-                static_cast<long long>(count_ == 0 ? 0 : min_),
-                static_cast<long long>(Percentile(0.5)),
-                static_cast<long long>(Percentile(0.95)),
-                static_cast<long long>(count_ == 0 ? 0 : max_));
-  return std::string(buf);
 }
 
 void CounterSet::Add(const std::string& name, int64_t delta) {

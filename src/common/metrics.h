@@ -1,5 +1,5 @@
-// Lightweight metrics: named counters, time-series recording, and a fixed
-// bucket histogram. These back both the test assertions ("purge ran N times")
+// Lightweight metrics: named counters and time-series recording. These back
+// both the test assertions ("purge ran N times")
 // and the figure-reproduction benches (state size over time).
 
 #ifndef PJOIN_COMMON_METRICS_H_
@@ -55,33 +55,6 @@ class TimeSeries {
   std::vector<Sample> samples_;
   Sample pending_{0, 0};  // newest thinned sample, valid iff has_pending_
   bool has_pending_ = false;
-};
-
-/// A histogram over int64 values with power-of-two bucket bounds.
-class Histogram {
- public:
-  Histogram();
-
-  void Add(int64_t value);
-
-  int64_t count() const { return count_; }
-  int64_t min() const { return min_; }
-  int64_t max() const { return max_; }
-  double mean() const;
-  /// Approximate quantile (q in [0,1]) from bucket interpolation.
-  int64_t Percentile(double q) const;
-
-  std::string ToString() const;
-
- private:
-  static constexpr int kNumBuckets = 64;
-  static int BucketFor(int64_t value);
-
-  int64_t buckets_[kNumBuckets];
-  int64_t count_;
-  int64_t sum_;
-  int64_t min_;
-  int64_t max_;
 };
 
 /// A named bag of counters; operators expose one of these for inspection.

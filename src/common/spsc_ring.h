@@ -1,7 +1,7 @@
 // SpscRing: a bounded lock-free single-producer/single-consumer ring of
 // batches — the transport of the parallel pipeline's dataflow spine
-// (producer→router, router→shard, shard→merger edges; see
-// docs/PERFORMANCE.md "The lock-free spine").
+// (router→shard and shard→merger edges; see
+// docs/PERFORMANCE.md "Partition-parallel pipeline").
 //
 // The fast path is the relaxed-atomics idiom proven by obs::TraceRing: the
 // producer owns `tail_`, the consumer owns `head_`, both are monotone

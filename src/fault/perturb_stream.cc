@@ -1,4 +1,4 @@
-#include "fault/faulty_stream_source.h"
+#include "fault/perturb_stream.h"
 
 #include <unordered_map>
 #include <unordered_set>

@@ -13,8 +13,8 @@
 // producer stalls) stay in both views: they are workload anomalies, not
 // contract violations, and a correct join must absorb them.
 
-#ifndef PJOIN_FAULT_FAULTY_STREAM_SOURCE_H_
-#define PJOIN_FAULT_FAULTY_STREAM_SOURCE_H_
+#ifndef PJOIN_FAULT_PERTURB_STREAM_H_
+#define PJOIN_FAULT_PERTURB_STREAM_H_
 
 #include <cstdint>
 #include <vector>
@@ -54,4 +54,4 @@ PerturbedStream PerturbStream(const std::vector<StreamElement>& clean,
 
 }  // namespace pjoin
 
-#endif  // PJOIN_FAULT_FAULTY_STREAM_SOURCE_H_
+#endif  // PJOIN_FAULT_PERTURB_STREAM_H_

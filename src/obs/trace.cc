@@ -83,32 +83,45 @@ void Tracer::Start() { enabled_.store(true, std::memory_order_relaxed); }
 
 void Tracer::Stop() { enabled_.store(false, std::memory_order_relaxed); }
 
-TraceRing* Tracer::CurrentThreadRing() {
-  // One ring per (thread, reset generation): after ResetForTest a live
-  // thread re-registers instead of writing into a dropped ring.
-  struct ThreadSlot {
-    std::shared_ptr<TraceRing> ring;
-    int64_t generation = -1;
-  };
+namespace {
+
+// The calling thread's ring and name for one reset generation: after
+// ResetForTest a live thread forgets both and re-registers on its next
+// event instead of writing into a dropped ring.
+struct ThreadSlot {
+  std::shared_ptr<TraceRing> ring;
+  std::string name;
+  int64_t generation = -1;
+};
+
+ThreadSlot& CurrentSlot(int64_t generation) {
   thread_local ThreadSlot slot;
-  const int64_t gen = generation_.load(std::memory_order_acquire);
-  if (slot.ring == nullptr || slot.generation != gen) {
-    std::shared_ptr<TraceRing> ring;
-    {
-      MutexLock lock(mu_);
-      ring = std::make_shared<TraceRing>(next_tid_++, kRingCapacity);
-      rings_.push_back(ring);
-    }
-    slot.ring = std::move(ring);
-    slot.generation = gen;
+  if (slot.generation != generation) {
+    slot = ThreadSlot{};
+    slot.generation = generation;
+  }
+  return slot;
+}
+
+}  // namespace
+
+TraceRing* Tracer::CurrentThreadRing() {
+  ThreadSlot& slot = CurrentSlot(generation_.load(std::memory_order_acquire));
+  if (slot.ring == nullptr) {
+    MutexLock lock(mu_);
+    slot.ring = std::make_shared<TraceRing>(next_tid_++, kRingCapacity);
+    slot.ring->set_thread_name(slot.name);
+    rings_.push_back(slot.ring);
   }
   return slot.ring.get();
 }
 
 void Tracer::SetCurrentThreadName(std::string name) {
-  TraceRing* ring = CurrentThreadRing();
+  ThreadSlot& slot = CurrentSlot(generation_.load(std::memory_order_acquire));
+  slot.name = std::move(name);
+  if (slot.ring == nullptr) return;  // the first event's ring takes the name
   MutexLock lock(mu_);
-  ring->set_thread_name(std::move(name));
+  slot.ring->set_thread_name(slot.name);
 }
 
 std::vector<std::pair<int32_t, std::string>> Tracer::ThreadNames() const {

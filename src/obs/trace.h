@@ -128,7 +128,7 @@ class TraceRing {
   std::unique_ptr<Slot[]> slots_;
   std::atomic<int64_t> next_{0};     // next global write index
   std::atomic<int64_t> drained_{0};  // Drain()-consumed watermark
-  std::string thread_name_;          // set by the owning thread before events
+  std::string thread_name_;          // written and read under Tracer::mu_
 };
 
 /// Process-wide tracer: owns the thread rings, the recording switch, and the
@@ -161,8 +161,10 @@ class Tracer {
   TimeMicros last_drain_us() const { return last_drain_us_.load(); }
   int64_t last_drain_count() const { return last_drain_count_.load(); }
 
-  /// Names the calling thread's ring in trace exports ("router",
-  /// "shard-3"); call before emitting from that thread for best effect.
+  /// Names the calling thread in trace exports ("router", "shard-3"). The
+  /// name waits in the thread until its first recorded event creates its
+  /// ring, so a thread that never records costs no ring; ResetForTest
+  /// forgets it.
   void SetCurrentThreadName(std::string name) EXCLUDES(mu_);
   /// tid -> name for every ring that was given one.
   std::vector<std::pair<int32_t, std::string>> ThreadNames() const
@@ -172,7 +174,8 @@ class Tracer {
   /// callers must ensure no other thread is emitting.
   void ResetForTest() EXCLUDES(mu_);
 
-  /// Ring of the calling thread (registered on first use).
+  /// Ring of the calling thread (registered, with the thread's name, on
+  /// first use).
   TraceRing* CurrentThreadRing() EXCLUDES(mu_);
 
   /// Events per thread ring; overflow overwrites the oldest.

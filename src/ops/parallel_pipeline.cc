@@ -7,6 +7,7 @@
 #include "obs/introspection.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "stream/arrival_merge.h"
 
 namespace pjoin {
 
@@ -436,7 +437,6 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
       for (int s = 0; s < num_shards(); ++s) {
         Stage(s, static_cast<int8_t>(side), e, /*key_hash=*/0, route_now_us_);
       }
-      eos_routed_[side] = true;
       break;
     }
   }
@@ -540,23 +540,12 @@ void ParallelJoinPipeline::PumpRepartition() {
   for (const auto& [side, e] : parked) RouteElement(side, e);
 }
 
-void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
-                                      SpscRing<InputSpan>* in_right) {
+void ParallelJoinPipeline::RouterLoop(const std::vector<StreamElement>& left,
+                                      const std::vector<StreamElement>& right) {
   TRACE_SET_THREAD_NAME("router");
   TRACE_SPAN("par", "router");
-  SpscRing<InputSpan>* in[2] = {in_left, in_right};
-  InputSpan span[2];
-  size_t pos[2] = {0, 0};
-  // A side's EOS is consumed from the input when the router takes it off
-  // the span, and routed once it is actually broadcast — the two diverge
-  // while a fence holds the EOS parked.
-  bool eos_consumed[2] = {false, false};
   key_index_[0] = joins_[0]->state(0).key_index();
   key_index_[1] = joins_[0]->state(1).key_index();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::Gauge in_occupancy[2] = {
-      registry.GetGauge("pjoin_ring_occupancy", "edge=input_l"),
-      registry.GetGauge("pjoin_ring_occupancy", "edge=input_r")};
   int64_t since_drain = 0;
   // Ingress timestamps for latency attribution, refreshed every few
   // dispatches so the clock read amortizes off the routing hot path. The
@@ -565,50 +554,12 @@ void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
   route_now_us_ = obs::TraceNowMicros();
   int now_refresh = 0;
 
-  // The head of a side is the next element of its current span, refilled
-  // from the input ring when the span is drained (zero copy throughout:
-  // spans point straight into the caller's vectors).
-  auto head = [&](int side) -> const StreamElement* {
-    if (pos[side] >= span[side].size) {
-      if (!in[side]->TryPop(&span[side])) return nullptr;
-      pos[side] = 0;
-    }
-    return span[side].data + pos[side];
-  };
-
-  while (!(eos_routed_[0] && eos_routed_[1])) {
-    const StreamElement* h0 = eos_consumed[0] ? nullptr : head(0);
-    const StreamElement* h1 = eos_consumed[1] ? nullptr : head(1);
-    // Merge in global arrival order: only consume a side when the other has
-    // a head to compare against or can never produce an earlier element.
-    const bool done0 = eos_consumed[0] || in[0]->exhausted();
-    const bool done1 = eos_consumed[1] || in[1]->exhausted();
-    int side = -1;
-    if (h0 != nullptr && (h1 != nullptr
-                              ? h0->arrival() <= h1->arrival()
-                              : done1)) {
-      side = 0;
-    } else if (h1 != nullptr && (h0 != nullptr
-                                     ? h1->arrival() < h0->arrival()
-                                     : done0)) {
-      side = 1;
-    }
-    if (side < 0) {
-      // Nothing dispatchable: both inputs dry, or only a parked EOS left.
-      // Keep the merge and the handoff state machine moving — a pending
-      // fence resolves through exactly these two calls.
-      DrainOutputs();
-      PumpRepartition();
-      std::this_thread::yield();
-      continue;
-    }
-    const StreamElement* e = span[side].data + pos[side];
-    ++pos[side];
+  for (ArrivalMerge merge(left, right); !merge.done();) {
+    const auto [side, e] = merge.Next();
     if (now_refresh-- <= 0) {
       route_now_us_ = obs::TraceNowMicros();
       now_refresh = 63;
     }
-    if (e->kind() == ElementKind::kEndOfStream) eos_consumed[side] = true;
     RouteElement(side, e);
     if (repart_enabled_) {
       if (active_handoff_ == nullptr && controller_->ShouldCheck()) {
@@ -625,23 +576,38 @@ void ParallelJoinPipeline::RouterLoop(SpscRing<InputSpan>* in_left,
       since_drain = 0;
       DrainOutputs();
       PumpRepartition();
-      in_occupancy[0].Set(static_cast<int64_t>(in[0]->size()));
-      in_occupancy[1].Set(static_cast<int64_t>(in[1]->size()));
     }
   }
-  PJOIN_DCHECK(active_handoff_ == nullptr && deferred_.empty());
+  // A fence still up holds the tail of the input parked (both end-of-stream
+  // markers at least): keep merging until the source answers and the
+  // replay routes it.
+  while (active_handoff_ != nullptr) {
+    DrainOutputs();
+    PumpRepartition();
+    std::this_thread::yield();
+  }
+  PJOIN_DCHECK(deferred_.empty());
   for (int s = 0; s < num_shards(); ++s) {
     FlushStaged(s);
     shards_[static_cast<size_t>(s)]->queue.Close();
   }
-  in_occupancy[0].Set(0);
-  in_occupancy[1].Set(0);
 }
 
 Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
                                  const std::vector<StreamElement>& right) {
   PJOIN_DCHECK(!ran_);
   ran_ = true;
+  // The shards finish on end-of-stream, so an input without one would keep
+  // them waiting forever; elements after it would never be joined.
+  for (const std::vector<StreamElement>* input : {&left, &right}) {
+    const auto eos = std::find_if(
+        input->begin(), input->end(),
+        [](const StreamElement& e) { return e.is_end_of_stream(); });
+    if (eos == input->end() || eos + 1 != input->end()) {
+      return Status::InvalidArgument(
+          "each input must end with its only end-of-stream marker");
+    }
+  }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   backpressure_counter_ = registry.GetCounter("pjoin_router_backpressure_waits",
@@ -654,8 +620,6 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
                                        "pipeline=parallel");
   punct_pending_gauge_ =
       registry.GetGauge("pjoin_punct_pending_rounds", "pipeline=parallel");
-  eos_routed_[0] = false;
-  eos_routed_[1] = false;
   merged_results_.assign(static_cast<size_t>(num_shards()), 0);
   // Wire per-shard output staging: results queue up locally; a punctuation
   // release is recorded behind them, and FlushShardOut moves both into the
@@ -716,33 +680,13 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
         return out;
       });
 
-  const size_t input_batches =
-      RingBatches(options_.input_buffer_capacity, options_.batch_size);
-  SpscRing<InputSpan> in_left(input_batches);
-  SpscRing<InputSpan> in_right(input_batches);
-  // Producers publish read-only spans of the caller's vectors — the
-  // elements themselves are never copied (Run borrows the vectors for the
-  // whole call, so the spans stay valid).
-  auto produce = [this](const std::vector<StreamElement>& src,
-                        SpscRing<InputSpan>* ring,
-                        [[maybe_unused]] const char* name) {
-    TRACE_SET_THREAD_NAME(name);
-    for (size_t i = 0; i < src.size(); i += options_.batch_size) {
-      const size_t n = std::min(options_.batch_size, src.size() - i);
-      ring->PushBlocking(InputSpan{src.data() + i, n});
-    }
-    ring->Close();
-  };
-
-  std::thread producer_l(produce, std::cref(left), &in_left, "producer-l");
-  std::thread producer_r(produce, std::cref(right), &in_right, "producer-r");
   std::vector<std::thread> workers;
   workers.reserve(shards_.size());
   for (auto& shard : shards_) {
     workers.emplace_back(&ParallelJoinPipeline::ShardLoop, this, shard.get());
   }
 
-  RouterLoop(&in_left, &in_right);
+  RouterLoop(left, right);
 
   // Keep merging while the workers finish their tails (a worker could
   // otherwise park forever on a full output ring) — parked on the activity
@@ -755,8 +699,6 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
       out_activity_.wait(seq);
     }
   }
-  producer_l.join();
-  producer_r.join();
   for (std::thread& w : workers) w.join();
   DrainOutputs();
 

@@ -3,17 +3,18 @@
 //
 // Topology (docs/PERFORMANCE.md):
 //
-//   producer L ─(ring)─┐           ┌─(ring)─> shard 0 ─(ring)─┐
-//                      ├─> router ─┼─(ring)─> shard 1 ─(ring)─┼─> merger
-//   producer R ─(ring)─┘           └─(ring)─> shard N-1 ──────┘  (caller)
+//   left  ─┐            ┌─(ring)─> shard 0 ─(ring)─┐
+//          ├─> router ──┼─(ring)─> shard 1 ─(ring)─┼─> merger
+//   right ─┘ (caller)   └─(ring)─> shard N-1 ──────┘  (caller)
 //
-// Every edge is a bounded SpscRing (common/spsc_ring.h) of batches; no
-// mutex is taken anywhere on the data path. Two producer threads publish
-// read-only spans of the caller's input vectors (zero copy — elements are
-// never duplicated; shards borrow `const StreamElement*`s that outlive the
-// run). The router merges the two inputs in global arrival order, hashes
-// each tuple's join key once, and stages it — pointer, side, key hash — in
-// a columnar RoutedBatch for the shard the mixed hash selects. Shards feed
+// A run starts one thread per shard; the router and the merger run on the
+// caller's thread. Every edge between threads is a bounded SpscRing
+// (common/spsc_ring.h) of batches; no mutex is taken anywhere on the data
+// path. The router reads the caller's two input vectors directly, merging
+// them in global arrival order (stream/arrival_merge.h), hashes each
+// tuple's join key once, and stages it — pointer, side, key hash — in a
+// columnar RoutedBatch for the shard the mixed hash selects (zero copy:
+// shards borrow `const StreamElement*`s that outlive the run). Shards feed
 // whole batches to JoinOperator::ProcessBatch, which reuses the router's
 // key hashes for partition selection, index probe and insert, and
 // amortizes the per-tuple counter bookkeeping across each batch.
@@ -57,11 +58,10 @@
 // results it covers, so a released punctuation never overtakes a result it
 // covers (the §3.3 invariant).
 //
-// Blocking policy (deadlock-freedom on bounded rings): producers and
-// shards may park (their consumers always drain eventually); the
-// router/merger thread NEVER parks — when a shard ring is full it drains
-// the output rings and yields, so the merge edge can always free the
-// dispatch edge.
+// Blocking policy (deadlock-freedom on bounded rings): shards may park
+// (their consumer always drains eventually); the router/merger thread
+// NEVER parks — when a shard ring is full it drains the output rings and
+// yields, so the merge edge can always free the dispatch edge.
 //
 // Correctness oracle: for any input, the emitted result multiset equals the
 // single-threaded reference (tests/parallel_pipeline_test.cc asserts this
@@ -92,8 +92,8 @@ namespace pjoin {
 struct ParallelPipelineOptions {
   /// Number of shard workers; 1 degenerates to router + one worker.
   int num_shards = 4;
-  /// Capacity of each input ring in elements (rounded to whole spans of
-  /// `batch_size`); producers park on a full ring. 0 = a large default.
+  /// Ignored: the router reads the input vectors directly. Kept because the
+  /// repository benchmark still assigns it.
   size_t input_buffer_capacity = 8192;
   /// Capacity of each shard's routed ring in elements (rounded to whole
   /// batches); the router backpressures — drains outputs and yields,
@@ -149,10 +149,12 @@ class ParallelJoinPipeline {
   void set_result_callback(ResultCallback cb) { on_result_ = std::move(cb); }
   void set_punct_callback(PunctCallback cb) { on_punct_ = std::move(cb); }
 
-  /// Runs producers, router and shard workers until both inputs are
-  /// exhausted and all shards have finished. Single-shot. The input
-  /// vectors are borrowed for the whole run (zero-copy transport) — they
-  /// must outlive the call, which the reference parameters guarantee.
+  /// Routes both inputs to the shard workers until both are exhausted and
+  /// all shards have finished. Single-shot. The input vectors are borrowed
+  /// for the whole run (zero-copy transport) — they must outlive the call,
+  /// which the reference parameters guarantee. Each input must end with its
+  /// only end-of-stream marker; otherwise Run returns InvalidArgument
+  /// without starting a thread.
   Status Run(const std::vector<StreamElement>& left,
              const std::vector<StreamElement>& right);
 
@@ -186,13 +188,6 @@ class ParallelJoinPipeline {
   const ShardMap& shard_map() const { return shard_map_; }
 
  private:
-  /// A contiguous read-only chunk of one caller input vector — the unit of
-  /// the producer→router rings.
-  struct InputSpan {
-    const StreamElement* data = nullptr;
-    size_t size = 0;
-  };
-
   /// An in-band repartitioning command, delivered through a shard's routed
   /// ring so FIFO order fences it behind every element dispatched before
   /// it and ahead of every element routed after it. kExtract asks the
@@ -272,7 +267,8 @@ class ParallelJoinPipeline {
   // Per-shard context: the two rings, progress counters, staging buffers.
   struct Shard;
 
-  void RouterLoop(SpscRing<InputSpan>* in_left, SpscRing<InputSpan>* in_right);
+  void RouterLoop(const std::vector<StreamElement>& left,
+                  const std::vector<StreamElement>& right);
   void ShardLoop(Shard* shard);
   /// Dispatches one element (tuple / punctuation / EOS) under the current
   /// shard map and fence state; both the main router loop and the
@@ -334,13 +330,12 @@ class ParallelJoinPipeline {
   /// The in-flight handoff; non-null while the fence is up.
   std::unique_ptr<ActiveHandoff> active_handoff_;
   /// Elements parked by the fence, in arrival order: the fenced key's
-  /// tuples, every punctuation, and end-of-stream markers (a parked EOS
-  /// keeps the router loop alive until the fence lifts).
+  /// tuples, every punctuation, and end-of-stream markers (the router keeps
+  /// merging after its inputs end until the fence lifts and these replay).
   std::vector<std::pair<int8_t, const StreamElement*>> deferred_;
-  /// Per-side join-key positions and EOS-routed markers of the running
-  /// RouterLoop (members so the deferred replay shares them).
+  /// Per-side join-key positions of the running RouterLoop (members so the
+  /// deferred replay shares them).
   size_t key_index_[2] = {0, 0};
-  bool eos_routed_[2] = {false, false};
   /// Coarse dispatch timestamp (see RouterLoop's refresh cadence).
   TimeMicros route_now_us_ = 0;
   /// Tuples routed so far — the flow-id source: tuple ordinal N gets flow

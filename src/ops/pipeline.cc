@@ -1,6 +1,9 @@
 #include "ops/pipeline.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
+#include "stream/arrival_merge.h"
 
 namespace pjoin {
 
@@ -24,32 +27,17 @@ Status JoinPipeline::Run(const std::vector<StreamElement>& left,
     });
   }
 
-  size_t il = 0;
-  size_t ir = 0;
   TimeMicros last_arrival = 0;
-  while (il < left.size() || ir < right.size()) {
-    int side;
-    if (il >= left.size()) {
-      side = 1;
-    } else if (ir >= right.size()) {
-      side = 0;
-    } else {
-      side = (left[il].arrival() <= right[ir].arrival()) ? 0 : 1;
-    }
-    const StreamElement& e = (side == 0) ? left[il] : right[ir];
+  for (ArrivalMerge merge(left, right); !merge.done();) {
+    const auto [side, e] = merge.Next();
     if (options_.stall_gap_micros > 0 &&
-        e.arrival() - last_arrival >= options_.stall_gap_micros) {
+        e->arrival() - last_arrival >= options_.stall_gap_micros) {
       ++stalls_detected_;
       PJOIN_RETURN_NOT_OK(join_->OnStreamsStalled());
     }
-    last_arrival = std::max(last_arrival, e.arrival());
-    PJOIN_RETURN_NOT_OK(join_->OnElement(side, e));
+    last_arrival = std::max(last_arrival, e->arrival());
+    PJOIN_RETURN_NOT_OK(join_->OnElement(side, *e));
     PJOIN_RETURN_NOT_OK(pipe_status);
-    if (side == 0) {
-      ++il;
-    } else {
-      ++ir;
-    }
     ++elements_processed_;
     if (options_.progress) options_.progress(elements_processed_);
   }

@@ -13,10 +13,12 @@
 
 #include "common/rng.h"
 #include "gen/stream_generator.h"
+#include "join/nlj.h"
 #include "join/pjoin.h"
 #include "join/shj.h"
 #include "join/xjoin.h"
 #include "storage/file_spill_store.h"
+#include "stream/arrival_merge.h"
 #include "test_util.h"
 
 namespace pjoin {
@@ -110,6 +112,35 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5),  // scenario
                        ::testing::Values(1, 7, 50),       // purge threshold
                        ::testing::Values(16, 1000000)));  // memory threshold
+
+// The nested-loop join is the oracle other tests trust: it must agree with
+// the test utility's reference and, being blocking, emit only at Finish.
+TEST(NestedLoopReferenceTest, MatchesTestUtilReference) {
+  GeneratedStreams g =
+      Generate(Scenario{300, 10, 10, 20, PunctStyle::kConstant, 9});
+  NestedLoopReferenceJoin nlj(g.schema_a, g.schema_b);
+  auto run = RunJoin(&nlj, g.a, g.b);
+  EXPECT_EQ(run.results,
+            ReferenceJoinRows(g.a, g.b, nlj.output_schema(), 0, 0));
+}
+
+TEST(NestedLoopReferenceTest, EmitsOnlyAtFinish) {
+  SchemaPtr sa = testing::KeyPayloadSchema("a");
+  SchemaPtr sb = testing::KeyPayloadSchema("b");
+  NestedLoopReferenceJoin nlj(sa, sb);
+  int64_t results = 0;
+  nlj.set_result_callback([&results](const Tuple&) { ++results; });
+  ASSERT_TRUE(
+      nlj.OnElement(0, StreamElement::MakeTuple(testing::KP(sa, 1, 1), 1))
+          .ok());
+  ASSERT_TRUE(
+      nlj.OnElement(1, StreamElement::MakeTuple(testing::KP(sb, 1, 2), 2))
+          .ok());
+  EXPECT_EQ(results, 0);  // blocking: nothing until both EOS
+  ASSERT_TRUE(nlj.OnElement(0, StreamElement::MakeEndOfStream(3)).ok());
+  ASSERT_TRUE(nlj.OnElement(1, StreamElement::MakeEndOfStream(3)).ok());
+  EXPECT_EQ(results, 1);
+}
 
 TEST(EquivalenceTest, PJoinWithoutOtfDropMatchesReference) {
   Scenario sc{400, 10, 20, 8, PunctStyle::kConstant, 707};
@@ -230,16 +261,11 @@ TEST(EquivalenceTest, BatchedAndElementDispatchAgree) {
   std::vector<const StreamElement*> elements;
   std::vector<int8_t> sides;
   std::vector<uint64_t> hashes;
-  size_t ia = 0;
-  size_t ib = 0;
-  while (ia < g.a.size() || ib < g.b.size()) {
-    const bool left =
-        ib >= g.b.size() ||
-        (ia < g.a.size() && g.a[ia].arrival() <= g.b[ib].arrival());
-    const StreamElement& e = left ? g.a[ia++] : g.b[ib++];
-    elements.push_back(&e);
-    sides.push_back(left ? 0 : 1);
-    hashes.push_back(e.is_tuple() ? e.tuple().field(0).Hash() : 0);
+  for (ArrivalMerge merge(g.a, g.b); !merge.done();) {
+    const auto [side, e] = merge.Next();
+    elements.push_back(e);
+    sides.push_back(static_cast<int8_t>(side));
+    hashes.push_back(e->is_tuple() ? e->tuple().field(0).Hash() : 0);
   }
 
   struct Observed {

@@ -12,7 +12,7 @@
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "fault/faulty_spill_store.h"
-#include "fault/faulty_stream_source.h"
+#include "fault/perturb_stream.h"
 #include "gen/auction.h"
 #include "join/pjoin.h"
 #include "join/shj.h"

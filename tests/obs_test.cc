@@ -428,9 +428,16 @@ TEST_F(TracerTest, SpansCarryNonNegativeDuration) {
   EXPECT_TRUE(saw_span);
 }
 
+// Naming a thread costs no ring: the name shows up in the export only
+// once the thread records an event.
 TEST_F(TracerTest, ThreadNamesAreExported) {
-  obs::Tracer::Global().SetCurrentThreadName("main-test");
-  const auto names = obs::Tracer::Global().ThreadNames();
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.SetCurrentThreadName("main-test");
+  EXPECT_TRUE(tracer.ThreadNames().empty());
+  tracer.Start();
+  TRACE_INSTANT("test", "named");
+  tracer.Stop();
+  const auto names = tracer.ThreadNames();
   ASSERT_EQ(names.size(), 1u);
   EXPECT_EQ(names[0].second, "main-test");
 }

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "ops/filter.h"
 #include "ops/groupby.h"
-#include "ops/project.h"
 #include "ops/sink.h"
 #include "test_util.h"
 
@@ -211,89 +209,6 @@ TEST(GroupByTest, NonAliasConstraintStillUnusable) {
   EXPECT_EQ(gb.counters().Get("puncts_unusable"), 1);
 }
 
-TEST(FilterTest, PassesAndDrops) {
-  SchemaPtr s = KeyPayloadSchema("v");
-  Filter filter([](const Tuple& t) { return t.field(0).AsInt64() % 2 == 0; });
-  CollectorSink sink;
-  filter.set_downstream(&sink);
-  for (int64_t k = 0; k < 6; ++k) {
-    ASSERT_TRUE(filter.OnTuple(KP(s, k, 0), 0).ok());
-  }
-  EXPECT_EQ(filter.passed(), 3);
-  EXPECT_EQ(filter.dropped(), 3);
-  EXPECT_EQ(sink.tuples().size(), 3u);
-}
-
-TEST(FilterTest, PunctuationsPassThrough) {
-  Filter filter([](const Tuple&) { return false; });
-  CollectorSink sink;
-  filter.set_downstream(&sink);
-  ASSERT_TRUE(filter.OnPunctuation(KeyPunct(1), 0).ok());
-  EXPECT_EQ(sink.punctuations().size(), 1u);
-}
-
-TEST(ProjectTest, SelectsAndReordersColumns) {
-  SchemaPtr s = Schema::Make({{"a", ValueType::kInt64},
-                              {"b", ValueType::kInt64},
-                              {"c", ValueType::kInt64}});
-  Project proj(s, {2, 0});
-  EXPECT_EQ(proj.output_schema()->ToString(), "(c:int64, a:int64)");
-  CollectorSink sink;
-  proj.set_downstream(&sink);
-  ASSERT_TRUE(proj.OnTuple(Tuple(s, {Value(int64_t{1}), Value(int64_t{2}),
-                                     Value(int64_t{3})}),
-                           0)
-                  .ok());
-  ASSERT_EQ(sink.tuples().size(), 1u);
-  EXPECT_EQ(sink.tuples()[0].field(0).AsInt64(), 3);
-  EXPECT_EQ(sink.tuples()[0].field(1).AsInt64(), 1);
-}
-
-TEST(ProjectTest, ProjectsPunctuationOnKeptColumns) {
-  SchemaPtr s = Schema::Make({{"a", ValueType::kInt64},
-                              {"b", ValueType::kInt64}});
-  Project proj(s, {0});
-  CollectorSink sink;
-  proj.set_downstream(&sink);
-  ASSERT_TRUE(proj.OnPunctuation(
-                      Punctuation::ForAttribute(
-                          2, 0, Pattern::Constant(Value(int64_t{5}))),
-                      0)
-                  .ok());
-  ASSERT_EQ(sink.punctuations().size(), 1u);
-  EXPECT_EQ(sink.punctuations()[0].num_patterns(), 1u);
-  EXPECT_EQ(sink.punctuations()[0].pattern(0),
-            Pattern::Constant(Value(int64_t{5})));
-}
-
-TEST(ProjectTest, DropsPunctuationConstrainingRemovedColumn) {
-  SchemaPtr s = Schema::Make({{"a", ValueType::kInt64},
-                              {"b", ValueType::kInt64}});
-  Project proj(s, {0});
-  CollectorSink sink;
-  proj.set_downstream(&sink);
-  // <a=5, b=3> does not imply <a=5>: must not be forwarded.
-  Punctuation p({Pattern::Constant(Value(int64_t{5})),
-                 Pattern::Constant(Value(int64_t{3}))});
-  ASSERT_TRUE(proj.OnPunctuation(p, 0).ok());
-  EXPECT_TRUE(sink.punctuations().empty());
-}
-
-TEST(ProjectTest, DropsAllWildcardProjection) {
-  SchemaPtr s = Schema::Make({{"a", ValueType::kInt64},
-                              {"b", ValueType::kInt64}});
-  Project proj(s, {1});
-  CollectorSink sink;
-  proj.set_downstream(&sink);
-  // Punctuation on only dropped column "a"... constrains a -> dropped.
-  ASSERT_TRUE(proj.OnPunctuation(
-                      Punctuation::ForAttribute(
-                          2, 0, Pattern::Constant(Value(int64_t{5}))),
-                      0)
-                  .ok());
-  EXPECT_TRUE(sink.punctuations().empty());
-}
-
 TEST(SinkTest, CountingSinkCounts) {
   SchemaPtr s = KeyPayloadSchema("v");
   CountingSink sink;
@@ -318,18 +233,34 @@ TEST(SinkTest, CallbackSinkInvokes) {
   EXPECT_EQ(puncts, 1);
 }
 
+/// Forwards every tuple unchanged; punctuations and end-of-stream take the
+/// base class's forwarding.
+class PassThrough : public Operator {
+ public:
+  Status OnTuple(const Tuple& tuple, TimeMicros arrival) override {
+    return EmitTuple(tuple, arrival);
+  }
+};
+
 TEST(OperatorTest, ChainForwardsThroughMultipleStages) {
   SchemaPtr s = KeyPayloadSchema("v");
-  Filter f1([](const Tuple& t) { return t.field(0).AsInt64() > 0; });
-  Project p1(s, {0});
+  PassThrough pass;
+  GroupBy gb(s, 0, {{AggKind::kCount, 0, "n"}});
   CollectorSink sink;
-  f1.set_downstream(&p1);
-  p1.set_downstream(&sink);
-  ASSERT_TRUE(f1.OnTuple(KP(s, 5, 50), 0).ok());
-  ASSERT_TRUE(f1.OnTuple(KP(s, 0, 60), 0).ok());
-  ASSERT_TRUE(f1.OnEndOfStream().ok());
+  pass.set_downstream(&gb);
+  gb.set_downstream(&sink);
+  ASSERT_TRUE(pass.OnTuple(KP(s, 5, 50), 0).ok());
+  ASSERT_TRUE(pass.OnTuple(KP(s, 5, 60), 0).ok());
+  ASSERT_TRUE(pass.OnTuple(KP(s, 7, 70), 0).ok());
+  // The punctuation crosses the first stage and closes key 5's group at
+  // the second; end-of-stream flushes key 7's and reaches the sink.
+  ASSERT_TRUE(pass.OnPunctuation(KeyPunct(5), 0).ok());
   ASSERT_EQ(sink.tuples().size(), 1u);
-  EXPECT_EQ(sink.tuples()[0].num_fields(), 1u);
+  EXPECT_EQ(sink.tuples()[0].field("n").AsInt64(), 2);
+  ASSERT_EQ(sink.punctuations().size(), 1u);
+  ASSERT_TRUE(pass.OnEndOfStream().ok());
+  ASSERT_EQ(sink.tuples().size(), 2u);
+  EXPECT_EQ(sink.tuples()[1].field("key").AsInt64(), 7);
   EXPECT_TRUE(sink.saw_end_of_stream());
 }
 

@@ -318,6 +318,34 @@ TEST(ParallelPJoinTest, ShardErrorIsTheRunStatus) {
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
 }
 
+// Shards finish on end-of-stream, so Run refuses, before it starts a
+// thread, an input that lacks one or carries elements after it.
+TEST(ParallelPJoinTest, InputWithoutEndOfStreamIsRejected) {
+  SchemaPtr s = KeyPayloadSchema("a");
+  const std::vector<StreamElement> complete =
+      ElementsBuilder().Tup(KP(s, 1, 9)).Finish();
+  std::vector<StreamElement> unterminated =
+      ElementsBuilder().Tup(KP(s, 1, 0)).Tup(KP(s, 2, 1)).Finish();
+  unterminated.pop_back();
+  std::vector<StreamElement> trailing =
+      ElementsBuilder().Tup(KP(s, 1, 0)).Finish();
+  trailing.push_back(StreamElement::MakeTuple(KP(s, 1, 1), 5000));
+
+  auto run = [&](const std::vector<StreamElement>& left,
+                 const std::vector<StreamElement>& right) {
+    ParallelPipelineOptions popts;
+    popts.num_shards = 2;
+    ParallelJoinPipeline pipeline(
+        [&](int) { return std::make_unique<PJoin>(s, s); }, popts);
+    return pipeline.Run(left, right);
+  };
+  for (const auto* input : {&unterminated, &trailing}) {
+    EXPECT_EQ(run(*input, complete).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(run(complete, *input).code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(run({}, complete).code(), StatusCode::kInvalidArgument);
+}
+
 /// A PJoin that sleeps on every tuple, so its shard consumes slower than
 /// the router dispatches.
 class SlowPJoin : public PJoin {

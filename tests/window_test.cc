@@ -3,6 +3,7 @@
 #include <tuple>
 
 #include "common/rng.h"
+#include "stream/arrival_merge.h"
 #include "test_util.h"
 #include "window/window_pjoin.h"
 
@@ -69,14 +70,9 @@ TEST_F(WindowPJoinTest, MatchesBruteForceSemantics) {
   }
   WindowPJoin join(sa_, sb_, Opts(W));
   // Feed in global arrival order.
-  size_t il = 0, ir = 0;
-  while (il < left.size() || ir < right.size()) {
-    if (ir >= right.size() ||
-        (il < left.size() && left[il].arrival() <= right[ir].arrival())) {
-      ASSERT_TRUE(join.OnElement(0, left[il++]).ok());
-    } else {
-      ASSERT_TRUE(join.OnElement(1, right[ir++]).ok());
-    }
+  for (ArrivalMerge merge(left, right); !merge.done();) {
+    const auto [side, e] = merge.Next();
+    ASSERT_TRUE(join.OnElement(side, *e).ok());
   }
   EXPECT_EQ(join.results_emitted(), expected);
 }
@@ -203,19 +199,9 @@ TEST_P(WindowSemanticsSweep, MatchesBruteForceWithPunctuations) {
   WindowJoinOptions opts;
   opts.window_micros = W;
   WindowPJoin join(sa, sb, opts);
-  size_t idx[2] = {0, 0};
-  while (idx[0] < streams[0].size() || idx[1] < streams[1].size()) {
-    int side;
-    if (idx[0] >= streams[0].size()) {
-      side = 1;
-    } else if (idx[1] >= streams[1].size()) {
-      side = 0;
-    } else {
-      side = streams[0][idx[0]].arrival() <= streams[1][idx[1]].arrival()
-                 ? 0
-                 : 1;
-    }
-    ASSERT_TRUE(join.OnElement(side, streams[side][idx[side]++]).ok());
+  for (ArrivalMerge merge(streams[0], streams[1]); !merge.done();) {
+    const auto [side, e] = merge.Next();
+    ASSERT_TRUE(join.OnElement(side, *e).ok());
   }
   EXPECT_EQ(join.results_emitted(), expected)
       << "seed " << seed << " window " << window_ms << "ms";

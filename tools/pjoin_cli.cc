@@ -28,9 +28,9 @@
 //   $ pjoin_cli --left left.stream --left-schema key:int64,qty:int64
 //               --right right.stream --right-schema key:int64,w:float64
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -55,11 +55,14 @@ struct Args {
     auto it = named.find(key);
     return it == named.end() ? dflt : it->second;
   }
-  int64_t GetInt(const std::string& key, int64_t dflt) const {
-    auto it = named.find(key);
-    return it == named.end() ? dflt : std::atoll(it->second.c_str());
-  }
 };
+
+/// Parses the whole of `text` as a decimal integer ("5x" and "" fail).
+bool ParseInt(const std::string& text, int64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "pjoin_cli: %s\n", message.c_str());
@@ -90,10 +93,32 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Integer flags and their defaults.
+  std::map<std::string, int64_t> ints = {
+      {"left-key", 0},         {"right-key", 0},
+      {"purge-threshold", 1},  {"memory-threshold", 0},
+      {"propagate-count", 0},  {"serve-port", 0},
+      {"serve-linger-ms", 0}};
+  for (auto& [key, value] : ints) {
+    if (args.Has(key) && !ParseInt(args.Get(key), &value)) {
+      return Fail("--" + key + " takes an integer, not '" + args.Get(key) +
+                  "'");
+    }
+  }
+
   auto left_schema = ParseSchemaSpec(args.Get("left-schema"));
   if (!left_schema.ok()) return Fail(left_schema.status().ToString());
   auto right_schema = ParseSchemaSpec(args.Get("right-schema"));
   if (!right_schema.ok()) return Fail(right_schema.status().ToString());
+  for (const auto& [flag, schema] :
+       {std::pair{"left-key", *left_schema}, {"right-key", *right_schema}}) {
+    const int64_t key = ints.at(flag);
+    if (key < 0 || static_cast<size_t>(key) >= schema->num_fields()) {
+      return Fail(std::string("--") + flag + " " + std::to_string(key) +
+                  " is outside its schema's " +
+                  std::to_string(schema->num_fields()) + " fields");
+    }
+  }
 
   auto left = ReadStreamFile(args.Get("left"), *left_schema);
   if (!left.ok()) return Fail(left.status().ToString());
@@ -101,15 +126,13 @@ int main(int argc, char** argv) {
   if (!right.ok()) return Fail(right.status().ToString());
 
   JoinOptions options;
-  options.left_key = static_cast<size_t>(args.GetInt("left-key", 0));
-  options.right_key = static_cast<size_t>(args.GetInt("right-key", 0));
-  options.runtime.purge_threshold = args.GetInt("purge-threshold", 1);
+  options.left_key = static_cast<size_t>(ints.at("left-key"));
+  options.right_key = static_cast<size_t>(ints.at("right-key"));
+  options.runtime.purge_threshold = ints.at("purge-threshold");
   if (args.Has("memory-threshold")) {
-    options.runtime.memory_threshold_tuples =
-        args.GetInt("memory-threshold", 0);
+    options.runtime.memory_threshold_tuples = ints.at("memory-threshold");
   }
-  options.runtime.propagate_count_threshold =
-      args.GetInt("propagate-count", 0);
+  options.runtime.propagate_count_threshold = ints.at("propagate-count");
 
   const std::string algo = args.Get("algo", "pjoin");
   std::unique_ptr<JoinOperator> join;
@@ -137,9 +160,13 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<obs::IntrospectionServer> server;
   if (args.Has("serve-port")) {
+    const int64_t port = ints.at("serve-port");
+    if (port < 0 || port > 65535) {
+      return Fail("--serve-port " + std::to_string(port) +
+                  " is not a TCP port");
+    }
     server = std::make_unique<obs::IntrospectionServer>();
-    const Status started =
-        server->Start(static_cast<int>(args.GetInt("serve-port", 0)));
+    const Status started = server->Start(static_cast<int>(port));
     if (!started.ok()) return Fail(started.ToString());
     std::fprintf(stderr, "serving introspection on http://127.0.0.1:%d\n",
                  server->port());
@@ -175,7 +202,7 @@ int main(int argc, char** argv) {
   if (server != nullptr) {
     // Keep the endpoints up so a scraper can read the final metrics/state;
     // GET /quitquitquit ends the linger early.
-    const int64_t linger_ms = args.GetInt("serve-linger-ms", 0);
+    const int64_t linger_ms = ints.at("serve-linger-ms");
     const Stopwatch linger;
     while (linger.ElapsedMicros() < linger_ms * 1000 &&
            !server->quit_requested()) {
