@@ -15,6 +15,9 @@
 // Usage: par_scaling [--tuples=N] [--shards=a,b,c] [--punct=T] [--out=FILE]
 //                    [--reps=N] [--ring=N] [--check] [--trace=FILE]
 //                    [--metrics=FILE] [--serve_port=P] [--serve_linger_ms=N]
+//   Every value is parsed whole (std::from_chars); a malformed value, a
+//   count below its minimum (--tuples=0, --shards=0) or an unknown flag is
+//   refused with a "par_scaling:" message and exit status 1.
 //   --check    exit non-zero if any oracle fails (CI perf-smoke mode).
 //   --reps     wall-clock repetitions per configuration (default 3); the
 //              best run is reported, de-noising the perf gate's ratios.
@@ -37,7 +40,7 @@
 //              and /healthz classification; implied by --stall_ms).
 //   --stall_ms=N     before the sweep, run a deliberately wedged x1
 //              configuration whose join sleeps N ms per tuple: the router
-//              runs ahead, punctuation frontiers stall, and a scraper polling
+//              runs ahead, the shard's frontier stalls, and a scraper polling
 //              /healthz observes 503 (stalled, naming shard 0) for roughly
 //              stall_tuples * N ms, then 200 again once it completes. The
 //              CI health smoke drives this.
@@ -58,15 +61,18 @@
 //              draws keys zipf-skewed from a window of N open keys, so the
 //              top key's share is ~1/H(window, s) (~44% at s=1.6 for 4096).
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench_util.h"
@@ -135,82 +141,150 @@ struct Cli {
   int64_t stall_tuples = 100;
 };
 
-Cli ParseCli(int argc, char** argv) {
-  Cli cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* prefix) -> const char* {
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + std::strlen(prefix)
-                                       : nullptr;
+/// Parses all of `text` into `*out` with std::from_chars; false when the
+/// text is malformed or the value falls outside [min, max] (NaN included).
+template <typename T>
+bool ParseInRange(std::string_view text, T min, T max, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      !(value >= min && value <= max)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// One flag that takes a value: what it takes (for the refusal message)
+/// and a parser that stores the value only when it is well-formed.
+struct ValueFlag {
+  std::string_view name;
+  std::string takes;
+  std::function<bool(std::string_view)> parse;
+};
+
+template <typename T>
+std::string FormatBound(T bound) {
+  if constexpr (std::is_integral_v<T>) {
+    return std::to_string(bound);
+  } else {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", bound);
+    return buf;
+  }
+}
+
+template <typename T>
+ValueFlag Number(std::string_view name, T* field, T min,
+                 T max = std::numeric_limits<T>::max()) {
+  std::string takes = std::is_integral_v<T> ? "an integer" : "a number";
+  takes += " >= " + FormatBound(min);
+  if (max != std::numeric_limits<T>::max()) {
+    takes += " and <= " + FormatBound(max);
+  }
+  return {name, takes, [field, min, max](std::string_view text) {
+            return ParseInRange(text, min, max, field);
+          }};
+}
+
+/// A comma-separated list, each entry parsed as Number parses one value.
+template <typename T>
+ValueFlag List(std::string_view name, std::vector<T>* field, T min) {
+  std::string takes = std::is_integral_v<T> ? "integers" : "numbers";
+  takes = "comma-separated " + takes + " >= " + FormatBound(min);
+  return {name, takes, [field, min](std::string_view text) {
+            std::vector<T> values;
+            for (size_t comma = 0; comma != std::string_view::npos;) {
+              comma = text.find(',');
+              T value{};
+              if (!ParseInRange(text.substr(0, comma), min,
+                                std::numeric_limits<T>::max(), &value)) {
+                return false;
+              }
+              values.push_back(value);
+              text.remove_prefix(comma == std::string_view::npos ? text.size()
+                                                                 : comma + 1);
+            }
+            *field = std::move(values);
+            return true;
+          }};
+}
+
+/// Fills `cli` from argv. Refuses a malformed value, a value below its
+/// flag's minimum and an unknown flag with a "par_scaling:" message on
+/// stderr, returning false.
+bool ParseCli(int argc, char** argv, Cli* cli) {
+  const auto text = [](std::string* field) {
+    return [field](std::string_view v) {
+      *field = std::string(v);
+      return !v.empty();
     };
-    if (const char* v = value("--tuples=")) {
-      cli.tuples = std::atoll(v);
-    } else if (const char* v = value("--window=")) {
-      cli.window = std::atoll(v);
-    } else if (const char* v = value("--punct=")) {
-      cli.punct_rate = std::atof(v);
-    } else if (const char* v = value("--memcap=")) {
-      cli.memcap = std::atoll(v);
-    } else if (const char* v = value("--spill_tuples=")) {
-      cli.spill_tuples = std::atoll(v);
-    } else if (const char* v = value("--spill_zipf=")) {
-      cli.spill_zipf = std::atof(v);
-    } else if (const char* v = value("--spill_punct=")) {
-      cli.spill_punct_rate = std::atof(v);
-    } else if (const char* v = value("--reps=")) {
-      cli.reps = std::atoi(v);
-      if (cli.reps < 1) cli.reps = 1;
-    } else if (const char* v = value("--ring=")) {
-      cli.ring = std::atoll(v);
-    } else if (const char* v = value("--stall_polls=")) {
-      cli.stall_polls = std::atoll(v);
-    } else if (const char* v = value("--zipf=")) {
-      cli.zipf = std::atof(v);
-    } else if (arg == "--repartition") {
-      cli.repartition = true;
-    } else if (const char* v = value("--skew_sweep=")) {
-      cli.skew_sweep = std::atoi(v) != 0;
-    } else if (const char* v = value("--skew_tuples=")) {
-      cli.skew_tuples = std::atoll(v);
-    } else if (const char* v = value("--skew_window=")) {
-      cli.skew_window = std::atoll(v);
-    } else if (const char* v = value("--skew_list=")) {
-      cli.skew_list.clear();
-      std::stringstream ss(v);
-      std::string tok;
-      while (std::getline(ss, tok, ',')) {
-        cli.skew_list.push_back(std::atof(tok.c_str()));
-      }
-    } else if (const char* v = value("--out=")) {
-      cli.out = v;
-    } else if (const char* v = value("--trace=")) {
-      cli.trace = v;
-    } else if (const char* v = value("--metrics=")) {
-      cli.metrics = v;
-    } else if (const char* v = value("--serve_port=")) {
-      cli.serve_port = std::atoi(v);
-    } else if (const char* v = value("--serve_linger_ms=")) {
-      cli.serve_linger_ms = std::atoll(v);
-    } else if (arg == "--health") {
-      cli.health = true;
-    } else if (const char* v = value("--stall_ms=")) {
-      cli.stall_ms = std::atoll(v);
-    } else if (const char* v = value("--stall_tuples=")) {
-      cli.stall_tuples = std::atoll(v);
-    } else if (const char* v = value("--shards=")) {
-      cli.shards.clear();
-      std::stringstream ss(v);
-      std::string tok;
-      while (std::getline(ss, tok, ',')) {
-        cli.shards.push_back(std::atoi(tok.c_str()));
-      }
-    } else if (arg == "--check") {
-      cli.check = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+  };
+  const std::vector<ValueFlag> flags = {
+      Number<int64_t>("--tuples", &cli->tuples, 1),
+      Number<int64_t>("--window", &cli->window, 1),
+      Number<double>("--punct", &cli->punct_rate, 1.0),
+      Number<int64_t>("--memcap", &cli->memcap, 0),
+      Number<int64_t>("--spill_tuples", &cli->spill_tuples, 1),
+      Number<double>("--spill_zipf", &cli->spill_zipf, 0.0),
+      Number<double>("--spill_punct", &cli->spill_punct_rate, 1.0),
+      Number<int>("--reps", &cli->reps, 1),
+      Number<int64_t>("--ring", &cli->ring, 0),
+      Number<int64_t>("--stall_polls", &cli->stall_polls, 0),
+      Number<double>("--zipf", &cli->zipf, 0.0),
+      {"--skew_sweep", "0 or 1",
+       [cli](std::string_view v) {
+         int on = 0;
+         if (!ParseInRange(v, 0, 1, &on)) return false;
+         cli->skew_sweep = on != 0;
+         return true;
+       }},
+      Number<int64_t>("--skew_tuples", &cli->skew_tuples, 1),
+      Number<int64_t>("--skew_window", &cli->skew_window, 1),
+      List<double>("--skew_list", &cli->skew_list, 0.0),
+      {"--out", "a file name", text(&cli->out)},
+      {"--trace", "a file name", text(&cli->trace)},
+      {"--metrics", "a file name", text(&cli->metrics)},
+      Number<int>("--serve_port", &cli->serve_port, 0, 65535),
+      Number<int64_t>("--serve_linger_ms", &cli->serve_linger_ms, 0),
+      Number<int64_t>("--stall_ms", &cli->stall_ms, 0),
+      Number<int64_t>("--stall_tuples", &cli->stall_tuples, 1),
+      List<int>("--shards", &cli->shards, 1),
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--check") {
+      cli->check = true;
+      continue;
+    }
+    if (arg == "--repartition") {
+      cli->repartition = true;
+      continue;
+    }
+    if (arg == "--health") {
+      cli->health = true;
+      continue;
+    }
+    const size_t eq = arg.find('=');
+    const std::string_view name = arg.substr(0, eq);
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(),
+                     [name](const ValueFlag& f) { return f.name == name; });
+    if (flag == flags.end()) {
+      std::fprintf(stderr, "par_scaling: unknown flag %s\n", argv[i]);
+      return false;
+    }
+    const std::string_view value =
+        eq == std::string_view::npos ? std::string_view() : arg.substr(eq + 1);
+    if (!flag->parse(value)) {
+      std::fprintf(stderr, "par_scaling: %s takes %s, not '%s'\n",
+                   std::string(name).c_str(), flag->takes.c_str(),
+                   std::string(value).c_str());
+      return false;
     }
   }
-  return cli;
+  return true;
 }
 
 /// Order-independent multiset fingerprint of the emitted result rows: a
@@ -326,8 +400,8 @@ Measured RunParallel(const GeneratedStreams& streams, int shards,
 // ---- Deliberately stalled run (the CI health smoke) ----
 
 /// A PJoin that sleeps per tuple. The router routes the whole (small)
-/// workload far ahead of the grinding shard, so every routed punctuation
-/// raises that shard's frontier lag: /healthz reports 503 with a root-cause
+/// workload far ahead of the grinding shard, so the batch the shard works on
+/// was dispatched ever longer ago: /healthz reports 503 with a root-cause
 /// chain naming shard 0 for roughly stall_tuples * stall_ms, then returns
 /// to 200 when the run completes and the frontier catches up.
 class SlowPJoin : public PJoin {
@@ -353,8 +427,8 @@ void RunStalledConfig(const Cli& cli) {
   domain.window_size = 16;
   StreamSpec spec;
   spec.num_tuples = cli.stall_tuples;
-  // Frequent punctuations: the frontier cells see ingress traffic early in
-  // the stall window, not just at end-of-stream.
+  // Frequent punctuations: purge and propagation work is queued behind the
+  // stall early in the window, not just at end-of-stream.
   spec.punct_mean_interarrival_tuples = 4.0;
   spec.flush_punctuations_at_end = true;
   const GeneratedStreams streams = GenerateStreams(domain, spec, spec, 2004);
@@ -648,7 +722,8 @@ void WriteJson(const std::string& path, const Cli& cli,
 }
 
 int Main(int argc, char** argv) {
-  const Cli cli = ParseCli(argc, argv);
+  Cli cli;
+  if (!ParseCli(argc, argv, &cli)) return 1;
 
   PrintHeader("par_scaling", "Partition-parallel scaling (PJoin)",
               "probe-heavy workload: " + std::to_string(cli.tuples) +

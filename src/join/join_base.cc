@@ -1,6 +1,5 @@
 #include "join/join_base.h"
 
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "storage/simulated_disk.h"
 
@@ -89,15 +88,6 @@ Status JoinOperator::ProcessBatch(const ElementBatch& batch) {
     if (e.is_punctuation()) {
       counters_.Add("puncts_in");
       PJOIN_RETURN_NOT_OK(OnPunctuation(side, e.punctuation()));
-      if (frontier_shard_ >= 0) {
-        // Frontier advance: this shard finished one punctuation of the
-        // (side, scheme) the router noted at dispatch.
-        const size_t key =
-            side == 0 ? options_.left_key : options_.right_key;
-        obs::FrontierTracker::Global().NoteProcessed(
-            side, PatternKindName(e.punctuation().pattern(key).kind()),
-            frontier_shard_, obs::TraceNowMicros());
-      }
     } else {
       eos_[side] = true;
       if (eos_[0] && eos_[1]) {

@@ -247,16 +247,7 @@ class JoinOperator {
   /// reads are not locked).
   void PublishStateGauges();
 
-  /// Binds this operator to shard `shard` of the global FrontierTracker
-  /// (obs/progress.h): every punctuation it finishes processing advances
-  /// the (side, scheme, shard) frontier the router's ingress notes opened.
-  /// Unbound (the default) operators report nothing.
-  void BindFrontier(int shard) { frontier_shard_ = shard; }
-
  protected:
-  /// Shard this operator reports frontier progress as (-1 = unbound).
-  int frontier_shard() const { return frontier_shard_; }
-
   // ---- Subclass interface ----
   /// Tuple arrival, with the tuple's join-key hash already computed.
   virtual Status OnTupleHashed(int side, const Tuple& tuple,
@@ -329,7 +320,6 @@ class JoinOperator {
   CounterSet counters_;
   TimeSeries state_series_;
   int64_t tick_ = 0;
-  int frontier_shard_ = -1;
   /// Probe comparisons since the last FlushBatchCounters (hot-path tally;
   /// the CounterSet map lookup happens once per element/batch, not per
   /// probe).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace pjoin {
@@ -225,16 +224,6 @@ Status PJoin::OnPunctuation(int side, const Punctuation& punct) {
     for (int p = 0; p < own.num_partitions(); ++p) mark(p);
   }
 
-  // Frontier accounting: a punctuation on this side should purge the
-  // opposite side's resident state once the (lazy) purge runs. Record the
-  // expectation so the health layer can surface purges that pile up
-  // without firing.
-  if (frontier_shard() >= 0 && state(1 - side).memory_tuples() > 0) {
-    obs::FrontierTracker::Global().NotePurgeExpected(
-        frontier_shard(), state(1 - side).memory_tuples(),
-        obs::TraceNowMicros());
-  }
-
   if (options().eager_index_build) {
     PJOIN_RETURN_NOT_OK(RunIndexBuild(side));
   }
@@ -254,10 +243,6 @@ Status PJoin::RunPurge() {
   counters().Add("purge_runs");
   PJOIN_RETURN_NOT_OK(PurgeState(0));
   PJOIN_RETURN_NOT_OK(PurgeState(1));
-  // Every pending punctuation was applied by the two passes above.
-  if (frontier_shard() >= 0) {
-    obs::FrontierTracker::Global().NotePurgeFired(frontier_shard());
-  }
   monitor_->OnPurgeRan();
   PJOIN_RETURN_NOT_OK(monitor_->OnStateSizeChanged(memory_state_tuples(),
                                                    memory_state_bytes()));
@@ -584,12 +569,16 @@ void PJoin::PublishExtraGauges() {
           "pjoin_punct_set_size",
           JoinLabels(state_gauge_labels(), kSide[side]));
     }
+    puncts_since_purge_gauge_ =
+        registry.GetGauge("pjoin_puncts_since_purge", state_gauge_labels());
     extra_gauges_bound_ = true;
   }
   for (int side = 0; side < 2; ++side) {
     punct_set_gauge_[side].Set(
         static_cast<int64_t>(punct_sets_[side]->size()));
   }
+  puncts_since_purge_gauge_.Set(monitor_->puncts_since_purge(0) +
+                                monitor_->puncts_since_purge(1));
 }
 
 }  // namespace pjoin

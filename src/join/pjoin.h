@@ -74,8 +74,9 @@ class PJoin : public JoinOperator {
                        uint64_t key_hash) override;
   Status OnPunctuation(int side, const Punctuation& punct) override;
   Status Finish() override;
-  /// Publishes the punctuation-set sizes (the live purge watermarks) next
-  /// to the base-class state gauges.
+  /// Publishes the punctuation-set sizes (the live purge watermarks) and
+  /// the punctuations received since the last purge (the stall
+  /// diagnosis's unfired purges) next to the base-class state gauges.
   void PublishExtraGauges() override;
 
  private:
@@ -137,6 +138,7 @@ class PJoin : public JoinOperator {
   std::vector<Punctuation> quarantined_puncts_[2];
   bool extra_gauges_bound_ = false;
   obs::Gauge punct_set_gauge_[2];
+  obs::Gauge puncts_since_purge_gauge_;
   std::unique_ptr<Component> purge_component_;
   std::unique_ptr<Component> relocation_component_;
   std::unique_ptr<Component> disk_join_component_;

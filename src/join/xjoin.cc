@@ -1,6 +1,5 @@
 #include "join/xjoin.h"
 
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace pjoin {
@@ -25,11 +24,6 @@ Status XJoin::OnPunctuation(int side, const Punctuation& punct) {
   (void)side;
   (void)punct;
   counters().Add("puncts_ignored");
-  // The frontier still advances (join_base notes the processing); flag the
-  // drop so a health probe can tell "consumed but ignored" from "stuck".
-  if (frontier_shard() >= 0) {
-    obs::FrontierTracker::Global().NotePunctIgnored();
-  }
   return Status::OK();
 }
 

@@ -1,12 +1,15 @@
 #include "obs/health.h"
 
-#include <cinttypes>
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
 #include "common/mutex.h"
 #include "exec/registry.h"
 #include "obs/metrics_registry.h"
+#include "obs/text_escape.h"
 #include "obs/trace.h"
 
 namespace pjoin {
@@ -20,85 +23,46 @@ std::string FormatSeconds(TimeMicros us) {
   return buf;
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
+/// The value of (name, labels) in a registry snapshot; 0 when the metric was
+/// never registered.
+int64_t ValueOf(const std::vector<MetricSample>& samples,
+                std::string_view name, std::string_view labels) {
+  for (const MetricSample& sample : samples) {
+    if (sample.name == name && sample.labels == labels) return sample.value;
   }
-  out->push_back('"');
+  return 0;
 }
 
-const char* SideName(int side) { return side == 0 ? "left" : "right"; }
-
-std::string FrontierLabels(const FrontierCell& cell) {
-  std::string labels = "side=";
-  labels.append(SideName(cell.side));
-  labels.append(",scheme=");
-  labels.append(cell.scheme);
-  labels.append(",shard=");
-  labels.append(std::to_string(cell.shard));
-  return labels;
+/// The shard of a parallel pipeline's per-shard label set
+/// ("pipeline=parallel,shard=N"), or -1 for any other label set.
+int ShardOf(std::string_view labels) {
+  constexpr std::string_view kPrefix = "pipeline=parallel,shard=";
+  if (labels.substr(0, kPrefix.size()) != kPrefix) return -1;
+  int shard = -1;
+  const char* end = labels.data() + labels.size();
+  const auto [ptr, ec] =
+      std::from_chars(labels.data() + kPrefix.size(), end, shard);
+  return ec == std::errc() && ptr == end ? shard : -1;
 }
 
-/// One root-cause chain for a stalled frontier cell, built from signals the
-/// pipeline already exports: "shard 2 frontier (left/constant) stalled 4.2s
-/// behind router; ring edge=shard_2 occupancy 1; ring edge=out_2 occupancy
-/// 64; 3 punct release rounds pending".
-std::string StallCauseChain(const FrontierCell& cell, TimeMicros lag_us) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  std::string chain = "shard " + std::to_string(cell.shard) + " frontier (";
-  chain.append(SideName(cell.side));
-  chain.push_back('/');
-  chain.append(cell.scheme);
-  chain.append(") stalled ");
-  chain.append(FormatSeconds(lag_us));
-  chain.append("s behind router");
-  if (!cell.last_punct.empty()) {
-    chain.append(" (last punct: ");
-    chain.append(cell.last_punct);
-    chain.push_back(')');
+/// One root-cause chain for a stalled shard, from the same snapshot: "shard
+/// 2 frontier stalled 4.2s behind router; ring edge=shard_2 occupancy 31;
+/// ring edge=out_2 occupancy 64; 3 punct release rounds pending at merger".
+std::string StallCauseChain(const std::vector<MetricSample>& samples,
+                            const ShardFrontier& frontier) {
+  const std::string shard = std::to_string(frontier.shard);
+  std::string chain = "shard " + shard + " frontier stalled " +
+                      FormatSeconds(frontier.lag_us) + "s behind router";
+  for (const std::string_view edge : {"edge=shard_", "edge=out_"}) {
+    const std::string labels = std::string(edge) + shard;
+    chain.append("; ring ");
+    chain.append(labels);
+    chain.append(" occupancy ");
+    chain.append(std::to_string(
+        ValueOf(samples, "pjoin_ring_occupancy", labels)));
   }
-  const std::string shard_str = std::to_string(cell.shard);
-  // GetGauge registers a zero cell when the pipeline has not — harmless,
-  // and for a genuinely stalled shard the edges exist already.
-  const int64_t in_occ =
-      registry.GetGauge("pjoin_ring_occupancy", "edge=shard_" + shard_str)
-          .Get();
-  const int64_t out_occ =
-      registry.GetGauge("pjoin_ring_occupancy", "edge=out_" + shard_str)
-          .Get();
-  chain.append("; ring edge=shard_");
-  chain.append(shard_str);
-  chain.append(" occupancy ");
-  chain.append(std::to_string(in_occ));
-  chain.append("; ring edge=out_");
-  chain.append(shard_str);
-  chain.append(" occupancy ");
-  chain.append(std::to_string(out_occ));
   const int64_t pending =
-      registry.GetGauge("pjoin_punct_pending_rounds", "pipeline=parallel")
-          .Get();
+      ValueOf(samples, "pjoin_punct_pending_rounds", "pipeline=parallel");
   if (pending > 0) {
     chain.append("; ");
     chain.append(std::to_string(pending));
@@ -123,7 +87,7 @@ const char* HealthStatusName(HealthStatus status) {
 
 std::string HealthReport::ToJson() const {
   std::string out = "{\"status\": ";
-  AppendJsonString(&out, HealthStatusName(status));
+  out.append(QuoteEscaped(HealthStatusName(status)));
   out.append(", \"now_us\": ");
   out.append(std::to_string(now_us));
   out.append(", \"stalled_frontiers\": ");
@@ -135,26 +99,18 @@ std::string HealthReport::ToJson() const {
   out.append(", \"causes\": [");
   for (size_t i = 0; i < causes.size(); ++i) {
     if (i > 0) out.append(", ");
-    AppendJsonString(&out, causes[i]);
+    out.append(QuoteEscaped(causes[i]));
   }
   out.append("], \"frontiers\": [");
   for (size_t i = 0; i < frontiers.size(); ++i) {
-    const FrontierCell& cell = frontiers[i];
+    const ShardFrontier& frontier = frontiers[i];
     if (i > 0) out.append(", ");
-    out.append("{\"side\": ");
-    AppendJsonString(&out, SideName(cell.side));
-    out.append(", \"scheme\": ");
-    AppendJsonString(&out, cell.scheme);
-    out.append(", \"shard\": ");
-    out.append(std::to_string(cell.shard));
-    out.append(", \"ingress\": ");
-    out.append(std::to_string(cell.ingress_count));
-    out.append(", \"processed\": ");
-    out.append(std::to_string(cell.processed_count));
+    out.append("{\"shard\": ");
+    out.append(std::to_string(frontier.shard));
+    out.append(", \"dispatch_us\": ");
+    out.append(std::to_string(frontier.dispatch_us));
     out.append(", \"lag_us\": ");
-    out.append(std::to_string(cell.LagMicros(now_us)));
-    out.append(", \"last_punct\": ");
-    AppendJsonString(&out, cell.last_punct);
+    out.append(std::to_string(frontier.lag_us));
     out.append("}");
   }
   out.append("]}");
@@ -176,24 +132,41 @@ HealthReport HealthMonitor::EvaluateNow(TimeMicros now_us) const {
 
   HealthReport report;
   report.now_us = now_us;
-  FrontierSnapshot snap = FrontierTracker::Global().Snap();
-  for (const FrontierCell& cell : snap.cells) {
-    const TimeMicros lag = cell.LagMicros(now_us);
-    if (lag >= options.stall_threshold_us) {
+  // One snapshot feeds the whole verdict, and reading it registers nothing.
+  const std::vector<MetricSample> samples = MetricsRegistry::Global().Snapshot();
+  for (const MetricSample& sample : samples) {
+    if (sample.name == "pjoin_puncts_since_purge") {
+      report.unfired_purges += sample.value;
+      continue;
+    }
+    if (sample.name != "pjoin_shard_dispatch_us") continue;
+    const int shard = ShardOf(sample.labels);
+    if (shard < 0) continue;
+    ShardFrontier frontier;
+    frontier.shard = shard;
+    frontier.dispatch_us = sample.value;
+    if (sample.value > 0 && now_us > sample.value) {
+      frontier.lag_us = now_us - sample.value;
+    }
+    report.frontiers.push_back(frontier);
+  }
+  std::sort(report.frontiers.begin(), report.frontiers.end(),
+            [](const ShardFrontier& a, const ShardFrontier& b) {
+              return a.shard < b.shard;
+            });
+  for (const ShardFrontier& frontier : report.frontiers) {
+    if (frontier.lag_us >= options.stall_threshold_us) {
       ++report.stalled_frontiers;
-      report.causes.push_back(StallCauseChain(cell, lag));
-    } else if (lag >= options.degraded_threshold_us) {
+      report.causes.push_back(StallCauseChain(samples, frontier));
+    } else if (frontier.lag_us >= options.degraded_threshold_us) {
       ++report.degraded_signals;
-      report.causes.push_back(
-          "shard " + std::to_string(cell.shard) + " frontier (" +
-          SideName(cell.side) + "/" + cell.scheme + ") lagging " +
-          FormatSeconds(lag) + "s behind router");
+      report.causes.push_back("shard " + std::to_string(frontier.shard) +
+                              " frontier lagging " +
+                              FormatSeconds(frontier.lag_us) +
+                              "s behind router");
     }
   }
-  for (const PurgeExpectation& purge : snap.purges) {
-    report.unfired_purges += purge.pending_puncts;
-  }
-  if (MetricsRegistry::Global().GetGauge("pjoin_spill_degraded").Get() > 0) {
+  if (ValueOf(samples, "pjoin_spill_degraded", "") > 0) {
     ++report.degraded_signals;
     report.causes.push_back(
         "spill storage degraded (fallback store active)");
@@ -201,7 +174,6 @@ HealthReport HealthMonitor::EvaluateNow(TimeMicros now_us) const {
   report.status = report.stalled_frontiers > 0 ? HealthStatus::kStalled
                   : report.degraded_signals > 0 ? HealthStatus::kDegraded
                                                 : HealthStatus::kOk;
-  report.frontiers = std::move(snap.cells);
   return report;
 }
 
@@ -240,14 +212,13 @@ bool HealthMonitor::running() const {
 void HealthMonitor::RecordPass(const HealthOptions& options) {
   const HealthReport report = EvaluateNow();
   MetricsRegistry& registry = MetricsRegistry::Global();
-  for (const FrontierCell& cell : report.frontiers) {
+  for (const ShardFrontier& frontier : report.frontiers) {
     registry
-        .GetHistogram("pjoin_frontier_lag_seconds", FrontierLabels(cell),
+        .GetHistogram("pjoin_frontier_lag_seconds",
+                      "shard=" + std::to_string(frontier.shard),
                       /*unit_scale=*/1e-6)
-        .Observe(cell.LagMicros(report.now_us));
+        .Observe(frontier.lag_us);
   }
-  registry.GetGauge("pjoin_frontier_unfired_purges")
-      .Set(report.unfired_purges);
 
   bool newly_stalled = false;
   {

@@ -1,24 +1,27 @@
-// HealthMonitor: the stall-diagnosis layer over the punctuation frontier
-// tracker (docs/OBSERVABILITY.md, "Diagnosing a stalled join").
+// HealthMonitor: stall diagnosis read from the metrics registry
+// (docs/OBSERVABILITY.md, "Diagnosing a stalled join").
 //
-// A watchdog thread samples the FrontierTracker, ring occupancies
-// (pjoin_ring_occupancy), release-board depth and spill quarantines on a
-// configurable period and classifies the pipeline:
+// Each parallel shard worker keeps one progress number: the router dispatch
+// time of the batch it is working on, 0 while its ring is empty (gauge
+// pjoin_shard_dispatch_us{pipeline=parallel,shard=N}). A shard consumes its
+// ring in FIFO order, so now minus that time is how far the shard's
+// frontier trails the router. Every evaluation takes one registry snapshot
+// and classifies the pipeline:
 //
-//   OK        every frontier within degraded_threshold of the router
-//   DEGRADED  a frontier moderately behind, or spill storage degraded
-//   STALLED   a frontier stalled_threshold or more behind ingress
+//   OK        every shard within degraded_threshold of the router
+//   DEGRADED  a shard moderately behind, or spill storage degraded
+//   STALLED   a shard stalled_threshold or more behind the router
 //
-// A STALLED verdict carries a root-cause chain built from the signals the
-// engine already exports — "shard 2 frontier (left/constant) stalled 4.2s
-// behind router; ring edge=out_2 occupancy 64; 3 release rounds pending" —
-// and is edge-triggered into the stall history, a kStallDiagnosed event
-// (when an EventRegistry is attached), and pjoin_stalls_diagnosed_total.
-// The watchdog also feeds pjoin_frontier_lag_seconds (per side × scheme ×
-// shard) and pjoin_frontier_unfired_purges.
+// A STALLED verdict carries a root-cause chain built from the same
+// snapshot — "shard 2 frontier stalled 4.2s behind router; ring
+// edge=shard_2 occupancy 31; ring edge=out_2 occupancy 64; 3 punct release
+// rounds pending at merger" — and a watchdog thread edge-triggers it into
+// the stall history, a kStallDiagnosed event (when an EventRegistry is
+// attached), and pjoin_stalls_diagnosed_total. The watchdog also feeds
+// pjoin_frontier_lag_seconds{shard}.
 //
 // /healthz does NOT read a cached verdict: it calls EvaluateNow(), so a
-// probe observes recovery the moment the frontier catches up instead of one
+// probe observes recovery the moment the shard catches up instead of one
 // watchdog period later.
 
 #ifndef PJOIN_OBS_HEALTH_H_
@@ -33,7 +36,6 @@
 #include "common/macros.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "obs/progress.h"
 
 namespace pjoin {
 class EventRegistry;
@@ -47,34 +49,45 @@ enum class HealthStatus {
 
 const char* HealthStatusName(HealthStatus status);
 
-/// One classification pass over the frontier tracker and the registry
-/// signals. `causes` is the root-cause chain, most specific first.
+/// One shard's progress at an evaluation.
+struct ShardFrontier {
+  int shard = 0;
+  /// Router dispatch time of the batch the shard is working on; 0 = idle.
+  TimeMicros dispatch_us = 0;
+  /// How far the shard trails the router; 0 when idle.
+  TimeMicros lag_us = 0;
+};
+
+/// One classification pass over a registry snapshot. `causes` is the
+/// root-cause chain, most specific first.
 struct HealthReport {
   HealthStatus status = HealthStatus::kOk;
   TimeMicros now_us = 0;
-  /// Frontier cells at or past the stall threshold.
+  /// Shards at or past the stall threshold.
   int64_t stalled_frontiers = 0;
-  /// Moderate-lag frontiers plus degraded-mode signals (spill fallback).
+  /// Moderately lagging shards plus degraded-mode signals (spill fallback).
   int64_t degraded_signals = 0;
-  /// Punctuations whose purge has not fired yet (informational: lazy purge
-  /// makes a small pending set normal).
+  /// Punctuations PJoin shards received since their last purge
+  /// (pjoin_puncts_since_purge; informational: lazy purge makes a small
+  /// pending set normal).
   int64_t unfired_purges = 0;
   std::vector<std::string> causes;
-  /// The frontier cells behind the evaluation (for /healthz JSON detail).
-  std::vector<FrontierCell> frontiers;
+  /// Every shard that published a dispatch gauge, by shard.
+  std::vector<ShardFrontier> frontiers;
 
   /// {"status": "ok"|"degraded"|"stalled", "now_us": N,
   ///  "stalled_frontiers": N, "degraded_signals": N, "unfired_purges": N,
-  ///  "causes": [...], "frontiers": [{...}, ...]}
+  ///  "causes": [...],
+  ///  "frontiers": [{"shard": N, "dispatch_us": N, "lag_us": N}, ...]}
   std::string ToJson() const;
 };
 
 struct HealthOptions {
   /// Watchdog sampling period.
   TimeMicros period_us = 100 * kMicrosPerMilli;
-  /// Frontier lag at which the pipeline is STALLED.
+  /// Shard lag at which the pipeline is STALLED.
   TimeMicros stall_threshold_us = kMicrosPerSecond;
-  /// Frontier lag at which the pipeline is DEGRADED.
+  /// Shard lag at which the pipeline is DEGRADED.
   TimeMicros degraded_threshold_us = 250 * kMicrosPerMilli;
   /// When set, STALLED transitions dispatch a kStallDiagnosed event here.
   /// The registry must outlive the watchdog and tolerate dispatch from the
@@ -123,7 +136,7 @@ class HealthMonitor {
  private:
   HealthMonitor() = default;
 
-  /// A watchdog pass: EvaluateNow + histogram/gauge exports + the
+  /// A watchdog pass: EvaluateNow + the lag histogram export + the
   /// edge-triggered stall recording.
   void RecordPass(const HealthOptions& options);
   void WatchdogLoop(HealthOptions options);

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "obs/introspection.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "stream/arrival_merge.h"
 
@@ -51,6 +50,10 @@ struct ParallelJoinPipeline::Shard {
   /// Live routed-element backlog (enqueued - processed), published by the
   /// worker once per batch.
   obs::Gauge depth_gauge;
+  /// Router dispatch time (RoutedBatch::ingress_us) of the batch the worker
+  /// is on, 0 while its ring is empty (pjoin_shard_dispatch_us): the stall
+  /// diagnosis reads the shard's lag behind the router as now minus this.
+  obs::Gauge dispatch_gauge;
   /// Live ring occupancies in batches (pjoin_ring_occupancy).
   obs::Gauge queue_occupancy_gauge;
   obs::Gauge out_occupancy_gauge;
@@ -141,7 +144,6 @@ void ParallelJoinPipeline::MergeOutBatch(int shard, OutBatch out) {
     // One emission per round this release completed (ops/release_board.h).
     for (int n = release_board_.Release(p, shard); n > 0; --n) {
       ++puncts_emitted_;
-      obs::FrontierTracker::Global().NoteReleased();
       if (on_punct_) on_punct_(p);
     }
   }
@@ -254,6 +256,9 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
   bool failed = false;
   while (true) {
     if (!shard->queue.TryPop(&batch)) {
+      // Nothing routed is waiting, so nothing lags (this also clears the
+      // gauge on exit, after a failure too).
+      shard->dispatch_gauge.Set(0);
       if (shard->queue.exhausted()) break;
       if (++dry < options_.stall_polls) {
         std::this_thread::yield();
@@ -282,6 +287,7 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
       continue;
     }
     dry = 0;
+    shard->dispatch_gauge.Set(batch.ingress_us);
     if (batch.command != nullptr) {
       ExecuteCommand(shard, *batch.command);
       batch.command.reset();
@@ -413,17 +419,10 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
       // a release of this round from a shard staged earlier in the loop.
       release_board_.NoteDispatch(
           joins_[0]->MakeOutputPunct(side, e->punctuation()), target);
-      // Frontier accounting (obs/progress.h): every dispatch is an ingress
-      // for the (side, scheme, shard) cell; the shard's join answers with
-      // NoteProcessed, and the gap is the shard's frontier lag.
-      const std::string_view scheme = PatternKindName(key_pattern.kind());
-      const std::string punct_desc = e->punctuation().ToString();
-      obs::FrontierTracker& frontier = obs::FrontierTracker::Global();
       const int first = target < 0 ? 0 : target;
       const int last = target < 0 ? num_shards() : target + 1;
       for (int s = first; s < last; ++s) {
         Stage(s, static_cast<int8_t>(side), e, /*key_hash=*/0, route_now_us_);
-        frontier.NoteIngress(side, scheme, s, route_now_us_, punct_desc);
       }
       break;
     }
@@ -639,11 +638,10 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
         "pipeline=parallel,shard=" + std::to_string(shard->id);
     shard->join->BindLatencyMetrics(labels);
     shard->join->BindStateGauges(labels);
-    // Frontier accounting: the shard's join reports processed punctuations
-    // (and PJoin its purge expectations) to the cell the router feeds.
-    shard->join->BindFrontier(shard->id);
     shard->depth_gauge =
         registry.GetGauge("pjoin_shard_queue_depth", labels);
+    shard->dispatch_gauge =
+        registry.GetGauge("pjoin_shard_dispatch_us", labels);
     shard->queue_occupancy_gauge = registry.GetGauge(
         "pjoin_ring_occupancy", "edge=shard_" + std::to_string(shard->id));
     shard->out_occupancy_gauge = registry.GetGauge(

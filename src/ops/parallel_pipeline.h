@@ -225,7 +225,9 @@ class ParallelJoinPipeline {
     std::vector<uint64_t> key_hashes;
     int64_t tuple_count = 0;
     /// Wall-clock (TraceNowMicros) router dispatch time of the batch; the
-    /// shard hands it to the join so emits can observe end-to-end latency.
+    /// shard hands it to the join so emits can observe end-to-end latency,
+    /// and publishes it while it works on the batch, so the stall diagnosis
+    /// (obs/health.h) can read how far the shard trails the router.
     /// Coarse (refreshed every few router iterations).
     TimeMicros ingress_us = 0;
     /// Sampled causal-trace flow id (0 = unsampled batch): stamped by the

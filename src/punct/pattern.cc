@@ -7,22 +7,6 @@
 
 namespace pjoin {
 
-std::string_view PatternKindName(PatternKind kind) {
-  switch (kind) {
-    case PatternKind::kWildcard:
-      return "wildcard";
-    case PatternKind::kConstant:
-      return "constant";
-    case PatternKind::kRange:
-      return "range";
-    case PatternKind::kEnumList:
-      return "enum";
-    case PatternKind::kEmpty:
-      return "empty";
-  }
-  return "?";
-}
-
 Pattern Pattern::Wildcard() { return Pattern(PatternKind::kWildcard, {}); }
 
 Pattern Pattern::Constant(Value v) {

@@ -15,8 +15,6 @@ namespace pjoin {
 
 enum class PatternKind { kWildcard = 0, kConstant, kRange, kEnumList, kEmpty };
 
-std::string_view PatternKindName(PatternKind kind);
-
 /// An attribute pattern. Immutable and canonicalized at construction:
 ///  - an enumeration list is sorted and de-duplicated,
 ///  - an empty enumeration list becomes the empty pattern,

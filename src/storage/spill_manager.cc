@@ -107,8 +107,7 @@ SpillManager::Candidate SpillManager::PickVictim(int64_t now_tick) const {
         const int64_t bytes = state.PartitionMemoryBytes(p);
         const int64_t age =
             std::max<int64_t>(0, now_tick - state.PartitionLastAccessTick(p));
-        score = static_cast<double>(bytes) *
-                (1.0 + policy_.coldness_weight * static_cast<double>(age));
+        score = static_cast<double>(bytes) * (1.0 + static_cast<double>(age));
       } else {
         // The paper's rule: largest memory portion by tuple count.
         score = static_cast<double>(tuples);
@@ -149,8 +148,7 @@ Status SpillManager::EnsureWithinBudget(
       break;
     }
     SpillableState& state = *states_[victim.side];
-    if (effective_mode() == SpillMode::kAdaptive && policy_.early_purge &&
-        purger_) {
+    if (effective_mode() == SpillMode::kAdaptive && purger_) {
       // Dead state never has to touch disk: purge the victim in place
       // first, and skip the write entirely when that already freed enough.
       const EarlyPurgeOutcome freed = purger_(victim.side, victim.partition);

@@ -10,8 +10,9 @@
 //   1. *Early purge before the write* (PJoin only): consults the opposite
 //      stream's punctuation set and drops dead tuples of the victim
 //      partition in place — state that never has to touch disk at all.
-//   2. Scores partitions by resident bytes weighted by probe coldness and
-//      spills the coldest/largest first, so hot build sides stay resident.
+//   2. Scores partitions by resident bytes weighted by probe coldness
+//      (bytes * (1 + ticks since the last probe)) and spills the
+//      coldest/largest first, so hot build sides stay resident.
 //   3. Recursively splits spilled partitions whose largest on-disk unit
 //      exceeds a record bound (hybrid-hash style sub-partitioning keyed by
 //      further hash bits), bounding later disk-join passes under skew.
@@ -52,12 +53,6 @@ enum class SpillMode {
 /// bounds to force every path.
 struct SpillPolicy {
   SpillMode mode = SpillMode::kAdaptive;
-  /// Purge punctuation-dead tuples of the victim partition in place before
-  /// paying the disk write (PJoin wires the purger; XJoin has none).
-  bool early_purge = true;
-  /// Weight of probe coldness in victim scoring: score = bytes * (1 +
-  /// weight * ticks-since-last-access). 0 reduces scoring to largest-first.
-  double coldness_weight = 1.0;
   /// Split a spilled partition when its largest on-disk unit exceeds this
   /// many records; 0 disables sub-partitioning.
   int64_t repartition_record_bound = 8192;

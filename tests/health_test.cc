@@ -1,9 +1,10 @@
-// Tests for the stall-diagnosis layer (src/obs/progress.* + src/obs/health.*):
-// frontier-lag math on synthetic clocks, /healthz classification, the
-// end-to-end forced-stall pipeline (a gated shard join flips /healthz to 503
-// with a root-cause chain naming the shard, then recovers to 200), flow-id
-// sampling determinism with Chrome flow arrows, and a concurrent
-// scrape-during-run test that runs under TSan in CI.
+// Tests for the stall-diagnosis layer (src/obs/health.*): classification of
+// each shard's dispatch gauge on synthetic clocks, the report JSON, a failed
+// run that must leave no lag behind, the end-to-end forced-stall pipeline (a
+// gated shard join flips /healthz to 503 with a root-cause chain naming the
+// shard, then recovers to 200), flow-id sampling determinism with Chrome
+// flow arrows, and a concurrent scrape-during-run test that runs under TSan
+// in CI.
 //
 // The raw client sockets below are the test's HTTP client; the raw-socket
 // lint rule is src/-only, so tests may speak to the server directly.
@@ -35,7 +36,6 @@
 #include "obs/health.h"
 #include "obs/introspection.h"
 #include "obs/metrics_registry.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "ops/parallel_pipeline.h"
 #include "test_util.h"
@@ -94,9 +94,9 @@ std::string Body(const std::string& response) {
   return pos == std::string::npos ? "" : response.substr(pos + 4);
 }
 
-// Every test here shares the process-global trackers; reset them all so
-// leakage between tests (and from other suites in this binary) cannot flip a
-// verdict.
+// Every test here shares the process-global monitor, registry and tracer;
+// reset them all so leakage between tests (and from other suites in this
+// binary) cannot flip a verdict.
 class HealthTest : public ::testing::Test {
  protected:
   void SetUp() override { ResetAll(); }
@@ -104,78 +104,13 @@ class HealthTest : public ::testing::Test {
 
   static void ResetAll() {
     obs::HealthMonitor::Global().ResetForTest();
-    obs::FrontierTracker::Global().ResetForTest();
     obs::MetricsRegistry::Global().ResetForTest();
     obs::Tracer::Global().Stop();
     obs::Tracer::Global().ResetForTest();
   }
 };
 
-// ---- Frontier math (synthetic clocks, no threads) ----
-
-TEST_F(HealthTest, LagIsZeroWhileCaughtUp) {
-  obs::FrontierTracker& t = obs::FrontierTracker::Global();
-  t.NoteIngress(0, "constant", 0, /*now_us=*/1000, "punct<k=1>");
-  t.NoteProcessed(0, "constant", 0, /*now_us=*/1500);
-  const obs::FrontierSnapshot snap = t.Snap();
-  ASSERT_EQ(snap.cells.size(), 1u);
-  EXPECT_EQ(snap.cells[0].ingress_count, 1);
-  EXPECT_EQ(snap.cells[0].processed_count, 1);
-  EXPECT_EQ(snap.cells[0].LagMicros(/*now_us=*/999999), 0);
-  EXPECT_EQ(snap.cells[0].last_punct, "punct<k=1>");
-}
-
-TEST_F(HealthTest, LagGrowsFromTheFirstUnprocessedIngress) {
-  obs::FrontierTracker& t = obs::FrontierTracker::Global();
-  t.NoteIngress(1, "constant", 2, /*now_us=*/1000, "p1");
-  t.NoteIngress(1, "constant", 2, /*now_us=*/3000, "p2");
-  const obs::FrontierSnapshot snap = t.Snap();
-  ASSERT_EQ(snap.cells.size(), 1u);
-  const obs::FrontierCell& cell = snap.cells[0];
-  EXPECT_EQ(cell.side, 1);
-  EXPECT_EQ(cell.scheme, "constant");
-  EXPECT_EQ(cell.shard, 2);
-  // behind_since pins to the FIRST ingress that found the shard behind, not
-  // the latest one: the lag measures the oldest outstanding punctuation.
-  EXPECT_EQ(cell.behind_since_us, 1000);
-  EXPECT_EQ(cell.LagMicros(/*now_us=*/5000), 4000);
-  // Never negative, even with a stale clock sample.
-  EXPECT_EQ(cell.LagMicros(/*now_us=*/500), 0);
-}
-
-TEST_F(HealthTest, CatchingUpClearsTheLag) {
-  obs::FrontierTracker& t = obs::FrontierTracker::Global();
-  t.NoteIngress(0, "range", 0, 1000, "p1");
-  t.NoteIngress(0, "range", 0, 2000, "p2");
-  t.NoteProcessed(0, "range", 0, 4000);
-  // Still one behind: the lag persists.
-  EXPECT_GT(t.Snap().cells[0].LagMicros(5000), 0);
-  t.NoteProcessed(0, "range", 0, 6000);
-  // Caught up: cleared, and a later evaluation sees zero.
-  EXPECT_EQ(t.Snap().cells[0].LagMicros(999999), 0);
-  // A fresh ingress re-arms from its own timestamp.
-  t.NoteIngress(0, "range", 0, 10000, "p3");
-  EXPECT_EQ(t.Snap().cells[0].LagMicros(11000), 1000);
-}
-
-TEST_F(HealthTest, PurgeExpectationLifecycle) {
-  obs::FrontierTracker& t = obs::FrontierTracker::Global();
-  t.NotePurgeExpected(3, /*resident_tuples=*/10, /*now_us=*/1000);
-  t.NotePurgeExpected(3, /*resident_tuples=*/5, /*now_us=*/2000);
-  obs::FrontierSnapshot snap = t.Snap();
-  ASSERT_EQ(snap.purges.size(), 1u);
-  EXPECT_EQ(snap.purges[0].shard, 3);
-  EXPECT_EQ(snap.purges[0].pending_puncts, 2);
-  EXPECT_EQ(snap.purges[0].pending_tuples, 15);
-  EXPECT_EQ(snap.purges[0].oldest_since_us, 1000);  // first pending wins
-  t.NotePurgeFired(3);
-  snap = t.Snap();
-  EXPECT_EQ(snap.purges[0].pending_puncts, 0);
-  EXPECT_EQ(snap.purges[0].pending_tuples, 0);
-  EXPECT_EQ(snap.purges[0].oldest_since_us, 0);
-}
-
-// ---- EvaluateNow classification ----
+// ---- EvaluateNow classification (synthetic clocks, no threads) ----
 
 obs::HealthOptions TightThresholds() {
   obs::HealthOptions options;
@@ -184,49 +119,63 @@ obs::HealthOptions TightThresholds() {
   return options;
 }
 
+/// Publishes shard `shard`'s dispatch gauge as its worker does.
+void SetDispatch(int shard, TimeMicros dispatch_us) {
+  obs::MetricsRegistry::Global()
+      .GetGauge("pjoin_shard_dispatch_us",
+                "pipeline=parallel,shard=" + std::to_string(shard))
+      .Set(dispatch_us);
+}
+
 TEST_F(HealthTest, ClassifiesStalledWithRootCauseChain) {
   obs::HealthMonitor& monitor = obs::HealthMonitor::Global();
   monitor.Configure(TightThresholds());
-  obs::FrontierTracker::Global().NoteIngress(0, "constant", 2, 1000,
-                                             "punct<k=7>");
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  SetDispatch(2, 1000);
+  registry.GetGauge("pjoin_ring_occupancy", "edge=shard_2").Set(31);
+  registry.GetGauge("pjoin_punct_pending_rounds", "pipeline=parallel").Set(3);
+  const size_t registered = registry.Snapshot().size();
   const obs::HealthReport report =
       monitor.EvaluateNow(/*now_us=*/1000 + 2000000);  // 2s behind
   EXPECT_EQ(report.status, obs::HealthStatus::kStalled);
   EXPECT_EQ(report.stalled_frontiers, 1);
   ASSERT_EQ(report.causes.size(), 1u);
-  // The chain names the shard, the cell, the lag, and the ring occupancies.
-  EXPECT_NE(report.causes[0].find("shard 2 frontier (left/constant)"),
-            std::string::npos)
-      << report.causes[0];
-  EXPECT_NE(report.causes[0].find("stalled 2.0s behind router"),
-            std::string::npos)
-      << report.causes[0];
-  EXPECT_NE(report.causes[0].find("last punct: punct<k=7>"),
-            std::string::npos)
-      << report.causes[0];
-  EXPECT_NE(report.causes[0].find("ring edge=out_2"), std::string::npos)
-      << report.causes[0];
+  // The chain names the shard, the lag, the ring occupancies and the
+  // release rounds the merger still waits on.
+  EXPECT_EQ(report.causes[0],
+            "shard 2 frontier stalled 2.0s behind router; ring edge=shard_2 "
+            "occupancy 31; ring edge=out_2 occupancy 0; 3 punct release "
+            "rounds pending at merger");
+  // Evaluation reads one snapshot: the out_2 edge it reported as 0 was not
+  // registered by the read.
+  EXPECT_EQ(registry.Snapshot().size(), registered);
 }
 
 TEST_F(HealthTest, ModerateLagIsDegradedNotStalled) {
   obs::HealthMonitor& monitor = obs::HealthMonitor::Global();
   monitor.Configure(TightThresholds());
-  obs::FrontierTracker::Global().NoteIngress(1, "constant", 0, 1000, "p");
+  SetDispatch(0, 1000);
+  SetDispatch(1, 0);  // idle: its ring is empty
   const obs::HealthReport report =
       monitor.EvaluateNow(/*now_us=*/1000 + 500000);  // 500ms: in the band
   EXPECT_EQ(report.status, obs::HealthStatus::kDegraded);
   EXPECT_EQ(report.stalled_frontiers, 0);
   EXPECT_EQ(report.degraded_signals, 1);
+  ASSERT_EQ(report.frontiers.size(), 2u);
+  EXPECT_EQ(report.frontiers[0].lag_us, 500000);
+  EXPECT_EQ(report.frontiers[1].lag_us, 0);
 }
 
 TEST_F(HealthTest, UnfiredPurgesAloneNeverFlipTheVerdict) {
   // Lazy purge makes a pending purge set normal: informational only.
   obs::HealthMonitor& monitor = obs::HealthMonitor::Global();
   monitor.Configure(TightThresholds());
-  obs::FrontierTracker::Global().NotePurgeExpected(0, 100, 1000);
+  obs::MetricsRegistry::Global()
+      .GetGauge("pjoin_puncts_since_purge", "pipeline=parallel,shard=0")
+      .Set(3);
   const obs::HealthReport report = monitor.EvaluateNow(/*now_us=*/99000000);
   EXPECT_EQ(report.status, obs::HealthStatus::kOk);
-  EXPECT_EQ(report.unfired_purges, 1);
+  EXPECT_EQ(report.unfired_purges, 3);
 }
 
 TEST_F(HealthTest, SpillDegradationIsADegradedSignal) {
@@ -243,9 +192,8 @@ TEST_F(HealthTest, SpillDegradationIsADegradedSignal) {
 TEST_F(HealthTest, ReportJsonIsParseableAndComplete) {
   obs::HealthMonitor& monitor = obs::HealthMonitor::Global();
   monitor.Configure(TightThresholds());
-  obs::FrontierTracker::Global().NoteIngress(0, "constant", 1, 1000,
-                                             "needs \"escaping\"\n");
-  const obs::HealthReport report = monitor.EvaluateNow(/*now_us=*/5000000);
+  SetDispatch(1, 1000);
+  obs::HealthReport report = monitor.EvaluateNow(/*now_us=*/5000000);
   JsonValue root;
   ASSERT_TRUE(JsonParser(report.ToJson()).Parse(&root)) << report.ToJson();
   EXPECT_EQ(root.Find("status")->str, "stalled");
@@ -255,15 +203,49 @@ TEST_F(HealthTest, ReportJsonIsParseableAndComplete) {
   const JsonValue* frontiers = root.Find("frontiers");
   ASSERT_NE(frontiers, nullptr);
   ASSERT_EQ(frontiers->array.size(), 1u);
-  const JsonValue& cell = frontiers->array[0];
-  EXPECT_EQ(cell.Find("side")->str, "left");
-  EXPECT_EQ(cell.Find("scheme")->str, "constant");
-  EXPECT_EQ(cell.Find("shard")->number, 1.0);
-  EXPECT_EQ(cell.Find("ingress")->number, 1.0);
-  EXPECT_EQ(cell.Find("processed")->number, 0.0);
-  EXPECT_GT(cell.Find("lag_us")->number, 0.0);
-  // The raw punctuation text round-trips through the JSON escaper.
-  EXPECT_EQ(cell.Find("last_punct")->str, "needs \"escaping\"\n");
+  const JsonValue& frontier = frontiers->array[0];
+  EXPECT_EQ(frontier.Find("shard")->number, 1.0);
+  EXPECT_EQ(frontier.Find("dispatch_us")->number, 1000.0);
+  EXPECT_EQ(frontier.Find("lag_us")->number, 4999000.0);
+  // Cause text round-trips through the shared JSON escaper.
+  report.causes = {"needs \"escaping\"\n\\"};
+  JsonValue escaped;
+  ASSERT_TRUE(JsonParser(report.ToJson()).Parse(&escaped)) << report.ToJson();
+  EXPECT_EQ(escaped.Find("causes")->array[0].str, "needs \"escaping\"\n\\");
+}
+
+// A shard that fails keeps draining its ring without joining, so a run that
+// fails must not read as a stall once it has returned, however late the
+// probe comes.
+TEST_F(HealthTest, FailedRunLeavesNoLagBehind) {
+  const SchemaPtr schema = KeyPayloadSchema();
+  JoinOptions jopts;
+  jopts.violation_policy = ViolationPolicy::kFail;
+  // Key 1 arrives after its own punctuation: the owning shard fails there,
+  // ahead of the punctuations routed to it after the late tuple.
+  const std::vector<StreamElement> l = ElementsBuilder()
+                                           .Tup(KP(schema, 1, 0))
+                                           .Punct(KeyPunct(1))
+                                           .Tup(KP(schema, 1, 2))
+                                           .Punct(KeyPunct(1))
+                                           .Finish();
+  const std::vector<StreamElement> r = ElementsBuilder()
+                                           .Tup(KP(schema, 1, 9))
+                                           .Punct(KeyPunct(1))
+                                           .Finish();
+  ParallelPipelineOptions popts;
+  popts.num_shards = 2;
+  ParallelJoinPipeline pipeline(
+      [&](int) { return std::make_unique<PJoin>(schema, schema, jopts); },
+      popts);
+  const Status st = pipeline.Run(l, r);
+  ASSERT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+
+  const obs::HealthReport report = obs::HealthMonitor::Global().EvaluateNow(
+      obs::TraceNowMicros() + 60 * kMicrosPerSecond);
+  EXPECT_EQ(report.status, obs::HealthStatus::kOk) << report.ToJson();
+  EXPECT_EQ(report.stalled_frontiers, 0);
+  EXPECT_EQ(report.frontiers.size(), 2u);
 }
 
 // ---- The forced-stall pipeline ----
@@ -413,10 +395,9 @@ TEST_F(HealthTest, HealthzFlipsTo503OnStallAndRecoversTo200) {
                 .GetCounter("pjoin_stalls_diagnosed_total")
                 .Get(),
             1);
-  // The watchdog fed the per-cell lag histogram while the stall lasted.
+  // The watchdog fed the shard's lag histogram while the stall lasted.
   EXPECT_GT(obs::MetricsRegistry::Global()
-                .GetHistogram("pjoin_frontier_lag_seconds",
-                              "side=left,scheme=constant,shard=0",
+                .GetHistogram("pjoin_frontier_lag_seconds", "shard=0",
                               /*unit_scale=*/1e-6)
                 .Count(),
             0);
@@ -550,7 +531,7 @@ TEST_F(HealthTest, SampledFlowsRenderAsChromeFlowArrows) {
 // A real pipeline run with repartitioning enabled, scraped concurrently by
 // the watchdog thread, /healthz probes and direct EvaluateNow calls. Run
 // under TSan in CI: the assertion is the absence of data races between the
-// frontier/health read path and the router/shard/merger write path.
+// health read path and the router/shard/merger write path.
 TEST_F(HealthTest, ConcurrentScrapeDuringRunIsSafe) {
   DomainSpec domain;
   domain.window_size = 16;
@@ -594,8 +575,6 @@ TEST_F(HealthTest, ConcurrentScrapeDuringRunIsSafe) {
       const obs::HealthReport report =
           obs::HealthMonitor::Global().EvaluateNow();
       EXPECT_NE(HealthStatusName(report.status), nullptr);
-      const obs::FrontierSnapshot snap = obs::FrontierTracker::Global().Snap();
-      EXPECT_GE(snap.released_total, 0);
       EXPECT_FALSE(Get(server.port(), "/healthz").empty());
       EXPECT_FALSE(Get(server.port(), "/debug/stalls").empty());
     }
