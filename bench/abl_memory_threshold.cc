@@ -46,8 +46,8 @@ int main() {
     std::printf("%-12lld %16lld %16lld %16lld %16lld\n",
                 static_cast<long long>(t), static_cast<long long>(xpages),
                 static_cast<long long>(ppages),
-                static_cast<long long>(xs.counters.Get("flushed_tuples")),
-                static_cast<long long>(ps.counters.Get("flushed_tuples")));
+                static_cast<long long>(xjoin.spill_stats().tuples_spilled),
+                static_cast<long long>(pjoin.spill_stats().tuples_spilled));
     if (ppages > xpages) pjoin_always_less = false;
     if (xs.results != ps.results) {
       PrintShapeCheck("identical result sets", false);

@@ -43,8 +43,8 @@ int main() {
     RunStats rs = RunExperiment(&join, g);
     std::printf("%-10.1f %14lld %14.1f %14lld %14lld\n", s,
                 static_cast<long long>(rs.results), rs.mean_state,
-                static_cast<long long>(rs.counters.Get("relocations")),
-                static_cast<long long>(rs.counters.Get("flushed_tuples")));
+                static_cast<long long>(join.spill_stats().spills),
+                static_cast<long long>(join.spill_stats().tuples_spilled));
     // Skew changes the result count (different key frequencies) but every
     // run must remain internally exact; cross-check one skew level against
     // an XJoin run on the same streams.

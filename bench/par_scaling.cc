@@ -662,7 +662,6 @@ void WriteSpillSweepJson(std::ofstream& out, const Cli& cli,
         << ", \"early_purge_runs\": " << s.early_purge_runs
         << ", \"tuples_early_purged\": " << s.tuples_early_purged
         << ", \"bytes_early_purged\": " << s.bytes_early_purged
-        << ", \"repartitions\": " << s.repartitions
         << ", \"spill_failures\": " << s.spill_failures
         << ", \"budget_overruns\": " << s.budget_overruns
         << ", \"degraded\": " << (s.degraded ? "true" : "false") << "}"
@@ -884,16 +883,15 @@ int Main(int argc, char** argv) {
   if (!spill_runs.empty()) {
     std::printf("  spill sweep (zipf %.2f, %lld tuples/stream):\n",
                 cli.spill_zipf, static_cast<long long>(cli.spill_tuples));
-    std::printf("  %-10s %8s %12s %14s %8s %8s\n", "mode", "memcap",
-                "bytes_spill", "bytes_epurged", "repart", "oracle");
+    std::printf("  %-10s %8s %12s %14s %8s\n", "mode", "memcap",
+                "bytes_spill", "bytes_epurged", "oracle");
     for (const SpillMeasured& m : spill_runs) {
       const bool pass = m.oracle == spill_oracle;
       all_pass = all_pass && pass;
-      std::printf("  %-10s %8lld %12lld %14lld %8lld %8s\n", m.mode.c_str(),
+      std::printf("  %-10s %8lld %12lld %14lld %8s\n", m.mode.c_str(),
                   static_cast<long long>(m.memcap),
                   static_cast<long long>(m.stats.bytes_spilled),
                   static_cast<long long>(m.stats.bytes_early_purged),
-                  static_cast<long long>(m.stats.repartitions),
                   pass ? "PASS" : "FAIL");
     }
   }

@@ -16,7 +16,7 @@ std::string IoFaultSpec::ToString() const {
     os << " part" << target_partition << "{w=" << partition_write_error_rate
        << " r=" << partition_read_error_rate << "}";
   }
-  os << " repart_err=" << repartition_error_rate << "}";
+  os << "}";
   return os.str();
 }
 

@@ -6,7 +6,8 @@
 //
 //  - I/O faults (IoFaultSpec), applied by FaultySpillStore to any SpillStore:
 //    transient errors, a permanent failure after a write/read budget, short
-//    writes that persist only a prefix of a batch, and latency spikes.
+//    writes that persist only a prefix of a batch, latency spikes, and
+//    errors on the reads and writes of one targeted partition.
 //
 //  - Stream contract violations (StreamFaultSpec), applied by
 //    PerturbStream to an element stream: late tuples that match an
@@ -59,10 +60,6 @@ struct IoFaultSpec {
   double partition_write_error_rate = 0.0;
   /// Probability that a read of `target_partition` fails.
   double partition_read_error_rate = 0.0;
-  /// Probability that an operation issued while a spilled partition is
-  /// being split (SpillPhase::kRepartition, any partition) fails —
-  /// exercises SplitSpilledPartition's all-or-nothing recovery.
-  double repartition_error_rate = 0.0;
 
   bool enabled() const {
     return transient_write_error_rate > 0 || transient_read_error_rate > 0 ||
@@ -70,8 +67,7 @@ struct IoFaultSpec {
            permanent_write_failure_after >= 0 ||
            permanent_read_failure_after >= 0 ||
            (target_partition >= 0 && (partition_write_error_rate > 0 ||
-                                      partition_read_error_rate > 0)) ||
-           repartition_error_rate > 0;
+                                      partition_read_error_rate > 0));
   }
 
   std::string ToString() const;

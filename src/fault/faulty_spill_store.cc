@@ -1,7 +1,6 @@
 #include "fault/faulty_spill_store.h"
 
 #include "common/macros.h"
-#include "storage/spill_manager.h"
 
 namespace pjoin {
 
@@ -49,11 +48,6 @@ Status FaultySpillStore::AppendBatch(int partition,
     return Status::IOError("injected write failure on partition " +
                            std::to_string(partition));
   }
-  if (CurrentSpillPhase() == SpillPhase::kRepartition &&
-      injector_->Roll(spec_.repartition_error_rate)) {
-    injector_->Count("io_repartition_write");
-    return Status::IOError("injected write failure during repartitioning");
-  }
   if (injector_->Roll(spec_.transient_write_error_rate)) {
     injector_->Count("io_transient_write");
     return Status::IOError("injected transient write error");
@@ -76,11 +70,6 @@ Result<std::vector<std::string>> FaultySpillStore::ReadPartition(
     injector_->Count("io_partition_read");
     return Status::IOError("injected read failure on partition " +
                            std::to_string(partition));
-  }
-  if (CurrentSpillPhase() == SpillPhase::kRepartition &&
-      injector_->Roll(spec_.repartition_error_rate)) {
-    injector_->Count("io_repartition_read");
-    return Status::IOError("injected read failure during repartitioning");
   }
   if (injector_->Roll(spec_.transient_read_error_rate)) {
     injector_->Count("io_transient_read");

@@ -17,7 +17,8 @@ namespace pjoin {
 
 /// Injected-fault counter names (on the shared FaultInjector):
 ///   io_transient_write, io_transient_read, io_short_write,
-///   io_latency_spike, io_permanent_write, io_permanent_read.
+///   io_latency_spike, io_permanent_write, io_permanent_read,
+///   io_partition_write, io_partition_read.
 class FaultySpillStore : public SpillStore {
  public:
   FaultySpillStore(std::unique_ptr<SpillStore> base, IoFaultSpec spec,

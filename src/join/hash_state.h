@@ -1,10 +1,11 @@
 // HashState: the join state of one input stream (paper §3.1).
 //
 // A fixed array of partitions; each partition has an in-memory portion (a
-// bucket of tuple entries), an on-disk portion (via a SpillStore), and a
-// purge buffer holding tuples that are logically purged but still owe joins
-// against the opposite stream's disk portion. Probe history per partition
-// supports XJoin-style timestamp duplicate avoidance.
+// bucket of tuple entries), an on-disk portion (spill-store id p, appended
+// to by relocation and read back whole), and a purge buffer holding tuples
+// that are logically purged but still owe joins against the opposite
+// stream's disk portion. Probe history per partition supports XJoin-style
+// timestamp duplicate avoidance.
 //
 // The memory portion keeps the paper's append-ordered vector (purge and
 // index-build passes still scan it), but probing no longer does: each
@@ -128,9 +129,6 @@ class HashState : public SpillableState {
   /// Approximate bytes held by the memory portion (tuple payloads).
   int64_t memory_bytes() const { return memory_bytes_; }
 
-  /// Partition with the largest memory portion, or -1 if all are empty.
-  int LargestMemoryPartition() const;
-
   /// Records a probe of partition `p`'s memory portion at `tick` (insert
   /// recency is tracked automatically); feeds the SpillManager's coldness
   /// scoring.
@@ -147,14 +145,6 @@ class HashState : public SpillableState {
   [[nodiscard]] Status SpillPartition(int p, int64_t dts_tick) override {
     return FlushPartitionToDisk(p, dts_tick);
   }
-  int64_t LargestSpillUnitRecords(int p) const override;
-  /// Splits the largest on-disk unit of `p` into up to `fanout`
-  /// sub-partitions keyed by further hash bits (hybrid-hash recursive
-  /// partitioning). New units are written to fresh spill-store ids before
-  /// the old unit is released, so a failure at any point leaves the mapping
-  /// either fully old or fully new — never both (no loss, no duplicates).
-  [[nodiscard]] Status SplitSpilledPartition(int p, int fanout,
-                                             int max_depth) override;
 
   // ---- Disk portion ----
 
@@ -165,8 +155,8 @@ class HashState : public SpillableState {
   /// so neither a retry nor an abort can lose or duplicate entries.
   Status FlushPartitionToDisk(int p, int64_t dts_tick);
 
-  /// Reads back (deserializes) the disk portion of partition `p` — its base
-  /// unit plus any split sub-units — with key hashes recomputed.
+  /// Reads back (deserializes) the disk portion of partition `p`, with key
+  /// hashes recomputed.
   [[nodiscard]] Result<std::vector<TupleEntry>> ReadDiskPartition(int p);
 
   /// Replaces the disk portion of partition `p` with `survivors` (used by
@@ -228,10 +218,6 @@ class HashState : public SpillableState {
   const IoStats& io_stats() const { return spill_->io_stats(); }
   SpillStore* spill() { return spill_.get(); }
 
-  /// Multi-line occupancy report (memory/disk/purge-buffer tuples per
-  /// non-empty partition) for debugging.
-  std::string DescribeState() const;
-
  private:
   /// End-of-chain marker in the per-partition index.
   static constexpr uint32_t kIndexNil = 0xffffffffu;
@@ -254,15 +240,6 @@ class HashState : public SpillableState {
     int64_t memory_bytes = 0;
     /// Tick of the most recent insert into / probe of the memory portion.
     int64_t last_access_tick = 0;
-    /// Sub-partitions created by SplitSpilledPartition. The base unit (spill
-    /// id == the partition number, depth 0) always exists implicitly and
-    /// receives all new flushes; a unit at depth d groups records by bit
-    /// slice [d-1] of the post-partition hash.
-    struct SpillUnit {
-      int id = 0;
-      int depth = 0;
-    };
-    std::vector<SpillUnit> spill_units;
   };
 
   /// Fibonacci (multiplicative) bucket map. The low bits of the key hash
@@ -285,9 +262,6 @@ class HashState : public SpillableState {
   std::unique_ptr<SpillStore> spill_;
   std::vector<Partition> partitions_;
   bool indexed_;
-  /// Next fresh spill-store id for split sub-units (ids below
-  /// num_partitions are the base units).
-  int next_spill_unit_id_;
   int64_t memory_tuples_ = 0;
   int64_t memory_bytes_ = 0;
   int64_t disk_tuples_ = 0;

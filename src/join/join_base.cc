@@ -23,10 +23,7 @@ JoinOperator::JoinOperator(SchemaPtr left_schema, SchemaPtr right_schema,
       options_.indexed_probe);
   spill_manager_ = std::make_unique<SpillManager>(
       options_.spill_policy, states_[0].get(), states_[1].get());
-  spill_manager_->set_event_sink([this](const Event& event) {
-    counters_.Add("spill_degraded_events");
-    if (options_.spill_event_sink) options_.spill_event_sink(event);
-  });
+  spill_manager_->set_event_sink(options_.spill_event_sink);
 }
 
 const HashState& JoinOperator::state(int side) const {
@@ -197,28 +194,10 @@ void JoinOperator::InsertTuple(int side, const Tuple& tuple, int64_t tick,
 
 Status JoinOperator::RelocateUntilBelowThreshold() {
   TRACE_SPAN("join", "relocate");
-  const SpillDecisionStats before = spill_manager_->stats();
-  PJOIN_RETURN_NOT_OK(spill_manager_->EnsureWithinBudget(
+  return spill_manager_->EnsureWithinBudget(
       options_.runtime.memory_threshold_tuples,
       options_.runtime.memory_threshold_bytes, current_tick(),
-      [this] { return NextTick(); }));
-  const SpillDecisionStats& after = spill_manager_->stats();
-  // Guarded adds keep counter dumps free of zero-valued entries on runs
-  // that never hit memory pressure.
-  if (after.spills > before.spills) {
-    counters_.Add("relocations", after.spills - before.spills);
-    counters_.Add("flushed_tuples",
-                  after.tuples_spilled - before.tuples_spilled);
-  }
-  if (after.tuples_early_purged > before.tuples_early_purged) {
-    counters_.Add("early_purged_tuples",
-                  after.tuples_early_purged - before.tuples_early_purged);
-  }
-  if (after.repartitions > before.repartitions) {
-    counters_.Add("spill_repartitions",
-                  after.repartitions - before.repartitions);
-  }
-  return Status::OK();
+      [this] { return NextTick(); });
 }
 
 void JoinOperator::EmitResult(const Tuple& left, const Tuple& right) {

@@ -93,7 +93,7 @@ struct JoinOptions {
   /// SimulatedDisk.
   std::function<std::unique_ptr<SpillStore>()> spill_factory;
   /// Per-partition spill decisions under memory pressure (victim selection,
-  /// early purge, sub-partitioning, degradation ladder); see
+  /// early purge, degradation ladder); see
   /// storage/spill_manager.h and docs/ROBUSTNESS.md. SpillMode::
   /// kGlobalThreshold restores the paper's flush-the-largest behavior.
   SpillPolicy spill_policy;
@@ -203,7 +203,8 @@ class JoinOperator {
 
   const HashState& state(int side) const;
   /// Spill-decision counters of this operator's SpillManager (spills,
-  /// bytes spilled / early-purged, repartitions, failures, degradation).
+  /// tuples and bytes spilled / early-purged, failures, degradation): the
+  /// one source of spill numbers.
   const SpillDecisionStats& spill_stats() const {
     return spill_manager_->stats();
   }

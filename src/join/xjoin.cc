@@ -15,8 +15,8 @@ Status XJoin::OnTupleHashed(int side, const Tuple& tuple,
   ProbeOppositeMemory(side, tuple, key_hash);
   InsertTuple(side, tuple, tick, key_hash);
   // Memory pressure is resolved by the shared SpillManager (coldness-scored
-  // victims, recursive sub-partitioning); XJoin has no punctuations, so the
-  // manager's early-purge rung is a no-op here (no purger is wired).
+  // victims); XJoin has no punctuations, so the manager's early-purge rung
+  // is a no-op here (no purger is wired).
   return RelocateUntilBelowThreshold();
 }
 

@@ -2,30 +2,16 @@
 
 #include <algorithm>
 
+#include "common/macros.h"
+
 namespace pjoin {
-namespace {
-
-thread_local SpillPhase g_spill_phase = SpillPhase::kNormal;
-
-}  // namespace
-
-SpillPhaseScope::SpillPhaseScope(SpillPhase phase) : previous_(g_spill_phase) {
-  g_spill_phase = phase;
-}
-
-SpillPhaseScope::~SpillPhaseScope() { g_spill_phase = previous_; }
-
-SpillPhase CurrentSpillPhase() { return g_spill_phase; }
 
 SpillManager::SpillManager(SpillPolicy policy, SpillableState* left,
                            SpillableState* right)
     : policy_(policy), states_{left, right} {
   PJOIN_DCHECK(left != nullptr && right != nullptr);
   PJOIN_DCHECK(left->num_spill_partitions() == right->num_spill_partitions());
-  const size_t slots =
-      2 * static_cast<size_t>(left->num_spill_partitions());
-  cooldown_.assign(slots, 0);
-  split_exhausted_.assign(slots, false);
+  cooldown_.assign(2 * static_cast<size_t>(left->num_spill_partitions()), 0);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   bytes_spilled_counter_ =
       registry.GetCounter("pjoin_spill_bytes_spilled", "");
@@ -36,14 +22,6 @@ SpillManager::SpillManager(SpillPolicy policy, SpillableState* left,
   quarantined_gauge_ =
       registry.GetGauge("pjoin_spill_quarantined_partitions", "");
   degraded_gauge_ = registry.GetGauge("pjoin_spill_degraded", "");
-}
-
-int SpillManager::quarantined_partitions() const {
-  int n = 0;
-  for (const int c : cooldown_) {
-    if (c > 0) ++n;
-  }
-  return n;
 }
 
 bool SpillManager::OverBudget(int64_t threshold_tuples,
@@ -180,26 +158,6 @@ Status SpillManager::EnsureWithinBudget(
     stats_.tuples_spilled += resident_tuples;
     stats_.bytes_spilled += resident_bytes;
     bytes_spilled_counter_.Add(resident_bytes);
-    const size_t slot = static_cast<size_t>(
-        victim.side * states_[0]->num_spill_partitions() + victim.partition);
-    if (effective_mode() == SpillMode::kAdaptive &&
-        policy_.repartition_record_bound > 0 && !split_exhausted_[slot] &&
-        state.LargestSpillUnitRecords(victim.partition) >
-            policy_.repartition_record_bound) {
-      Status split = state.SplitSpilledPartition(
-          victim.partition, policy_.repartition_fanout,
-          policy_.max_repartition_depth);
-      if (split.ok()) {
-        ++stats_.repartitions;
-      } else if (split.code() == StatusCode::kFailedPrecondition) {
-        // No further hash bits can separate this partition's records
-        // (single hot key / depth exhausted) — stop trying, not a failure.
-        split_exhausted_[slot] = true;
-      } else {
-        ++stats_.repartition_failures;
-        RecordFailure();
-      }
-    }
   }
   if (overran) ++stats_.budget_overruns;
   return Status::OK();

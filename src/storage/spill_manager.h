@@ -13,9 +13,10 @@
 //   2. Scores partitions by resident bytes weighted by probe coldness
 //      (bytes * (1 + ticks since the last probe)) and spills the
 //      coldest/largest first, so hot build sides stay resident.
-//   3. Recursively splits spilled partitions whose largest on-disk unit
-//      exceeds a record bound (hybrid-hash style sub-partitioning keyed by
-//      further hash bits), bounding later disk-join passes under skew.
+//
+// A spilled partition stays one disk unit: relocation appends to it, and
+// every disk reader (PJoin's disk join, XJoin's reactive and cleanup
+// stages) reads it back whole, so sub-partitioning it would bound nothing.
 //
 // Robustness ladder (docs/ROBUSTNESS.md): a partition whose spill fails is
 // quarantined for a cooldown and the next-best victim is tried; repeated
@@ -33,7 +34,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/macros.h"
 #include "exec/event.h"
 #include "obs/metrics_registry.h"
 
@@ -41,8 +41,8 @@ namespace pjoin {
 
 /// Victim-selection policy of the SpillManager.
 enum class SpillMode {
-  /// Per-partition decisions: early purge, coldness-weighted victims,
-  /// recursive sub-partitioning (the default).
+  /// Per-partition decisions: early purge and coldness-weighted victims
+  /// (the default).
   kAdaptive,
   /// The paper's behavior: flush the largest memory partition, nothing else.
   /// Also the fallback the manager degrades into after repeated failures.
@@ -53,16 +53,8 @@ enum class SpillMode {
 /// bounds to force every path.
 struct SpillPolicy {
   SpillMode mode = SpillMode::kAdaptive;
-  /// Split a spilled partition when its largest on-disk unit exceeds this
-  /// many records; 0 disables sub-partitioning.
-  int64_t repartition_record_bound = 8192;
-  /// Fan-out of one split (further hash bits per level).
-  int repartition_fanout = 4;
-  /// Maximum split depth per partition (guards single-hot-key skew where
-  /// deeper bits cannot separate records).
-  int max_repartition_depth = 3;
-  /// Cumulative spill/repartition failures before falling back to
-  /// kGlobalThreshold mode for the rest of the run.
+  /// Cumulative spill failures before falling back to kGlobalThreshold
+  /// mode for the rest of the run.
   int degrade_failure_threshold = 3;
   /// EnsureWithinBudget calls a failed partition sits out before it becomes
   /// a spill candidate again.
@@ -84,14 +76,14 @@ struct SpillDecisionStats {
   int64_t early_purge_runs = 0;
   int64_t tuples_early_purged = 0;
   int64_t bytes_early_purged = 0;
-  int64_t repartitions = 0;
   int64_t spill_failures = 0;
-  int64_t repartition_failures = 0;
   /// EnsureWithinBudget calls that returned while still over budget because
   /// every candidate was quarantined or empty (best-effort cap).
   int64_t budget_overruns = 0;
   /// True once the manager fell back to global-threshold mode.
   bool degraded = false;
+
+  bool operator==(const SpillDecisionStats&) const = default;
 };
 
 /// What the manager needs from one join state (HashState implements this;
@@ -110,16 +102,6 @@ class SpillableState {
 
   /// Moves the memory portion of `p` to disk, stamping dts = `dts_tick`.
   [[nodiscard]] virtual Status SpillPartition(int p, int64_t dts_tick) = 0;
-
-  /// Records in the largest single on-disk unit of `p` (the base portion or
-  /// one sub-partition).
-  virtual int64_t LargestSpillUnitRecords(int p) const = 0;
-  /// Splits the largest on-disk unit of `p` into `fanout` sub-partitions
-  /// keyed by further hash bits. Returns FailedPrecondition when no further
-  /// split can make progress (depth exhausted or all records share a hash);
-  /// any other error is a storage failure.
-  [[nodiscard]] virtual Status SplitSpilledPartition(int p, int fanout,
-                                                     int max_depth) = 0;
 };
 
 /// Outcome of one early-purge pass over a partition.
@@ -153,11 +135,7 @@ class SpillManager {
       const std::function<int64_t()>& next_tick);
 
   const SpillDecisionStats& stats() const { return stats_; }
-  const SpillPolicy& policy() const { return policy_; }
   bool degraded() const { return stats_.degraded; }
-  /// (side, partition) slots currently in quarantine cooldown (also gauge
-  /// pjoin_spill_quarantined_partitions, shared across managers).
-  int quarantined_partitions() const;
   /// kGlobalThreshold when configured so *or* after degradation.
   SpillMode effective_mode() const {
     return stats_.degraded ? SpillMode::kGlobalThreshold : policy_.mode;
@@ -185,36 +163,18 @@ class SpillManager {
   int failures_ = 0;
   /// Remaining cooldown per (side, partition); index = side * P + p.
   std::vector<int> cooldown_;
-  /// Partitions where splitting can no longer make progress.
-  std::vector<bool> split_exhausted_;
 
   // Process-wide exposition (shared cells across managers; see /metrics).
   obs::Counter bytes_spilled_counter_;
   obs::Counter bytes_early_purged_counter_;
   obs::Histogram resident_bytes_hist_;
-  /// Maintained with Add(±1) on 0↔nonzero cooldown transitions, so
-  /// managers sharing the cell stay additive; pjoin_spill_degraded is
-  /// sticky (any manager degrading sets it).
+  /// pjoin_spill_quarantined_partitions: (side, partition) slots in
+  /// quarantine cooldown, maintained with Add(±1) on 0↔nonzero cooldown
+  /// transitions, so managers sharing the cell stay additive;
+  /// pjoin_spill_degraded is sticky (any manager degrading sets it).
   obs::Gauge quarantined_gauge_;
   obs::Gauge degraded_gauge_;
 };
-
-/// Marks operations issued while a spilled partition is being split, so
-/// fault injection (FaultySpillStore) can target the repartition path
-/// specifically. Thread-local; nesting keeps the innermost phase.
-enum class SpillPhase { kNormal, kRepartition };
-
-class SpillPhaseScope {
- public:
-  explicit SpillPhaseScope(SpillPhase phase);
-  ~SpillPhaseScope();
-  PJOIN_DISALLOW_COPY_AND_MOVE(SpillPhaseScope);
-
- private:
-  SpillPhase previous_;
-};
-
-SpillPhase CurrentSpillPhase();
 
 }  // namespace pjoin
 

@@ -18,6 +18,7 @@
 #include "join/shj.h"
 #include "join/xjoin.h"
 #include "storage/file_spill_store.h"
+#include "storage/spill_manager.h"
 #include "stream/arrival_merge.h"
 #include "test_util.h"
 
@@ -272,6 +273,7 @@ TEST(EquivalenceTest, BatchedAndElementDispatchAgree) {
     std::vector<std::string> results;
     std::vector<std::string> puncts;
     std::map<std::string, int64_t> counters;
+    SpillDecisionStats spill;
     std::vector<std::pair<TimeMicros, int64_t>> state_series;
   };
   // batch_size 0 feeds every element through OnElement.
@@ -295,6 +297,7 @@ TEST(EquivalenceTest, BatchedAndElementDispatchAgree) {
       EXPECT_TRUE(st.ok()) << st.ToString();
     }
     out.counters = join->counters().counters();
+    out.spill = join->spill_stats();
     for (const Sample& s : join->state_series().samples()) {
       out.state_series.emplace_back(s.time, s.value);
     }
@@ -316,6 +319,7 @@ TEST(EquivalenceTest, BatchedAndElementDispatchAgree) {
     const Observed via_element = run(element_join.get(), 0);
     ASSERT_FALSE(via_element.results.empty());
     ASSERT_FALSE(via_element.state_series.empty());
+    ASSERT_GT(via_element.spill.spills, 0);
     for (const size_t batch_size : {1, 7, 256}) {
       const auto batch_join = make();
       const Observed via_batch = run(batch_join.get(), batch_size);
@@ -324,6 +328,7 @@ TEST(EquivalenceTest, BatchedAndElementDispatchAgree) {
       EXPECT_EQ(via_batch.results, via_element.results) << where;
       EXPECT_EQ(via_batch.puncts, via_element.puncts) << where;
       EXPECT_EQ(via_batch.counters, via_element.counters) << where;
+      EXPECT_EQ(via_batch.spill, via_element.spill) << where;
       EXPECT_EQ(via_batch.state_series, via_element.state_series) << where;
     }
   }

@@ -189,15 +189,13 @@ FaultPlan RandomPlan(uint64_t seed) {
     plan.io.permanent_write_failure_after =
         3 + static_cast<int64_t>(rng.NextBounded(20));
   }
-  // Partition-targeted and repartition-phase faults exercise the
-  // SpillManager's quarantine/degrade ladder, which the global rates above
-  // cannot isolate to a single partition or to the split path.
+  // Partition-targeted faults exercise the SpillManager's quarantine/degrade
+  // ladder, which the global rates above cannot isolate to one partition.
   if (rng.NextBool(0.5)) {
     plan.io.target_partition = static_cast<int>(rng.NextBounded(16));
     plan.io.partition_write_error_rate = MaybeRate(rng, 0.3);
     plan.io.partition_read_error_rate = MaybeRate(rng, 0.3);
   }
-  plan.io.repartition_error_rate = MaybeRate(rng, 0.3);
   return plan;
 }
 
@@ -242,11 +240,6 @@ TEST_P(ChaosFuzz, DropPolicyMatchesSanitizedReference) {
       cfg_rng.NextBool(0.5) ? 1 + static_cast<int64_t>(cfg_rng.NextBounded(6))
                             : 0;
   opts.eager_index_build = cfg_rng.NextBool(0.5);
-  // Tight split bound so recursive repartitioning triggers under the small
-  // memory caps above (and meets the repartition-phase faults injected by
-  // the plan).
-  opts.spill_policy.repartition_record_bound =
-      8 + static_cast<int64_t>(cfg_rng.NextBounded(24));
   int64_t spill_degraded_events = 0;
   opts.spill_event_sink = [&](const Event& e) {
     if (e.type == EventType::kDegradedMode) ++spill_degraded_events;

@@ -68,17 +68,6 @@ TEST_F(HashStateTest, ExtractMemoryMatching) {
   }
 }
 
-TEST_F(HashStateTest, LargestMemoryPartition) {
-  EXPECT_EQ(state_.LargestMemoryPartition(), -1);
-  // Put 3 entries of one key, 1 of another.
-  state_.InsertMemory(MakeEntry(schema_, 1, 0, 1));
-  state_.InsertMemory(MakeEntry(schema_, 1, 1, 2));
-  state_.InsertMemory(MakeEntry(schema_, 1, 2, 3));
-  state_.InsertMemory(MakeEntry(schema_, 2, 0, 4));
-  const int largest = state_.LargestMemoryPartition();
-  EXPECT_EQ(largest, state_.PartitionOf(Value(int64_t{1})));
-}
-
 TEST_F(HashStateTest, FlushReadRoundtrip) {
   state_.InsertMemory(MakeEntry(schema_, 1, 10, 1));
   state_.InsertMemory(MakeEntry(schema_, 1, 11, 2));
@@ -180,17 +169,6 @@ TEST_F(HashStateTest, MemoryBytesAccounting) {
   const int p2 = state_.PartitionOf(Value(int64_t{2}));
   state_.ExtractMemoryMatching(p2, [](const TupleEntry&) { return true; });
   EXPECT_EQ(state_.memory_bytes(), 0);
-}
-
-TEST_F(HashStateTest, DescribeStateListsOccupiedPartitions) {
-  state_.InsertMemory(MakeEntry(schema_, 1, 10, 1));
-  TupleEntry buffered = MakeEntry(schema_, 2, 0, 2);
-  buffered.dts = 3;
-  state_.AddToPurgeBuffer(0, std::move(buffered));
-  const std::string desc = state_.DescribeState();
-  EXPECT_NE(desc.find("test state: 1 mem"), std::string::npos);
-  EXPECT_NE(desc.find("partition"), std::string::npos);
-  EXPECT_NE(desc.find("buffered=1"), std::string::npos);
 }
 
 TEST_F(HashStateTest, ProbeHistory) {

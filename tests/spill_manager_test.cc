@@ -1,8 +1,9 @@
-// SpillManager tests: victim selection, punctuation-aware early purge,
-// recursive sub-partitioning, and the fault-hardened degradation ladder.
-// Every join-level test is gated by a dual-view oracle — the output of the
-// (possibly fault-injected) run must equal the nested-loop reference over
-// the clean streams, so no spill decision may drop or duplicate a result.
+// SpillManager tests: victim selection, punctuation-aware early purge, the
+// one-write cost of a spill (a spilled partition stays one disk unit), and
+// the fault-hardened degradation ladder. Every join-level test is gated by
+// a dual-view oracle — the output of the (possibly fault-injected) run must
+// equal the nested-loop reference over the clean streams, so no spill
+// decision may drop or duplicate a result.
 
 #include "storage/spill_manager.h"
 
@@ -130,6 +131,32 @@ TEST(SpillManagerTest, HysteresisOvershootsBelowLowWater) {
   EXPECT_GE(left->TotalMemoryTuples(), 15 - 4);
 }
 
+// A spill appends each resident record to its partition's disk unit once
+// and reads nothing back: the disk join and XJoin's disk stages are the
+// only readers, and they read the whole partition.
+TEST(SpillManagerTest, SpillWritesEachRecordOnceAndReadsNone) {
+  SchemaPtr s = KeyPayloadSchema();
+  auto left = MakeState("a", s, 1);
+  auto right = MakeState("b", s, 1);
+  constexpr int kKeys = 9000;
+  for (int64_t k = 0; k < kKeys; ++k) InsertN(left.get(), s, k, 1, k + 1);
+
+  SpillManager manager(SpillPolicy{}, left.get(), right.get());
+  int64_t tick = kKeys + 1;
+  ASSERT_TRUE(manager
+                  .EnsureWithinBudget(/*threshold_tuples=*/100,
+                                      /*threshold_bytes=*/0,
+                                      /*now_tick=*/tick, [&] { return tick++; })
+                  .ok());
+  EXPECT_EQ(left->disk_tuples(), kKeys);
+  EXPECT_EQ(left->memory_tuples(), 0);
+  EXPECT_EQ(left->io_stats().records_written, kKeys);
+  EXPECT_EQ(left->io_stats().pages_read, 0);
+  auto entries = left->ReadDiskPartition(0);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  EXPECT_EQ(entries->size(), static_cast<size_t>(kKeys));
+}
+
 TEST(SpillManagerTest, FailedSpillQuarantinesThenDegrades) {
   SchemaPtr s = KeyPayloadSchema();
   const int kTarget = 0;
@@ -240,29 +267,26 @@ TEST(SpillManagerJoinTest, AdaptiveSpillsFewerBytesThanGlobalUnderSkew) {
   EXPECT_EQ(global.spill_stats().bytes_early_purged, 0);
 }
 
-TEST(SpillManagerJoinTest, RecursiveRepartitionPreservesOracle) {
+TEST(SpillManagerJoinTest, NoPunctuationSpillPreservesOracle) {
   // No punctuations: everything spilled stays on disk and the end-of-run
-  // disk join must read back every sub-partition the splits produced.
+  // disk join must read back every record the spills appended.
   GeneratedStreams g = SkewedStreams(23, 600, 0.0, 1.5);
 
   JoinOptions opts;
   opts.num_partitions = 4;
   opts.runtime.memory_threshold_tuples = 48;
-  opts.spill_policy.repartition_record_bound = 24;
-  opts.spill_policy.repartition_fanout = 2;
-  opts.spill_policy.max_repartition_depth = 4;
   PJoin join(g.schema_a, g.schema_b, opts);
   auto run = RunJoin(&join, g.a, g.b, /*stall_gap=*/8000);
 
-  EXPECT_GT(join.spill_stats().repartitions, 0);
+  EXPECT_GT(join.spill_stats().spills, 0);
   EXPECT_EQ(run.results,
             ReferenceJoinRows(g.a, g.b, join.output_schema(), 0, 0));
 }
 
-// Fault-injected dual view: partition-targeted and repartition-phase IO
-// faults behind RecoveringSpillStore. Whatever the manager decides — spill,
-// early purge, split, quarantine — the output must equal the clean
-// reference with zero records lost.
+// Fault-injected dual view: partition-targeted and transient IO faults
+// behind RecoveringSpillStore. Whatever the manager decides — spill, early
+// purge, quarantine — the output must equal the clean reference with zero
+// records lost.
 class SpillFaultOracle : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SpillFaultOracle, NoLossOrDuplicationUnderInjectedFaults) {
@@ -273,14 +297,11 @@ TEST_P(SpillFaultOracle, NoLossOrDuplicationUnderInjectedFaults) {
   spec.target_partition = static_cast<int>(seed % 8);
   spec.partition_write_error_rate = 0.4;
   spec.partition_read_error_rate = 0.25;
-  spec.repartition_error_rate = 0.3;
   spec.transient_write_error_rate = 0.1;
   auto injector = std::make_shared<FaultInjector>(seed * 31 + 1);
 
   std::vector<const RecoveringSpillStore*> stores;
   JoinOptions opts = TightMemoryOptions();
-  opts.spill_policy.repartition_record_bound = 16;
-  opts.spill_policy.repartition_fanout = 2;
   opts.spill_factory = [&]() -> std::unique_ptr<SpillStore> {
     auto faulty = std::make_unique<FaultySpillStore>(
         std::make_unique<SimulatedDisk>(), spec, injector);
@@ -301,7 +322,6 @@ TEST_P(SpillFaultOracle, NoLossOrDuplicationUnderInjectedFaults) {
   // The faults actually fired (otherwise this oracle proves nothing).
   EXPECT_GT(injector->Get("io_partition_write") +
                 injector->Get("io_partition_read") +
-                injector->Get("io_repartition_write") +
                 injector->Get("io_transient_write"),
             0);
 }
@@ -352,7 +372,6 @@ TEST(SpillManagerJoinTest, ParallelShardsWithAdaptiveSpillMatchReference) {
   GeneratedStreams g = SkewedStreams(13, 800, 20.0, 1.2);
 
   JoinOptions jopts = TightMemoryOptions();
-  jopts.spill_policy.repartition_record_bound = 32;
   ParallelPipelineOptions popts;
   popts.num_shards = 2;
   ParallelJoinPipeline pipeline(

@@ -35,7 +35,7 @@ TEST(XJoinTest, NoSpillBehavesLikeShj) {
   auto run = RunJoin(&join, left, right);
   EXPECT_EQ(run.results,
             ReferenceJoinRows(left, right, join.output_schema(), 0, 0));
-  EXPECT_EQ(join.counters().Get("relocations"), 0);
+  EXPECT_EQ(join.spill_stats().spills, 0);
 }
 
 TEST(XJoinTest, SpillsWhenMemoryThresholdReached) {
@@ -45,7 +45,7 @@ TEST(XJoinTest, SpillsWhenMemoryThresholdReached) {
   for (int i = 0; i < 50; ++i) lb.Tup(KP(sa, i % 5, i));
   XJoin join(sa, sb, WithMemoryThreshold(10));
   RunJoin(&join, lb.Finish(), ElementsBuilder().Finish());
-  EXPECT_GT(join.counters().Get("relocations"), 0);
+  EXPECT_GT(join.spill_stats().spills, 0);
   EXPECT_LT(join.memory_state_tuples(), 50);
   EXPECT_EQ(join.total_state_tuples(), 50);  // spilled, not lost
 }

@@ -195,6 +195,12 @@ int main(int argc, char** argv) {
                  static_cast<long long>(join->puncts_emitted()));
     std::fprintf(stderr, "state at end:    %lld tuples\n",
                  static_cast<long long>(join->total_state_tuples()));
+    const SpillDecisionStats& spill = join->spill_stats();
+    std::fprintf(stderr, "spills:          %lld (%lld tuples, %lld purged "
+                 "before the write)\n",
+                 static_cast<long long>(spill.spills),
+                 static_cast<long long>(spill.tuples_spilled),
+                 static_cast<long long>(spill.tuples_early_purged));
     std::fprintf(stderr, "counters:        %s\n",
                  join->counters().ToString().c_str());
   }
