@@ -909,8 +909,9 @@ int Main(int argc, char** argv) {
     const Stopwatch linger;
     while (linger.ElapsedMicros() < cli.serve_linger_ms * 1000 &&
            !server->quit_requested()) {
-      // Keep a pipeline running so scrapes catch live /statusz sections and
-      // moving queue-depth gauges, not just end-of-run values.
+      // Keep a pipeline running so scrapes catch moving per-shard gauges
+      // (ring occupancies, queue depths) in /statusz, not just end-of-run
+      // values.
       const Measured again = RunParallel(streams, widest,
                                          /*indexed_probe=*/true,
                                          /*memcap=*/0, cli.ring,

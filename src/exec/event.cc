@@ -26,8 +26,6 @@ std::string_view EventTypeName(EventType type) {
       return "ContractViolationEvent";
     case EventType::kDegradedMode:
       return "DegradedModeEvent";
-    case EventType::kStallDiagnosed:
-      return "StallDiagnosedEvent";
   }
   return "?";
 }

@@ -40,13 +40,9 @@ enum class EventType {
   /// A component switched to a degraded operating mode (e.g. spill storage
   /// fell back from the file store to the in-memory store).
   kDegradedMode,
-  // ---- Health events (docs/OBSERVABILITY.md) ----
-  /// The health watchdog classified the pipeline as STALLED. `detail`
-  /// carries the root-cause chain ("shard 2 frontier stalled 4.2s ...").
-  kStallDiagnosed,
 };
 
-constexpr int kNumEventTypes = 11;
+constexpr int kNumEventTypes = 10;
 
 std::string_view EventTypeName(EventType type);
 

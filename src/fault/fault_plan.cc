@@ -29,17 +29,10 @@ std::string StreamFaultSpec::ToString() const {
   return os.str();
 }
 
-std::string MigrationFaultSpec::ToString() const {
-  std::ostringstream os;
-  os << "migration{extract_err=" << extract_error_rate << "}";
-  return os.str();
-}
-
 std::string FaultPlan::ToString() const {
   std::ostringstream os;
   os << "FaultPlan{seed=" << seed << " a=" << stream[0].ToString()
-     << " b=" << stream[1].ToString() << " " << io.ToString() << " "
-     << migration.ToString() << "}";
+     << " b=" << stream[1].ToString() << " " << io.ToString() << "}";
   return os.str();
 }
 

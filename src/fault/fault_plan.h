@@ -2,7 +2,7 @@
 //
 // The plan is pure data — it says *what* can go wrong and how often; the
 // seeded FaultInjector decides *when*, deterministically, so every chaos run
-// is exactly reproducible from (plan, seed). Three fault families:
+// is exactly reproducible from (plan, seed). Two fault families:
 //
 //  - I/O faults (IoFaultSpec), applied by FaultySpillStore to any SpillStore:
 //    transient errors, a permanent failure after a write/read budget, short
@@ -13,9 +13,6 @@
 //    PerturbStream to an element stream: late tuples that match an
 //    already-emitted punctuation, malformed punctuations, duplicates,
 //    (order-preserving-multiset) reordering, and producer stalls.
-//
-//  - Handoff faults (MigrationFaultSpec), applied by ParallelJoinPipeline:
-//    a failed state extract at the source of a hot-key replication.
 //
 // See docs/ROBUSTNESS.md for the full fault model and the degradation
 // ladder that answers each fault.
@@ -106,32 +103,15 @@ struct StreamFaultSpec {
   std::string ToString() const;
 };
 
-/// Faults injected into the parallel pipeline's hot-key replication
-/// handoff (ops/repartition.h). Rolled on the router thread from the plan's
-/// seed, so a chaos run replays bit-identically; the pipeline answers every
-/// injected failure with a clean rollback (the key stays at its owner, the
-/// shard map stays unchanged). Installs cannot fail, so the extract is the
-/// only step with a fault.
-struct MigrationFaultSpec {
-  /// Probability that a handoff's source-side state extraction fails.
-  double extract_error_rate = 0.0;
-
-  bool enabled() const { return extract_error_rate > 0; }
-
-  std::string ToString() const;
-};
-
 /// One complete chaos configuration: a seed plus per-side stream faults and
 /// the I/O faults of the spill stores.
 struct FaultPlan {
   uint64_t seed = 1;
   StreamFaultSpec stream[2];
   IoFaultSpec io;
-  MigrationFaultSpec migration;
 
   bool enabled() const {
-    return stream[0].enabled() || stream[1].enabled() || io.enabled() ||
-           migration.enabled();
+    return stream[0].enabled() || stream[1].enabled() || io.enabled();
   }
 
   std::string ToString() const;

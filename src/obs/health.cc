@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/mutex.h"
-#include "exec/registry.h"
 #include "obs/metrics_registry.h"
 #include "obs/text_escape.h"
 #include "obs/trace.h"
@@ -209,7 +208,7 @@ bool HealthMonitor::running() const {
   return running_;
 }
 
-void HealthMonitor::RecordPass(const HealthOptions& options) {
+void HealthMonitor::RecordPass() {
   const HealthReport report = EvaluateNow();
   MetricsRegistry& registry = MetricsRegistry::Global();
   for (const ShardFrontier& frontier : report.frontiers) {
@@ -237,21 +236,6 @@ void HealthMonitor::RecordPass(const HealthOptions& options) {
 
   registry.GetCounter("pjoin_stalls_diagnosed_total").Add(1);
   TRACE_INSTANT("health", "stall_diagnosed");
-  if (options.events != nullptr) {
-    Event event;
-    event.type = EventType::kStallDiagnosed;
-    event.time = report.now_us;
-    event.stream = -1;
-    for (const std::string& cause : report.causes) {
-      if (!event.detail.empty()) event.detail.append(" | ");
-      event.detail.append(cause);
-    }
-    Status dispatched = options.events->Dispatch(event);
-    if (!dispatched.ok()) {
-      // Diagnostics are best-effort: a failing listener must not take the
-      // watchdog down with it.
-    }
-  }
 }
 
 void HealthMonitor::WatchdogLoop(HealthOptions options) {
@@ -261,7 +245,7 @@ void HealthMonitor::WatchdogLoop(HealthOptions options) {
       MutexLock lock(mu_);
       if (stop_requested_) return;
     }
-    RecordPass(options);
+    RecordPass();
     MutexLock lock(mu_);
     if (stop_requested_) return;
     cv_.WaitUntil(

@@ -16,8 +16,8 @@
 // snapshot — "shard 2 frontier stalled 4.2s behind router; ring
 // edge=shard_2 occupancy 31; ring edge=out_2 occupancy 64; 3 punct release
 // rounds pending at merger" — and a watchdog thread edge-triggers it into
-// the stall history, a kStallDiagnosed event (when an EventRegistry is
-// attached), and pjoin_stalls_diagnosed_total. The watchdog also feeds
+// the stall history (/debug/stalls), pjoin_stalls_diagnosed_total and a
+// stall_diagnosed trace instant. The watchdog also feeds
 // pjoin_frontier_lag_seconds{shard}.
 //
 // /healthz does NOT read a cached verdict: it calls EvaluateNow(), so a
@@ -38,7 +38,6 @@
 #include "common/thread_annotations.h"
 
 namespace pjoin {
-class EventRegistry;
 namespace obs {
 
 enum class HealthStatus {
@@ -89,10 +88,6 @@ struct HealthOptions {
   TimeMicros stall_threshold_us = kMicrosPerSecond;
   /// Shard lag at which the pipeline is DEGRADED.
   TimeMicros degraded_threshold_us = 250 * kMicrosPerMilli;
-  /// When set, STALLED transitions dispatch a kStallDiagnosed event here.
-  /// The registry must outlive the watchdog and tolerate dispatch from the
-  /// watchdog thread.
-  EventRegistry* events = nullptr;
 };
 
 /// Process-global monitor, like Tracer / MetricsRegistry: the watchdog,
@@ -102,8 +97,8 @@ class HealthMonitor {
   static HealthMonitor& Global();
   PJOIN_DISALLOW_COPY_AND_MOVE(HealthMonitor);
 
-  /// One synchronous classification pass with no side effects on history,
-  /// metrics or events, using the thresholds last passed to Configure /
+  /// One synchronous classification pass with no side effects on history
+  /// or metrics, using the thresholds last passed to Configure /
   /// Start (defaults otherwise). `now_us` = 0 means "now" (TraceNowMicros);
   /// tests pass synthetic times. This is what /healthz serves.
   [[nodiscard]] HealthReport EvaluateNow(TimeMicros now_us = 0) const
@@ -138,7 +133,7 @@ class HealthMonitor {
 
   /// A watchdog pass: EvaluateNow + the lag histogram export + the
   /// edge-triggered stall recording.
-  void RecordPass(const HealthOptions& options);
+  void RecordPass();
   void WatchdogLoop(HealthOptions options);
 
   mutable Mutex mu_;

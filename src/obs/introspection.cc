@@ -1,12 +1,9 @@
 #include "obs/introspection.h"
 
-#include <algorithm>
 #include <map>
 #include <utility>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "obs/build_info.h"
 #include "obs/health.h"
 #include "obs/metrics_registry.h"
@@ -17,19 +14,6 @@ namespace pjoin {
 namespace obs {
 
 namespace {
-
-struct SectionRegistry {
-  Mutex mu;
-  int64_t next_id GUARDED_BY(mu) = 1;
-  // std::map: render in registration (id) order.
-  std::map<int64_t, std::pair<std::string, StatusSectionFn>> sections
-      GUARDED_BY(mu);
-};
-
-SectionRegistry& Sections() {
-  static SectionRegistry* registry = new SectionRegistry();  // leaked
-  return *registry;
-}
 
 std::string BuildFlags() {
   std::string out;
@@ -71,45 +55,6 @@ HttpResponse TextResponse(std::string body) {
 
 }  // namespace
 
-int64_t RegisterStatusSection(std::string title, StatusSectionFn fn) {
-  SectionRegistry& reg = Sections();
-  MutexLock lock(reg.mu);
-  const int64_t id = reg.next_id++;
-  reg.sections.emplace(id,
-                       std::make_pair(std::move(title), std::move(fn)));
-  return id;
-}
-
-void UnregisterStatusSection(int64_t id) {
-  SectionRegistry& reg = Sections();
-  MutexLock lock(reg.mu);
-  reg.sections.erase(id);
-}
-
-std::string RenderStatusSections() {
-  // Copy the renderers out, then call them unlocked: a section body may
-  // itself take locks (pipeline state) or register metrics.
-  std::vector<std::pair<std::string, StatusSectionFn>> sections;
-  {
-    SectionRegistry& reg = Sections();
-    MutexLock lock(reg.mu);
-    sections.reserve(reg.sections.size());
-    for (const auto& [id, entry] : reg.sections) {
-      sections.push_back(entry);
-    }
-  }
-  std::string out;
-  for (const auto& [title, fn] : sections) {
-    out.append("== ");
-    out.append(title);
-    out.append(" ==\n");
-    out.append(fn());
-    if (!out.empty() && out.back() != '\n') out.push_back('\n');
-    out.push_back('\n');
-  }
-  return out;
-}
-
 std::string RenderStatusz(TimeMicros uptime_us) {
   std::string out;
   out.append("pjoin introspection\n");
@@ -120,7 +65,6 @@ std::string RenderStatusz(TimeMicros uptime_us) {
   out.append("\n\n== build ==\n");
   out.append(BuildFlags());
   out.push_back('\n');
-  out.append(RenderStatusSections());
 
   out.append("== gauges ==\n");
   for (const MetricSample& s : MetricsRegistry::Global().Snapshot()) {

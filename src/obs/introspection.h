@@ -2,25 +2,21 @@
 // pre-wired with
 //
 //   GET /metrics   Prometheus text exposition of MetricsRegistry::Global()
-//   GET /statusz   human-readable snapshot: uptime, build flags, every
-//                  registered status section (pipelines publish per-shard
-//                  queue depths and join-state breakdowns here), and a dump
-//                  of all registry gauges
+//   GET /statusz   human-readable snapshot: uptime, build flags, and a dump
+//                  of all registry gauges (a parallel pipeline's per-shard
+//                  ring occupancies, queue depths and join state are gauges
+//                  labeled by shard)
+//   GET /healthz   stall classification (obs/health.h)
+//   GET /debug/stalls  current verdict and stall history
 //   GET /tracez    most recent drained trace spans, grouped by category
 //   GET /quitquitquit  sets quit_requested() — lets a linger loop (bench
 //                  --serve_linger_ms) be told to exit by the scraper
-//
-// Status sections are a process-global registry so a pipeline deep in the
-// call stack can contribute to /statusz without threading a server handle
-// through every layer; ScopedStatusSection unregisters on destruction so a
-// finished pipeline stops appearing.
 
 #ifndef PJOIN_OBS_INTROSPECTION_H_
 #define PJOIN_OBS_INTROSPECTION_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/clock.h"
@@ -30,30 +26,6 @@
 
 namespace pjoin {
 namespace obs {
-
-/// Renders one /statusz section body (called on a server worker thread —
-/// must only read thread-safe state: registry handles, atomics, own locks).
-using StatusSectionFn = std::function<std::string()>;
-
-/// Registers a titled /statusz section; returns an id for Unregister.
-int64_t RegisterStatusSection(std::string title, StatusSectionFn fn);
-void UnregisterStatusSection(int64_t id);
-
-/// All registered sections rendered in registration order (used by the
-/// /statusz handler; exposed for tests).
-std::string RenderStatusSections();
-
-/// RAII section registration.
-class ScopedStatusSection {
- public:
-  ScopedStatusSection(std::string title, StatusSectionFn fn)
-      : id_(RegisterStatusSection(std::move(title), std::move(fn))) {}
-  ~ScopedStatusSection() { UnregisterStatusSection(id_); }
-  PJOIN_DISALLOW_COPY_AND_MOVE(ScopedStatusSection);
-
- private:
-  int64_t id_;
-};
 
 /// Renders the /statusz body (also used headlessly in tests).
 std::string RenderStatusz(TimeMicros uptime_us);

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "obs/introspection.h"
 #include "obs/trace.h"
 #include "stream/arrival_merge.h"
 
@@ -42,10 +41,10 @@ struct ParallelJoinPipeline::Shard {
   /// router/caller thread consumes).
   SpscRing<OutBatch> out;
   /// Elements the worker has fully processed (with `enqueued`, the live
-  /// backlog).
-  std::atomic<int64_t> processed{0};
-  /// Elements the router has pushed (written by the router only; atomic so
-  /// the /statusz section can read it live).
+  /// backlog; worker-local).
+  int64_t processed = 0;
+  /// Elements the router has pushed (written by the router, read by the
+  /// worker).
   std::atomic<int64_t> enqueued{0};
   /// Live routed-element backlog (enqueued - processed), published by the
   /// worker once per batch.
@@ -95,10 +94,6 @@ ParallelJoinPipeline::ParallelJoinPipeline(JoinFactory factory,
   if (repart_enabled_) {
     controller_ = std::make_unique<RepartitionController>(
         options_.repartition, &shard_map_);
-    const FaultPlan* plan = options_.repartition.fault_plan;
-    if (plan != nullptr && plan->migration.enabled()) {
-      repart_injector_ = std::make_unique<FaultInjector>(plan->seed);
-    }
   }
 }
 
@@ -151,11 +146,9 @@ void ParallelJoinPipeline::MergeOutBatch(int shard, OutBatch out) {
     punct_pending_gauge_.Set(release_board_.pending_rounds());
   }
   if (out.handoff != nullptr) {
-    // The source's extract answer. This can run deep inside DrainOutputs,
-    // so PumpRepartition acts on it at the router's next safe point.
-    PJOIN_DCHECK(active_handoff_ != nullptr &&
-                 active_handoff_->id == out.handoff->handoff_id);
-    active_handoff_->answer = std::move(out.handoff);
+    // The owner's extract answer; Replicate is waiting for it.
+    PJOIN_DCHECK(handoff_answer_ == nullptr);
+    handoff_answer_ = std::move(out.handoff);
   }
 }
 
@@ -235,7 +228,7 @@ void ParallelJoinPipeline::PushRouted(int shard, RoutedBatch batch) {
   // a full ring of work, so on few-core hosts giving the core away beats
   // burning it, and the nap bounds added latency to microseconds. TryPush
   // leaves `batch` intact on failure.
-  router_backpressure_waits_.fetch_add(1);
+  ++router_backpressure_waits_;
   backpressure_counter_.Add(1);
   while (true) {
     const size_t merged = DrainOutputs();
@@ -314,12 +307,12 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
           failed = true;
         }
       }
-      shard->processed.fetch_add(static_cast<int64_t>(n));
+      shard->processed += static_cast<int64_t>(n);
     }
     // Once-per-batch live publication: backlog, ring occupancies, and the
     // join's state gauges (the worker owns the join, so the HashState reads
     // are safe).
-    shard->depth_gauge.Set(shard->enqueued.load() - shard->processed.load());
+    shard->depth_gauge.Set(shard->enqueued.load() - shard->processed);
     shard->queue_occupancy_gauge.Set(
         static_cast<int64_t>(shard->queue.size()));
     join->PublishStateGauges();
@@ -362,12 +355,6 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
               route_now_us_, fid);
         break;
       }
-      if (active_handoff_ != nullptr && h == active_handoff_->key_hash) {
-        // The fenced key's stream pauses at the router while its state is
-        // in flight; everything else keeps flowing.
-        deferred_.emplace_back(static_cast<int8_t>(side), e);
-        break;
-      }
       if (shard_map_.IsReplicated(h)) {
         // Hot key: the sprayed side round-robins (each tuple probes the
         // build side's full local replica), the build side broadcasts
@@ -394,14 +381,6 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
       break;
     }
     case ElementKind::kPunctuation: {
-      if (active_handoff_ != nullptr) {
-        // Any punctuation may interact with the in-flight key (a range can
-        // cover it; even a constant-key one races the ownership flip), and
-        // a punctuation only ever covers PAST tuples — parking it with the
-        // fence delays its release without ever violating §3.3.
-        deferred_.emplace_back(static_cast<int8_t>(side), e);
-        break;
-      }
       // A constant-key punctuation concerns exactly the shards that can
       // hold the key's state: the owning shard under the current map, or
       // every shard once the key is hot-replicated. Non-constant patterns
@@ -427,12 +406,6 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
       break;
     }
     case ElementKind::kEndOfStream: {
-      if (active_handoff_ != nullptr) {
-        // EOS must stay behind every parked element, and parking it keeps
-        // the router loop alive until the fence resolves.
-        deferred_.emplace_back(static_cast<int8_t>(side), e);
-        break;
-      }
       for (int s = 0; s < num_shards(); ++s) {
         Stage(s, static_cast<int8_t>(side), e, /*key_hash=*/0, route_now_us_);
       }
@@ -441,30 +414,10 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
   }
 }
 
-void ParallelJoinPipeline::StartHandoff(const RepartitionDecision& decision) {
-  PJOIN_DCHECK(active_handoff_ == nullptr);
-  handoffs_started_.fetch_add(1);
-  active_handoff_ = std::make_unique<ActiveHandoff>();
-  active_handoff_->id = ++next_handoff_id_;
-  active_handoff_->key_hash = decision.key_hash;
-  active_handoff_->from = decision.from;
-  active_handoff_->spray_side = decision.spray_side;
-  RepartCommand cmd;
-  cmd.kind = RepartCommand::Kind::kExtract;
-  cmd.key = decision.key;
-  cmd.handoff_id = active_handoff_->id;
-  if (repart_injector_ != nullptr) {
-    cmd.inject_failure = repart_injector_->Roll(
-        options_.repartition.fault_plan->migration.extract_error_rate);
-    if (cmd.inject_failure) repart_injector_->Count("migration_extract");
-  }
-  PushCommand(decision.from, std::move(cmd));
-}
-
 void ParallelJoinPipeline::PushCommand(int shard, RepartCommand cmd) {
-  // FIFO fencing: everything staged for this shard precedes the command,
-  // so the source has processed every pre-fence element of the key before
-  // it extracts, and everything routed later follows it.
+  // FIFO order: everything staged for this shard precedes the command,
+  // so the owner has processed every element of the key routed before the
+  // decision when it extracts, and everything routed later follows it.
   FlushStaged(shard);
   RoutedBatch batch;
   batch.ingress_us = route_now_us_;
@@ -478,65 +431,61 @@ void ParallelJoinPipeline::ExecuteCommand(Shard* shard, RepartCommand& cmd) {
     shard->join->InstallKeyState(std::move(cmd.payload));
     return;
   }
-  auto answer = std::make_unique<HandoffOut>();
-  answer->handoff_id = cmd.handoff_id;
-  if (cmd.inject_failure) {
-    answer->status = Status::IOError("injected migration extract fault");
-  } else {
-    Result<KeyStateHandoff> extracted = shard->join->ExtractKeyState(cmd.key);
-    if (extracted.ok()) {
-      answer->payload = std::move(extracted).value();
-    } else {
-      answer->status = extracted.status();
-    }
-  }
-  // The router is fenced on this answer: flush anything staged first (the
-  // answer must not overtake results recorded before the command), then
-  // ship it in its own batch.
-  FlushShardOut(shard, /*force=*/true);
   OutBatch out;
-  out.handoff = std::move(answer);
+  out.handoff = std::make_unique<Result<KeyStateHandoff>>(
+      shard->join->ExtractKeyState(cmd.key));
+  // The answer must not overtake results recorded before the command:
+  // flush anything staged first, then ship it in its own batch.
+  FlushShardOut(shard, /*force=*/true);
   shard->out.PushBlocking(std::move(out));
   out_activity_.fetch_add(1);
   out_activity_.notify_all();
 }
 
-void ParallelJoinPipeline::PumpRepartition() {
-  if (active_handoff_ == nullptr || active_handoff_->answer == nullptr) return;
-  const std::unique_ptr<ActiveHandoff> handoff = std::move(active_handoff_);
-  HandoffOut& answer = *handoff->answer;
-  if (answer.status.ok()) {
+void ParallelJoinPipeline::Replicate(const RepartitionDecision& decision) {
+  handoffs_started_.fetch_add(1);
+  // The shards keep working through the staged tail while the router waits.
+  for (int s = 0; s < num_shards(); ++s) FlushStaged(s);
+  RepartCommand extract;
+  extract.kind = RepartCommand::Kind::kExtract;
+  extract.key = decision.key;
+  PushCommand(decision.from, std::move(extract));
+  // Routing pauses here until the owner answers, so no element is routed
+  // between the extract and the map change it leads to. Park on the
+  // activity eventcount between empty sweeps, as Run's final merge does.
+  while (handoff_answer_ == nullptr) {
+    const uint32_t seq = out_activity_.load();
+    if (DrainOutputs() == 0) out_activity_.wait(seq);
+  }
+  const std::unique_ptr<Result<KeyStateHandoff>> answer =
+      std::move(handoff_answer_);
+  if (answer->ok()) {
+    KeyStateHandoff& payload = answer->value();
     // Exactly-once across the replica set: only the BUILD (broadcast)
     // side's state is installed at the other shards. The spray side's
     // pre-handoff tuples stay at the owner alone — a post-handoff build
     // tuple broadcasts to every shard and must find each spray tuple at
     // exactly one of them.
-    answer.payload.entries[handoff->spray_side].clear();
+    payload.entries[decision.spray_side].clear();
     // Each install sits in its destination's ring ahead of every element
-    // routed after it, and an install cannot fail, so the map flips and
-    // the fence lifts now — no destination is waited on.
+    // routed after it, and an install cannot fail, so no destination is
+    // waited on.
     for (int s = 0; s < num_shards(); ++s) {
-      if (s == handoff->from) continue;
-      RepartCommand cmd;
-      cmd.kind = RepartCommand::Kind::kInstall;
-      cmd.payload = answer.payload;  // one copy per destination
-      PushCommand(s, std::move(cmd));
+      if (s == decision.from) continue;
+      RepartCommand install;
+      install.kind = RepartCommand::Kind::kInstall;
+      install.payload = payload;  // one copy per destination
+      PushCommand(s, std::move(install));
     }
-    shard_map_.MarkReplicated(handoff->key_hash, handoff->spray_side);
+    shard_map_.MarkReplicated(decision.key_hash, decision.spray_side);
     hot_keys_gauge_.Set(shard_map_.replicated_keys());
   } else {
-    // Refused (ineligible state) or injected failure: nothing moved — the
-    // key stays where it is and is not tried again.
+    // Refused (ineligible state): nothing moved — the key stays where it
+    // is and is not tried again.
     migration_rollbacks_.fetch_add(1);
     rollbacks_counter_.Add(1);
-    controller_->OnHandoffRejected(handoff->key_hash);
+    controller_->OnHandoffRejected(decision.key_hash);
   }
-  // Replay everything the fence parked, in arrival order, under the
-  // updated map. A replay cannot start a new fence (decisions are made
-  // only in the router main loop), so this does not recurse.
-  std::vector<std::pair<int8_t, const StreamElement*>> parked;
-  parked.swap(deferred_);
-  for (const auto& [side, e] : parked) RouteElement(side, e);
 }
 
 void ParallelJoinPipeline::RouterLoop(const std::vector<StreamElement>& left,
@@ -560,32 +509,19 @@ void ParallelJoinPipeline::RouterLoop(const std::vector<StreamElement>& left,
       now_refresh = 63;
     }
     RouteElement(side, e);
-    if (repart_enabled_) {
-      if (active_handoff_ == nullptr && controller_->ShouldCheck()) {
-        const RepartitionDecision decision = controller_->Decide();
-        imbalance_gauge_.Set(
-            static_cast<int64_t>(controller_->last_imbalance() * 1000.0));
-        if (decision.kind != RepartitionDecision::Kind::kNone) {
-          StartHandoff(decision);
-        }
+    if (repart_enabled_ && controller_->ShouldCheck()) {
+      const RepartitionDecision decision = controller_->Decide();
+      imbalance_gauge_.Set(
+          static_cast<int64_t>(controller_->last_imbalance() * 1000.0));
+      if (decision.kind != RepartitionDecision::Kind::kNone) {
+        Replicate(decision);
       }
-      PumpRepartition();
     }
     if (++since_drain >= static_cast<int64_t>(options_.batch_size)) {
       since_drain = 0;
       DrainOutputs();
-      PumpRepartition();
     }
   }
-  // A fence still up holds the tail of the input parked (both end-of-stream
-  // markers at least): keep merging until the source answers and the
-  // replay routes it.
-  while (active_handoff_ != nullptr) {
-    DrainOutputs();
-    PumpRepartition();
-    std::this_thread::yield();
-  }
-  PJOIN_DCHECK(deferred_.empty());
   for (int s = 0; s < num_shards(); ++s) {
     FlushStaged(s);
     shards_[static_cast<size_t>(s)]->queue.Close();
@@ -649,34 +585,6 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
     shard->spin_parks_counter =
         registry.GetCounter("pjoin_shard_spin_parks", labels);
   }
-
-  // Live /statusz contribution for the duration of the run: per-shard ring
-  // occupancy and router/worker progress, all read through atomics so the
-  // server's handler threads can call this any time.
-  obs::ScopedStatusSection statusz_section(
-      "parallel pipeline", [this]() {
-        std::string out;
-        for (const auto& shard : shards_) {
-          out.append("shard ");
-          out.append(std::to_string(shard->id));
-          out.append(": queue_batches=");
-          out.append(std::to_string(shard->queue.size()));
-          out.append(" depth=");
-          out.append(std::to_string(shard->enqueued.load() -
-                                    shard->processed.load()));
-          out.append(" enqueued=");
-          out.append(std::to_string(shard->enqueued.load()));
-          out.append(" processed=");
-          out.append(std::to_string(shard->processed.load()));
-          out.push_back('\n');
-        }
-        out.append("router: backpressure_waits=");
-        out.append(std::to_string(router_backpressure_waits_.load()));
-        out.append(" shard_spin_parks=");
-        out.append(std::to_string(shard_spin_parks_.load()));
-        out.push_back('\n');
-        return out;
-      });
 
   std::vector<std::thread> workers;
   workers.reserve(shards_.size());

@@ -41,11 +41,12 @@
 // single-threaded consumer would, then parks until data or close).
 //
 // Runtime repartitioning (ops/repartition.h, off by default) spreads a hot
-// key over every shard with one in-band handoff: the router fences the key
-// (parking its tuples and every punctuation), the owner copies the key's
-// state into its answer, and once the answer is merged the router queues
-// the copy to every other shard ahead of anything it routes later, lifts
-// the fence and replays what it parked.
+// key over every shard with one in-band handoff that the router completes
+// before it routes the next element: it sends an extract down the owner's
+// ring, merges outputs until the owner's copy of the key's state comes
+// back, and queues that copy to every other shard ahead of anything it
+// routes later. Every element is therefore routed in arrival order, under
+// the placement in force when it arrives.
 //
 // Output runs through per-shard result rings of OutBatches — each carries
 // the shard's staged results followed by its punctuation releases — merged
@@ -60,8 +61,10 @@
 //
 // Blocking policy (deadlock-freedom on bounded rings): shards may park
 // (their consumer always drains eventually); the router/merger thread
-// NEVER parks — when a shard ring is full it drains the output rings and
-// yields, so the merge edge can always free the dispatch edge.
+// never parks on a shard ring — when one is full it drains the output
+// rings and yields, so the merge edge can always free the dispatch edge.
+// It parks only on the output-activity eventcount, between output drains
+// that came back empty.
 //
 // Correctness oracle: for any input, the emitted result multiset equals the
 // single-threaded reference (tests/parallel_pipeline_test.cc asserts this
@@ -81,7 +84,6 @@
 
 #include "common/clock.h"
 #include "common/spsc_ring.h"
-#include "fault/fault_injector.h"
 #include "join/join_base.h"
 #include "obs/metrics_registry.h"
 #include "ops/release_board.h"
@@ -113,7 +115,7 @@ struct ParallelPipelineOptions {
   /// sampling.
   uint64_t flow_sample_period = 1024;
   /// Runtime repartitioning (ops/repartition.h): hot-key replication via
-  /// fenced handoffs. Disabled by default — the static pipeline pays
+  /// in-band handoffs. Disabled by default — the static pipeline pays
   /// nothing.
   RepartitionPolicy repartition;
 };
@@ -168,7 +170,7 @@ class ParallelJoinPipeline {
   /// Times the router hit a full shard ring and fell back to
   /// drain-outputs-and-yield (also counter pjoin_router_backpressure_waits).
   int64_t router_backpressure_waits() const {
-    return router_backpressure_waits_.load();
+    return router_backpressure_waits_;
   }
   /// Times a shard worker parked after spinning on an empty routed ring
   /// (also counter pjoin_shard_spin_parks).
@@ -178,10 +180,10 @@ class ParallelJoinPipeline {
   /// Always 0: replication is the only repartition action. Kept because
   /// the repository benchmark still reports it (repart.migrations).
   int64_t migrations_completed() const { return 0; }
-  /// Handoffs whose extract the source refused or failed; the key stays
-  /// where it was (also counter pjoin_migration_rollbacks_total).
+  /// Handoffs whose extract the owner refused; the key stays where it was
+  /// (also counter pjoin_migration_rollbacks_total).
   int64_t migration_rollbacks() const { return migration_rollbacks_.load(); }
-  /// Fenced handoffs started (replications + rollbacks).
+  /// Handoffs started (replications + rollbacks).
   int64_t handoffs_started() const { return handoffs_started_.load(); }
   /// Keys currently hot-replicated (also gauge pjoin_hot_keys_active).
   int64_t hot_keys_active() const { return shard_map_.replicated_keys(); }
@@ -189,28 +191,16 @@ class ParallelJoinPipeline {
 
  private:
   /// An in-band repartitioning command, delivered through a shard's routed
-  /// ring so FIFO order fences it behind every element dispatched before
-  /// it and ahead of every element routed after it. kExtract asks the
-  /// (fenced) source to copy a key's state and answer; kInstall delivers
-  /// the copy to a destination, which does not answer.
+  /// ring so FIFO order puts it behind every element dispatched before it
+  /// and ahead of every element routed after it. kExtract asks the owner to
+  /// copy a key's state and answer; kInstall delivers the copy to another
+  /// shard, which does not answer.
   struct RepartCommand {
     enum class Kind { kExtract, kInstall };
     Kind kind = Kind::kExtract;
     /// kExtract: the key whose state to copy.
     Value key;
-    uint64_t handoff_id = 0;
-    /// Router-decided fault injection (FaultPlan::migration): the source
-    /// fails the extract.
-    bool inject_failure = false;
     /// kInstall: the state to install.
-    KeyStateHandoff payload;
-  };
-
-  /// The source's answer to a kExtract, shipped through its output ring.
-  struct HandoffOut {
-    uint64_t handoff_id = 0;
-    Status status;
-    /// The copied state (on success).
     KeyStateHandoff payload;
   };
 
@@ -247,23 +237,10 @@ class ParallelJoinPipeline {
     /// Flow id carried over from the newest sampled RoutedBatch this shard
     /// processed (0 = none): lets the merger close the flow arrow.
     uint64_t flow_id = 0;
-    /// An extract answer rides alone in its own batch, behind the output
-    /// the shard staged before executing the command.
-    std::unique_ptr<HandoffOut> handoff;
-  };
-
-  /// Router-side state of the (single) in-flight handoff; its existence
-  /// is the fence. Until the source answers, the fenced key's tuples, all
-  /// punctuations, and end-of-stream markers are parked in arrival order;
-  /// everything else keeps flowing.
-  struct ActiveHandoff {
-    uint64_t id = 0;
-    uint64_t key_hash = 0;
-    /// The key's owner, which copies the state.
-    int from = 0;
-    int spray_side = 0;
-    /// The source's extract answer (null until it arrives).
-    std::unique_ptr<HandoffOut> answer;
+    /// An extract answer (the copied state, or the owner's refusal) rides
+    /// alone in its own batch, behind the output the shard staged before
+    /// executing the command.
+    std::unique_ptr<Result<KeyStateHandoff>> handoff;
   };
 
   // Per-shard context: the two rings, progress counters, staging buffers.
@@ -273,20 +250,16 @@ class ParallelJoinPipeline {
                   const std::vector<StreamElement>& right);
   void ShardLoop(Shard* shard);
   /// Dispatches one element (tuple / punctuation / EOS) under the current
-  /// shard map and fence state; both the main router loop and the
-  /// post-fence replay of parked elements go through here.
+  /// shard map.
   void RouteElement(int side, const StreamElement* e);
-  /// Opens the fence for one decision and sends the extract command.
-  void StartHandoff(const RepartitionDecision& decision);
-  /// Router-thread half of the handoff: once the source has answered, sends
-  /// the installs and marks the key replicated (or blocklists a refused
-  /// key), lifts the fence and replays the parked elements under the
-  /// updated map. Called only from safe points (never from inside
-  /// DrainOutputs, where the answer lands), so command pushes cannot
-  /// recurse into element staging.
-  void PumpRepartition();
+  /// Carries out one replication decision before the router routes another
+  /// element: flushes every shard's staged batch, sends the extract to the
+  /// owner and merges outputs until its answer arrives, then queues the
+  /// build side's copy to the other shards and marks the key replicated, or
+  /// blocklists a refused key.
+  void Replicate(const RepartitionDecision& decision);
   /// Pushes a command batch to `shard` behind its staged elements (FIFO
-  /// fencing).
+  /// order).
   void PushCommand(int shard, RepartCommand cmd);
   /// Shard-side command execution against the local join; an extract is
   /// answered through the shard's output ring.
@@ -307,7 +280,8 @@ class ParallelJoinPipeline {
   /// Spray shard for one tuple of a replicated key: least merged output,
   /// round-robin until output differentiates the shards.
   int SprayTarget(uint64_t key_hash);
-  /// Emits `shard`'s results, then credits its releases on the board.
+  /// Emits `shard`'s results, then credits its releases on the board; an
+  /// extract answer is stored in `handoff_answer_`.
   void MergeOutBatch(int shard, OutBatch out);
   /// Shard-side: pushes staged results/releases into the shard's output
   /// ring when due (`force`, a pending release, or kResultFlush reached).
@@ -327,16 +301,10 @@ class ParallelJoinPipeline {
   ShardMap shard_map_;
   bool repart_enabled_ = false;
   std::unique_ptr<RepartitionController> controller_;
-  std::unique_ptr<FaultInjector> repart_injector_;
-  uint64_t next_handoff_id_ = 0;
-  /// The in-flight handoff; non-null while the fence is up.
-  std::unique_ptr<ActiveHandoff> active_handoff_;
-  /// Elements parked by the fence, in arrival order: the fenced key's
-  /// tuples, every punctuation, and end-of-stream markers (the router keeps
-  /// merging after its inputs end until the fence lifts and these replay).
-  std::vector<std::pair<int8_t, const StreamElement*>> deferred_;
-  /// Per-side join-key positions of the running RouterLoop (members so the
-  /// deferred replay shares them).
+  /// The owner's extract answer, stored by MergeOutBatch for Replicate
+  /// (null outside a handoff).
+  std::unique_ptr<Result<KeyStateHandoff>> handoff_answer_;
+  /// Per-side join-key positions of the running RouterLoop.
   size_t key_index_[2] = {0, 0};
   /// Coarse dispatch timestamp (see RouterLoop's refresh cadence).
   TimeMicros route_now_us_ = 0;
@@ -358,9 +326,9 @@ class ParallelJoinPipeline {
   int64_t results_emitted_ = 0;
   int64_t puncts_emitted_ = 0;
   int64_t stalls_reported_ = 0;
-  /// Atomics (default ordering — plain counters, no publication protocol)
-  /// so the live /statusz section can read them mid-run.
-  std::atomic<int64_t> router_backpressure_waits_{0};
+  int64_t router_backpressure_waits_ = 0;
+  /// Bumped by every shard worker (default ordering — a plain counter, no
+  /// publication protocol).
   std::atomic<int64_t> shard_spin_parks_{0};
   std::atomic<int64_t> workers_done_{0};
   /// Output-activity eventcount: shards bump it after pushing an OutBatch

@@ -23,8 +23,11 @@
 //    share >= hot_fraction: build side broadcast to all shards, probe side
 //    sprayed). Replication is the only remedy: a key that saturates its
 //    owner would saturate any single shard it moved to. The pipeline
-//    executes the decision via a fenced handoff through the existing SPSC
-//    rings (ops/parallel_pipeline.h) and reports a refusal back.
+//    executes the decision via an in-band handoff through the existing SPSC
+//    rings (ops/parallel_pipeline.h), finished before it routes the next
+//    element, and reports a refusal back. Decisions therefore depend on
+//    the input and on where the spray sent earlier tuples; with
+//    imbalance_trigger 1.0 and memory-resident state, on the input alone.
 //
 // Replication protocol (why it is exactly-once): for a hot key k, the
 // sprayed side's tuples each go to exactly one shard, where they probe the
@@ -44,7 +47,6 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "fault/fault_plan.h"
 #include "tuple/value.h"
 
 namespace pjoin {
@@ -66,10 +68,6 @@ struct RepartitionPolicy {
   /// Replicate a key when its sampled frequency share within the current
   /// observation window >= this fraction.
   double hot_fraction = 0.10;
-  /// Fault injection for the handoff's extract (plan.migration rate,
-  /// rolled deterministically from plan.seed on the router thread).
-  /// Borrowed; must outlive the pipeline run. nullptr = no injection.
-  const FaultPlan* fault_plan = nullptr;
 };
 
 /// The single source of truth for key → shard placement. Router/merger
@@ -188,7 +186,7 @@ class HotKeyDetector {
   std::vector<int64_t> window_load_;
 };
 
-/// One action for the pipeline to execute via a fenced handoff.
+/// One action for the pipeline to execute via a handoff.
 struct RepartitionDecision {
   enum class Kind { kNone, kReplicate };
   Kind kind = Kind::kNone;
@@ -219,15 +217,14 @@ class RepartitionController {
     ++since_check_;
   }
 
-  /// True once a window has elapsed; the pipeline then calls Decide at a
-  /// point where it is safe to start a fence.
+  /// True once a window has elapsed; the pipeline then calls Decide.
   bool ShouldCheck() const { return since_check_ >= policy_.check_interval; }
 
   /// Closes the window and returns the action to take (possibly kNone).
   RepartitionDecision Decide();
 
-  /// The pipeline reports a refused or failed extract; the key is
-  /// blocklisted so the controller stops retrying it.
+  /// The pipeline reports a refused extract; the key is blocklisted so the
+  /// controller stops retrying it.
   void OnHandoffRejected(uint64_t key_hash) { rejected_.insert(key_hash); }
 
   const HotKeyDetector& detector() const { return detector_; }

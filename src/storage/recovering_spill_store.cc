@@ -1,7 +1,6 @@
 #include "storage/recovering_spill_store.h"
 
 #include <cmath>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/macros.h"
@@ -11,6 +10,9 @@
 namespace pjoin {
 
 namespace {
+
+// Backoff before retry k (0-based): kBackoffInitialMicros * 2^k.
+constexpr double kBackoffInitialMicros = 100;
 
 void AddStats(IoStats* into, const IoStats& delta) {
   into->pages_written += delta.pages_written;
@@ -29,19 +31,11 @@ RecoveringSpillStore::RecoveringSpillStore(std::unique_ptr<SpillStore> primary,
       sink_(std::move(sink)),
       primary_(std::move(primary)) {
   PJOIN_DCHECK(primary_ != nullptr);
-  if (!options_.fallback_factory) {
-    options_.fallback_factory = [] { return std::make_unique<SimulatedDisk>(); };
-  }
 }
 
 void RecoveringSpillStore::BackoffLocked(int attempt) {
-  const double factor = std::pow(options_.backoff_multiplier, attempt);
-  const auto delay = static_cast<int64_t>(
-      static_cast<double>(options_.backoff_initial_micros) * factor);
-  recovery_stats_.backoff_micros += delay;
-  if (options_.sleep_on_backoff) {
-    std::this_thread::sleep_for(std::chrono::microseconds(delay));
-  }
+  recovery_stats_.backoff_micros +=
+      static_cast<int64_t>(std::ldexp(kBackoffInitialMicros, attempt));
 }
 
 void RecoveringSpillStore::EmitIoErrorLocked(const std::string& detail) {
@@ -52,7 +46,7 @@ void RecoveringSpillStore::EmitIoErrorLocked(const std::string& detail) {
 Status RecoveringSpillStore::FallBackLocked(const std::string& reason) {
   PJOIN_DCHECK(!degraded_);
   PJOIN_LOG(kWarn) << "spill store degrading to fallback: " << reason;
-  fallback_ = options_.fallback_factory();
+  fallback_ = std::make_unique<SimulatedDisk>();
   ++recovery_stats_.fallbacks;
 
   // Migrate every readable partition. Reads get the same retry budget as

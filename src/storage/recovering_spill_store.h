@@ -3,14 +3,14 @@
 //
 // The degradation ladder (docs/ROBUSTNESS.md):
 //   1. retry    — every failed operation is retried up to max_retries times
-//                 with exponential backoff;
+//                 behind an exponential backoff that is accounted
+//                 (RecoveryStats::backoff_micros), never slept;
 //   2. resume   — a failed AppendBatch is resumed from the partition's
 //                 durable record count, so short writes never duplicate or
 //                 lose records across retries;
 //   3. fallback — when retries are exhausted the store migrates every
-//                 readable partition into a fallback store (an in-memory
-//                 SimulatedDisk by default) and continues there, emitting a
-//                 DegradedModeEvent.
+//                 readable partition into an in-memory SimulatedDisk and
+//                 continues there, emitting a DegradedModeEvent.
 // Only when data is genuinely unreadable (permanent read failure of
 // unmigrated pages) does an operation return an error: correctness is never
 // silently traded for availability.
@@ -33,14 +33,6 @@ namespace pjoin {
 struct RecoveryOptions {
   /// Retries per failed operation before declaring the failure permanent.
   int max_retries = 3;
-  /// Backoff before retry k (0-based) is initial * multiplier^k.
-  int64_t backoff_initial_micros = 100;
-  double backoff_multiplier = 2.0;
-  /// Sleep for real during backoff. Off by default: deterministic runs only
-  /// account the backoff in RecoveryStats::backoff_micros.
-  bool sleep_on_backoff = false;
-  /// Builds the degraded-mode store. Defaults to SimulatedDisk.
-  std::function<std::unique_ptr<SpillStore>()> fallback_factory;
 };
 
 struct RecoveryStats {
@@ -92,7 +84,7 @@ class RecoveringSpillStore : public SpillStore {
     return degraded_ ? fallback_.get() : primary_.get();
   }
 
-  /// Accounts (and optionally sleeps) the backoff before retry `attempt`.
+  /// Accounts the backoff before retry `attempt`.
   void BackoffLocked(int attempt) REQUIRES(mu_);
   void EmitIoErrorLocked(const std::string& detail) REQUIRES(mu_);
 

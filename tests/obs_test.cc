@@ -300,20 +300,17 @@ TEST_F(MetricsRegistryTest, GlobalPrometheusTextEndToEnd) {
 
 // ---- /statusz rendering ----
 
-TEST(IntrospectionTest, StatusSectionsAppearWhileRegistered) {
-  {
-    obs::ScopedStatusSection section("test section",
-                                     [] { return "k=v\n"; });
-    const std::string statusz = obs::RenderStatusz(/*uptime_us=*/1'500'000);
-    EXPECT_NE(statusz.find("uptime_seconds: 1.5"), std::string::npos)
-        << statusz;
-    EXPECT_NE(statusz.find("== test section =="), std::string::npos);
-    EXPECT_NE(statusz.find("k=v"), std::string::npos);
-    EXPECT_NE(statusz.find("== build =="), std::string::npos);
-  }
-  // RAII unregistration: a finished pipeline stops appearing.
-  EXPECT_EQ(obs::RenderStatusSections().find("test section"),
-            std::string::npos);
+TEST(IntrospectionTest, StatuszShowsUptimeBuildAndGauges) {
+  obs::MetricsRegistry::Global()
+      .GetGauge("pjoin_test_statusz_gauge", "shard=3")
+      .Set(7);
+  const std::string statusz = obs::RenderStatusz(/*uptime_us=*/1'500'000);
+  EXPECT_NE(statusz.find("uptime_seconds: 1.5"), std::string::npos)
+      << statusz;
+  EXPECT_NE(statusz.find("== build =="), std::string::npos);
+  EXPECT_NE(statusz.find("pjoin_test_statusz_gauge{shard=3} = 7"),
+            std::string::npos)
+      << statusz;
 }
 
 // ---- TraceRing ----

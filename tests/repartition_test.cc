@@ -4,8 +4,9 @@
 // streams with mid-stream hot-key replication, the adaptive pipeline's
 // merged output must equal the single-threaded reference with zero lost or
 // duplicated results and exactly-once punctuation release, never ahead of
-// a covered result (§3.3), including when a fault plan fails the handoff's
-// extract.
+// a covered result (§3.3), including when the owner refuses every extract.
+// The router routes nothing while an extract is pending, so the handoff
+// decisions replay from the seed.
 
 #include "ops/repartition.h"
 
@@ -19,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fault/fault_plan.h"
 #include "gen/stream_generator.h"
 #include "join/pjoin.h"
 #include "obs/metrics_registry.h"
@@ -123,6 +123,8 @@ struct ParallelRun {
   std::unique_ptr<ParallelJoinPipeline> pipeline;
 };
 
+/// Runs `Join` (a PJoin) on every shard.
+template <typename Join = PJoin>
 ParallelRun RunPipeline(const SchemaPtr& left_schema,
                         const SchemaPtr& right_schema,
                         const JoinOptions& jopts,
@@ -132,7 +134,7 @@ ParallelRun RunPipeline(const SchemaPtr& left_schema,
   ParallelRun run;
   run.pipeline = std::make_unique<ParallelJoinPipeline>(
       [&](int) {
-        return std::make_unique<PJoin>(left_schema, right_schema, jopts);
+        return std::make_unique<Join>(left_schema, right_schema, jopts);
       },
       popts);
   ReleaseOrderChecker order;
@@ -174,7 +176,11 @@ GeneratedStreams SkewedStreams(uint64_t seed, double zipf_s,
 // multiset, and the released punctuation multiset of a static run of the
 // same pipeline (exactly-once: no result lost or duplicated across the
 // replicas, every dispatched punctuation round released exactly once).
+// The router finishes each handoff before it routes the next element, so
+// with imbalance_trigger 1.0 the decisions depend on the input alone:
+// every run of a seed makes the same handoffs, with the same outcomes.
 TEST(RepartitionOracleTest, MidStreamReplicationMatchesReferenceAcrossSeeds) {
+  constexpr int kRunsPerSeed = 3;
   for (const uint64_t seed : {11u, 42u, 77u, 1234u}) {
     GeneratedStreams streams = SkewedStreams(seed, /*zipf_s=*/1.2,
                                              /*num_tuples=*/2000);
@@ -199,17 +205,40 @@ TEST(RepartitionOracleTest, MidStreamReplicationMatchesReferenceAcrossSeeds) {
     adaptive_opts.repartition.min_tuples = 256;
     adaptive_opts.repartition.imbalance_trigger = 1.0;
     adaptive_opts.repartition.hot_fraction = 0.05;
-    ParallelRun adaptive =
-        RunPipeline(streams.schema_a, streams.schema_b, jopts, streams.a,
-                    streams.b, adaptive_opts);
-    EXPECT_EQ(adaptive.out.results, reference) << "seed=" << seed;
-    EXPECT_EQ(adaptive.out.punctuations, static_run.out.punctuations)
-        << "seed=" << seed;
-    EXPECT_GT(adaptive.pipeline->hot_keys_active(), 0) << "seed=" << seed;
-    EXPECT_EQ(adaptive.pipeline->handoffs_started(),
-              adaptive.pipeline->hot_keys_active() +
-                  adaptive.pipeline->migration_rollbacks())
-        << "seed=" << seed;
+    ParallelRun first;
+    for (int run = 0; run < kRunsPerSeed; ++run) {
+      ParallelRun adaptive =
+          RunPipeline(streams.schema_a, streams.schema_b, jopts, streams.a,
+                      streams.b, adaptive_opts);
+      EXPECT_EQ(adaptive.out.results, reference)
+          << "seed=" << seed << " run=" << run;
+      EXPECT_EQ(adaptive.out.punctuations, static_run.out.punctuations)
+          << "seed=" << seed << " run=" << run;
+      EXPECT_GT(adaptive.pipeline->hot_keys_active(), 0)
+          << "seed=" << seed << " run=" << run;
+      EXPECT_EQ(adaptive.pipeline->handoffs_started(),
+                adaptive.pipeline->hot_keys_active() +
+                    adaptive.pipeline->migration_rollbacks())
+          << "seed=" << seed << " run=" << run;
+      if (run == 0) {
+        first = std::move(adaptive);
+        continue;
+      }
+      // Reproducible from the seed: the same handoffs, the same outcome.
+      EXPECT_EQ(adaptive.pipeline->handoffs_started(),
+                first.pipeline->handoffs_started())
+          << "seed=" << seed << " run=" << run;
+      EXPECT_EQ(adaptive.pipeline->hot_keys_active(),
+                first.pipeline->hot_keys_active())
+          << "seed=" << seed << " run=" << run;
+      EXPECT_EQ(adaptive.pipeline->migration_rollbacks(),
+                first.pipeline->migration_rollbacks())
+          << "seed=" << seed << " run=" << run;
+      EXPECT_EQ(adaptive.out.results, first.out.results)
+          << "seed=" << seed << " run=" << run;
+      EXPECT_EQ(adaptive.out.punctuations, first.out.punctuations)
+          << "seed=" << seed << " run=" << run;
+    }
   }
 }
 
@@ -270,6 +299,30 @@ TEST(RepartitionOracleTest, HotKeyReplicationMatchesReference) {
   EXPECT_GT(adaptive.pipeline->hot_keys_active(), 0);
 }
 
+/// The first key at or after `from` that `shard` owns at 2 shards.
+int64_t KeyOwnedBy(int shard, int64_t from = 0) {
+  const ShardMap static_map(2);
+  while (static_map.OwnerOf(Value(from).Hash()) != shard) ++from;
+  return from;
+}
+
+/// Two shards fed one element per batch, whose controller replicates the
+/// dominant key once the first `window` tuples are routed.
+ParallelPipelineOptions OneWindowReplication(int64_t window,
+                                             size_t queue_capacity) {
+  ParallelPipelineOptions popts;
+  popts.num_shards = 2;
+  popts.batch_size = 1;
+  popts.shard_queue_capacity = queue_capacity;
+  popts.repartition.enabled = true;
+  popts.repartition.sample_every = 1;
+  popts.repartition.check_interval = window;
+  popts.repartition.min_tuples = window;
+  popts.repartition.imbalance_trigger = 1.05;
+  popts.repartition.hot_fraction = 0.05;
+  return popts;
+}
+
 // A replicated key's constant punctuation is a broadcast round, and the
 // board must know that before any shard can release it. Shard 1 owns the
 // hot key and keeps the sprayed side's pre-handoff tuples; it is gated with
@@ -281,12 +334,10 @@ TEST(RepartitionOracleTest, HotKeyReplicationMatchesReference) {
 TEST(RepartitionOracleTest, ReplicatedKeyPunctuationWaitsForEveryShard) {
   const SchemaPtr sa = KeyPayloadSchema("a");
   const SchemaPtr sb = KeyPayloadSchema("b");
-  const ShardMap static_map(2);
-  int64_t hot = 0;
-  while (static_map.OwnerOf(Value(hot).Hash()) != 1) ++hot;
+  const int64_t hot = KeyOwnedBy(/*shard=*/1);
   // One decision window of left tuples, all of the hot key: the controller
-  // replicates it with the left side sprayed. Everything after is parked by
-  // the replication fence and replayed under the new map.
+  // replicates it with the left side sprayed, and the router routes
+  // everything after under the new map.
   constexpr int64_t kWindow = 8;
   std::vector<StreamElement> l;
   std::vector<StreamElement> r;
@@ -306,21 +357,13 @@ TEST(RepartitionOracleTest, ReplicatedKeyPunctuationWaitsForEveryShard) {
   auto ref_join = std::make_unique<PJoin>(sa, sb, jopts);
   const testing::RunResult ref = testing::RunJoin(ref_join.get(), l, r);
 
-  ParallelPipelineOptions popts;
-  popts.num_shards = 2;
-  popts.batch_size = 1;
-  popts.shard_queue_capacity = 2;
-  popts.repartition.enabled = true;
-  popts.repartition.sample_every = 1;
-  popts.repartition.check_interval = kWindow;
-  popts.repartition.min_tuples = kWindow;
-  popts.repartition.imbalance_trigger = 1.05;
-  popts.repartition.hot_fraction = 0.05;
+  const ParallelPipelineOptions popts =
+      OneWindowReplication(kWindow, /*queue_capacity=*/2);
   TestGate gate;
   ParallelJoinPipeline pipeline(
       [&](int shard) -> std::unique_ptr<JoinOperator> {
         if (shard == 0) return std::make_unique<PJoin>(sa, sb, jopts);
-        // Blocks on the first replayed right tuple.
+        // Blocks on its first right tuple, routed after the handoff.
         return std::make_unique<GatedPJoin>(sa, sb, jopts, &gate,
                                             /*free_tuples=*/kWindow);
       },
@@ -363,25 +406,23 @@ TEST(RepartitionOracleTest, ReplicatedKeyPunctuationWaitsForEveryShard) {
   EXPECT_EQ(pending.Get(), 0);
 }
 
-// The fence lifts as soon as the source answers: installs get no answer,
-// and each sits in its destination's ring ahead of every element routed
-// after it. Shard 0, a replication destination, is wedged on an earlier
-// tuple of its own before its install reaches it, with rings that hold the
-// whole input. The owner must still receive the replayed punctuations of
-// the hot key and release them, leaving their rounds pending on shard 0; a
-// fence that waited for every destination to acknowledge its install
-// would park those punctuations until the gate opens.
-TEST(RepartitionOracleTest, SlowDestinationDoesNotHoldTheFence) {
+// The router resumes routing as soon as the owner answers: installs get no
+// answer, and each sits in its destination's ring ahead of every element
+// routed after it. Shard 0, a replication destination, is wedged on an
+// earlier tuple of its own before its install reaches it, with rings that
+// hold the whole input. The owner must still receive the hot key's
+// punctuations, routed after the handoff, and release them, leaving their
+// rounds pending on shard 0; a handoff that waited for every destination
+// to acknowledge its install would hold those punctuations at the router
+// until the gate opens.
+TEST(RepartitionOracleTest, HandoffWaitsForNoInstall) {
   const SchemaPtr sa = KeyPayloadSchema("a");
   const SchemaPtr sb = KeyPayloadSchema("b");
-  const ShardMap static_map(2);
-  int64_t hot = 0;
-  while (static_map.OwnerOf(Value(hot).Hash()) != 1) ++hot;
-  int64_t cold = hot + 1;
-  while (static_map.OwnerOf(Value(cold).Hash()) != 0) ++cold;
+  const int64_t hot = KeyOwnedBy(/*shard=*/1);
+  const int64_t cold = KeyOwnedBy(/*shard=*/0, hot + 1);
   // One decision window of left tuples: a cold tuple that wedges shard 0,
   // then the hot key, which the controller replicates with the left side
-  // sprayed. Everything after is parked by the fence and replayed.
+  // sprayed. Everything after is routed under the new map.
   constexpr int64_t kWindow = 8;
   std::vector<StreamElement> l;
   std::vector<StreamElement> r;
@@ -402,16 +443,8 @@ TEST(RepartitionOracleTest, SlowDestinationDoesNotHoldTheFence) {
   auto ref_join = std::make_unique<PJoin>(sa, sb, jopts);
   const testing::RunResult ref = testing::RunJoin(ref_join.get(), l, r);
 
-  ParallelPipelineOptions popts;
-  popts.num_shards = 2;
-  popts.batch_size = 1;
-  popts.shard_queue_capacity = 64;
-  popts.repartition.enabled = true;
-  popts.repartition.sample_every = 1;
-  popts.repartition.check_interval = kWindow;
-  popts.repartition.min_tuples = kWindow;
-  popts.repartition.imbalance_trigger = 1.05;
-  popts.repartition.hot_fraction = 0.05;
+  const ParallelPipelineOptions popts =
+      OneWindowReplication(kWindow, /*queue_capacity=*/64);
   TestGate gate;
   ParallelJoinPipeline pipeline(
       [&](int shard) -> std::unique_ptr<JoinOperator> {
@@ -450,7 +483,7 @@ TEST(RepartitionOracleTest, SlowDestinationDoesNotHoldTheFence) {
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_TRUE(owner_released.load())
       << "the owner never released the hot key's punctuation while a "
-         "destination was wedged: the fence waited on the destination";
+         "destination was wedged: the handoff waited on the destination";
   EXPECT_GT(pipeline.hot_keys_active(), 0);
   std::sort(results.begin(), results.end());
   EXPECT_EQ(results, ref.results);
@@ -460,9 +493,132 @@ TEST(RepartitionOracleTest, SlowDestinationDoesNotHoldTheFence) {
   EXPECT_EQ(pending.Get(), 0);
 }
 
-// A failed extract (FaultPlan::migration) aborts the replication before
-// anything moves: the run's output is untouched, every handoff is
-// accounted as a rollback, and no key is ever replicated.
+/// Counts the tuples its shard joins.
+class CountingPJoin : public PJoin {
+ public:
+  CountingPJoin(SchemaPtr left, SchemaPtr right, JoinOptions options,
+                std::atomic<int64_t>* tuples)
+      : PJoin(std::move(left), std::move(right), std::move(options)),
+        tuples_(tuples) {}
+
+ protected:
+  Status OnTupleHashed(int side, const Tuple& tuple,
+                       uint64_t key_hash) override {
+    tuples_->fetch_add(1);
+    return PJoin::OnTupleHashed(side, tuple, key_hash);
+  }
+
+ private:
+  std::atomic<int64_t>* tuples_;
+};
+
+/// Blocks inside every extract until `gate` opens, after raising
+/// `extracting`.
+class GatedExtractPJoin : public PJoin {
+ public:
+  GatedExtractPJoin(SchemaPtr left, SchemaPtr right, JoinOptions options,
+                    TestGate* gate, std::atomic<bool>* extracting)
+      : PJoin(std::move(left), std::move(right), std::move(options)),
+        gate_(gate),
+        extracting_(extracting) {}
+
+  Result<KeyStateHandoff> ExtractKeyState(const Value& key) override {
+    extracting_->store(true);
+    gate_->WaitOpen();
+    return PJoin::ExtractKeyState(key);
+  }
+
+ private:
+  TestGate* gate_;
+  std::atomic<bool>* extracting_;
+};
+
+// The router routes nothing between pushing an extract and acting on its
+// answer. The owner of the hot key, shard 1, blocks inside the extract;
+// the cold tuples that arrive after the decision belong to shard 0, which
+// must not see one of them until the owner answers. A router that kept
+// routing other keys during the handoff would hand them over at once.
+TEST(RepartitionOracleTest, RouterRoutesNothingUntilTheOwnerAnswers) {
+  const SchemaPtr sa = KeyPayloadSchema("a");
+  const SchemaPtr sb = KeyPayloadSchema("b");
+  const int64_t hot = KeyOwnedBy(/*shard=*/1);
+  const int64_t cold = KeyOwnedBy(/*shard=*/0, hot + 1);
+  // One decision window of hot left tuples, then cold tuples on both sides,
+  // fewer than a window, so the cold key is never replicated.
+  constexpr int64_t kWindow = 8;
+  constexpr int64_t kCold = 3;
+  std::vector<StreamElement> l;
+  std::vector<StreamElement> r;
+  for (int64_t i = 0; i < kWindow; ++i) {
+    l.push_back(StreamElement::MakeTuple(KP(sa, hot, i), 1000 * (i + 1), i));
+  }
+  for (int64_t i = 0; i < kCold; ++i) {
+    l.push_back(StreamElement::MakeTuple(KP(sa, cold, kWindow + i),
+                                         9000 + 100 * i, kWindow + i));
+    r.push_back(
+        StreamElement::MakeTuple(KP(sb, cold, 100 + i), 9050 + 100 * i, i));
+  }
+  l.push_back(StreamElement::MakeEndOfStream(10000, kWindow + kCold));
+  r.push_back(StreamElement::MakeEndOfStream(10000, kCold));
+
+  const JoinOptions jopts = MemoryOnlyOptions();
+  auto ref_join = std::make_unique<PJoin>(sa, sb, jopts);
+  const testing::RunResult ref = testing::RunJoin(ref_join.get(), l, r);
+
+  const ParallelPipelineOptions popts =
+      OneWindowReplication(kWindow, /*queue_capacity=*/64);
+  TestGate gate;
+  std::atomic<bool> extracting{false};
+  std::atomic<int64_t> cold_shard_tuples{0};
+  ParallelJoinPipeline pipeline(
+      [&](int shard) -> std::unique_ptr<JoinOperator> {
+        if (shard == 0) {
+          return std::make_unique<CountingPJoin>(sa, sb, jopts,
+                                                 &cold_shard_tuples);
+        }
+        return std::make_unique<GatedExtractPJoin>(sa, sb, jopts, &gate,
+                                                   &extracting);
+      },
+      popts);
+  std::vector<std::string> results;
+  pipeline.set_result_callback(
+      [&](const Tuple& t) { results.push_back(t.ToString()); });
+  int64_t during_extract = -1;
+  std::thread opener([&] {
+    for (int i = 0; i < 10000 && !extracting.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // Time for a router that kept routing to reach shard 0.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    during_extract = cold_shard_tuples.load();
+    gate.Open();
+  });
+  const Status st = pipeline.Run(l, r);
+  opener.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(extracting.load());
+  EXPECT_EQ(during_extract, 0)
+      << "shard 0 joined tuples routed while the owner was extracting";
+  EXPECT_EQ(cold_shard_tuples.load(), 2 * kCold);
+  EXPECT_EQ(pipeline.hot_keys_active(), 1);
+  std::sort(results.begin(), results.end());
+  EXPECT_EQ(results, ref.results);
+}
+
+/// A PJoin whose owner refuses every handoff, as a real one does when the
+/// key's state is not memory-resident.
+class RefusingPJoin : public PJoin {
+ public:
+  using PJoin::PJoin;
+
+  Result<KeyStateHandoff> ExtractKeyState(const Value&) override {
+    return Status::FailedPrecondition("handoff refused");
+  }
+};
+
+// A refused extract aborts the replication before anything moves: the
+// run's output is untouched, every handoff is accounted as a rollback, and
+// no key is ever replicated.
 TEST(RepartitionFaultTest, FailedHandoffRollsBackCleanly) {
   GeneratedStreams streams = SkewedStreams(/*seed=*/99, /*zipf_s=*/1.2,
                                            /*num_tuples=*/2000);
@@ -470,11 +626,6 @@ TEST(RepartitionFaultTest, FailedHandoffRollsBackCleanly) {
   const std::vector<std::string> reference = ReferenceJoinRows(
       streams.a, streams.b,
       PJoin(streams.schema_a, streams.schema_b, jopts).output_schema(), 0, 0);
-
-  FaultPlan plan;
-  plan.seed = 7;
-  plan.migration.extract_error_rate = 1.0;
-  ASSERT_TRUE(plan.migration.enabled());
 
   ParallelPipelineOptions popts;
   popts.num_shards = 4;
@@ -485,9 +636,8 @@ TEST(RepartitionFaultTest, FailedHandoffRollsBackCleanly) {
   popts.repartition.min_tuples = 256;
   popts.repartition.imbalance_trigger = 1.0;
   popts.repartition.hot_fraction = 0.05;
-  popts.repartition.fault_plan = &plan;
-  ParallelRun run = RunPipeline(streams.schema_a, streams.schema_b, jopts,
-                                streams.a, streams.b, popts);
+  ParallelRun run = RunPipeline<RefusingPJoin>(
+      streams.schema_a, streams.schema_b, jopts, streams.a, streams.b, popts);
   EXPECT_EQ(run.out.results, reference);
   EXPECT_GT(run.pipeline->migration_rollbacks(), 0);
   EXPECT_EQ(run.pipeline->handoffs_started(),
