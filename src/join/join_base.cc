@@ -58,6 +58,12 @@ Status JoinOperator::OnElement(int side, const StreamElement& element) {
 }
 
 Status JoinOperator::ProcessBatch(const ElementBatch& batch) {
+  const Status st = DispatchBatch(batch);
+  ObserveResultLatency();
+  return st;
+}
+
+Status JoinOperator::DispatchBatch(const ElementBatch& batch) {
   size_t i = 0;
   while (i < batch.size) {
     PJOIN_DCHECK(!finished_);
@@ -200,12 +206,28 @@ Status JoinOperator::RelocateUntilBelowThreshold() {
       [this] { return NextTick(); });
 }
 
+void JoinOperator::set_result_callback(ResultCallback cb) {
+  if (cb == nullptr) {
+    on_pair_ = nullptr;
+    return;
+  }
+  on_pair_ = [cb = std::move(cb), schema = output_schema_](
+                 const Tuple& left, const Tuple& right) {
+    cb(Tuple::Concat(left, right, schema));
+  };
+}
+
 void JoinOperator::EmitResult(const Tuple& left, const Tuple& right) {
   ++results_emitted_;
-  if (tuple_latency_hist_.bound() && ingress_us_ > 0) {
-    tuple_latency_hist_.Observe(obs::TraceNowMicros() - ingress_us_);
-  }
-  if (on_result_) on_result_(Tuple::Concat(left, right, output_schema_));
+  if (tuple_latency_hist_.bound() && ingress_us_ > 0) ++unobserved_results_;
+  if (on_pair_) on_pair_(left, right);
+}
+
+void JoinOperator::ObserveResultLatency() {
+  if (unobserved_results_ == 0) return;
+  tuple_latency_hist_.Observe(obs::TraceNowMicros() - ingress_us_,
+                              unobserved_results_);
+  unobserved_results_ = 0;
 }
 
 void JoinOperator::EmitPunctuation(Punctuation punct) {

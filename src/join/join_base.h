@@ -137,10 +137,16 @@ struct KeyStateHandoff {
 
 class JoinOperator {
  public:
-  /// Receives each freshly concatenated result by rvalue, so a consumer
-  /// that stores results (the parallel pipeline's shard staging) takes
-  /// ownership without a deep copy; a lambda taking `const Tuple&` binds
-  /// as well.
+  /// Receives each join result as its matched pair: the left-stream tuple
+  /// and the right-stream tuple, whose concatenation under output_schema()
+  /// is the result. Both are borrowed for the call only. This is the one
+  /// path results leave a join by; a consumer that copies out the values
+  /// it needs (the parallel pipeline's flat result rows) allocates nothing
+  /// per result.
+  using PairCallback =
+      std::function<void(const Tuple& left, const Tuple& right)>;
+  /// Receives each result as a freshly concatenated Tuple by rvalue; a
+  /// lambda taking `const Tuple&` binds as well.
   using ResultCallback = std::function<void(Tuple&&)>;
   using PunctCallback = std::function<void(const Punctuation&)>;
 
@@ -152,7 +158,10 @@ class JoinOperator {
   /// Schema of result tuples (left fields then right fields).
   const SchemaPtr& output_schema() const { return output_schema_; }
 
-  void set_result_callback(ResultCallback cb) { on_result_ = std::move(cb); }
+  void set_pair_callback(PairCallback cb) { on_pair_ = std::move(cb); }
+  /// Installs `cb` as the pair callback behind a Tuple::Concat, which costs
+  /// one allocation per result; a null `cb` clears the pair callback.
+  void set_result_callback(ResultCallback cb);
   void set_punct_callback(PunctCallback cb) { on_punct_ = std::move(cb); }
 
   /// Feeds one element of input `side` (0 = left, 1 = right): hashes a
@@ -228,16 +237,23 @@ class JoinOperator {
 
   /// Registers the end-to-end latency histograms under `labels` (e.g.
   /// "pipeline=parallel,shard=3"): pjoin_tuple_latency_seconds observes
-  /// ingress→result-emit and pjoin_punct_propagation_seconds observes
-  /// ingress→punct-emit (the live analogue of the paper's fig 14), both in
-  /// microseconds with a 1e-6 exposition scale.
+  /// ingress → the end of the batch or stall pass that emitted the result,
+  /// and pjoin_punct_propagation_seconds observes ingress→punct-emit (the
+  /// live analogue of the paper's fig 14), both in microseconds with a
+  /// 1e-6 exposition scale.
   void BindLatencyMetrics(std::string_view labels);
 
   /// Wall-clock (TraceNowMicros) arrival time of the element currently
-  /// being processed; the driver sets it right before OnElement or
-  /// ProcessBatch so emits can attribute latency. 0 = unknown (nothing is
-  /// recorded).
+  /// being processed; the pipeline running the join sets it right before
+  /// OnElement, ProcessBatch or OnStreamsStalled so emits can attribute
+  /// latency. 0 = unknown (nothing is recorded).
   void set_element_ingress_micros(TimeMicros us) { ingress_us_ = us; }
+
+  /// Observes pjoin_tuple_latency_seconds once for every result emitted
+  /// since the last call, with one clock read against the ingress stamp in
+  /// force when they were emitted. ProcessBatch calls it before it returns;
+  /// the pipeline running the join calls it after OnStreamsStalled.
+  void ObserveResultLatency();
 
   /// Registers per-side state-size gauges (memory/disk/purge-buffer tuples,
   /// memory bytes) under `labels`; subclasses may add their own via
@@ -290,7 +306,8 @@ class JoinOperator {
   /// the punctuation-aware early purger).
   SpillManager& spill_manager() { return *spill_manager_; }
 
-  /// Emits one join result (left must be a left-stream tuple).
+  /// Emits one join result (left must be a left-stream tuple) through the
+  /// pair callback.
   void EmitResult(const Tuple& left, const Tuple& right);
   /// Emits a punctuation on the output schema.
   void EmitPunctuation(Punctuation punct);
@@ -307,6 +324,9 @@ class JoinOperator {
   }
 
  private:
+  /// ProcessBatch's element loop.
+  Status DispatchBatch(const ElementBatch& batch);
+
   /// Flushes the locally accumulated hot-path tallies into counters();
   /// ProcessBatch calls it after every punctuation, end-of-stream and run
   /// of consecutive tuples.
@@ -316,7 +336,7 @@ class JoinOperator {
   SchemaPtr output_schema_;
   std::unique_ptr<HashState> states_[2];
   std::unique_ptr<SpillManager> spill_manager_;
-  ResultCallback on_result_;
+  PairCallback on_pair_;
   PunctCallback on_punct_;
   CounterSet counters_;
   TimeSeries state_series_;
@@ -335,6 +355,9 @@ class JoinOperator {
   obs::Histogram tuple_latency_hist_;
   obs::Histogram punct_lag_hist_;
   TimeMicros ingress_us_ = 0;
+  /// Results emitted since the last ObserveResultLatency (counted only
+  /// while the histogram is bound and an ingress stamp is set).
+  int64_t unobserved_results_ = 0;
   std::string state_gauge_labels_;
   bool state_gauges_bound_ = false;
   obs::Gauge mem_tuples_gauge_[2];

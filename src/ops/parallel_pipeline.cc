@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <thread>
 
 #include "obs/trace.h"
@@ -59,9 +60,10 @@ struct ParallelJoinPipeline::Shard {
   /// Times the worker entered the spin-then-park slow path on an empty
   /// routed ring (pjoin_shard_spin_parks).
   obs::Counter spin_parks_counter;
-  /// Worker-local staging, moved into `out` as one OutBatch. Results always
-  /// precede the releases recorded after them (the §3.3 ordering).
-  std::vector<Tuple> local_results;
+  /// Worker-local staging, moved into `out` as one OutBatch: result rows
+  /// as flat values (OutBatch::rows), then releases. Results always precede
+  /// the releases recorded after them (the §3.3 ordering).
+  std::vector<Value> local_rows;
   std::vector<Punctuation> local_releases;
   ShardStats stats;
   Status status;
@@ -87,6 +89,8 @@ ParallelJoinPipeline::ParallelJoinPipeline(JoinFactory factory,
     shard->stats.shard = s;
     shards_.push_back(std::move(shard));
   }
+  result_schema_ = joins_[0]->output_schema();
+  row_width_ = result_schema_->num_fields();
   // Key placement lives in one map consulted by tuple AND punctuation
   // routing; the repartition controller mutates it through handoffs.
   shard_map_.Reset(options_.num_shards);
@@ -100,24 +104,23 @@ ParallelJoinPipeline::ParallelJoinPipeline(JoinFactory factory,
 ParallelJoinPipeline::~ParallelJoinPipeline() = default;
 
 void ParallelJoinPipeline::FlushShardOut(Shard* shard, bool force) {
-  if (shard->local_results.empty() && shard->local_releases.empty()) return;
+  if (shard->local_rows.empty() && shard->local_releases.empty()) return;
   // Releases always flush promptly (the merger's board is waiting on them);
   // bare results batch up to kResultFlush.
   if (!force && shard->local_releases.empty() &&
-      shard->local_results.size() < kResultFlush) {
+      shard->local_rows.size() < kResultFlush * row_width_) {
     return;
   }
   OutBatch out;
-  out.results = std::move(shard->local_results);
+  out.rows = std::move(shard->local_rows);
   out.releases = std::move(shard->local_releases);
   out.flow_id = shard->pending_flow_id;
   shard->pending_flow_id = 0;
-  shard->local_results.clear();
+  shard->local_rows.clear();
   shard->local_releases.clear();
   // The moved-from vector restarts at zero capacity; reserving the flush
-  // threshold up front spares the next batch the doubling re-allocations
-  // (each of which would move every staged Tuple again).
-  shard->local_results.reserve(kResultFlush);
+  // threshold up front spares the next batch the doubling re-allocations.
+  shard->local_rows.reserve(kResultFlush * row_width_);
   // Safe to park here: the merger (router/caller thread) drains these rings
   // whenever it waits on anything.
   shard->out.PushBlocking(std::move(out));
@@ -130,9 +133,16 @@ void ParallelJoinPipeline::FlushShardOut(Shard* shard, bool force) {
 void ParallelJoinPipeline::MergeOutBatch(int shard, OutBatch out) {
   TRACE_SPAN("par", "merge_drain");
   if (out.flow_id != 0) TRACE_FLOW_END("flow", "tuple_path", out.flow_id);
-  for (Tuple& t : out.results) {
-    ++results_emitted_;
-    if (on_result_) on_result_(t);
+  // Each result's Tuple is built here, so its block is allocated and freed
+  // by this thread; the values move out of the row.
+  const size_t results = out.rows.size() / row_width_;
+  results_emitted_ += static_cast<int64_t>(results);
+  if (on_result_) {
+    auto row = std::make_move_iterator(out.rows.begin());
+    for (size_t r = 0; r < results; ++r, row += row_width_) {
+      on_result_(
+          Tuple(result_schema_, std::vector<Value>(row, row + row_width_)));
+    }
   }
   for (Punctuation& p : out.releases) {
     TRACE_INSTANT("par", "punct_release");
@@ -158,7 +168,8 @@ size_t ParallelJoinPipeline::DrainOutputs() {
     OutBatch out;
     while (shards_[i]->out.TryPop(&out)) {
       if (repart_enabled_) {
-        merged_results_[i] += static_cast<int64_t>(out.results.size());
+        merged_results_[i] +=
+            static_cast<int64_t>(out.rows.size() / row_width_);
       }
       MergeOutBatch(static_cast<int>(i), std::move(out));
       ++merged;
@@ -267,6 +278,7 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
         // propagation) attribute latency to the stall start.
         join->set_element_ingress_micros(obs::TraceNowMicros());
         const Status st = join->OnStreamsStalled();
+        join->ObserveResultLatency();
         if (!st.ok()) {
           shard->status = st;
           failed = true;
@@ -556,16 +568,19 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
   punct_pending_gauge_ =
       registry.GetGauge("pjoin_punct_pending_rounds", "pipeline=parallel");
   merged_results_.assign(static_cast<size_t>(num_shards()), 0);
-  // Wire per-shard output staging: results queue up locally; a punctuation
-  // release is recorded behind them, and FlushShardOut moves both into the
-  // shard's output ring with that order intact — so by the time the merger
-  // counts the last shard's release, every covered result has already been
-  // emitted ahead of it.
+  // Wire per-shard output staging: results queue up locally as flat rows; a
+  // punctuation release is recorded behind them, and FlushShardOut moves
+  // both into the shard's output ring with that order intact — so by the
+  // time the merger counts the last shard's release, every covered result
+  // has already been emitted ahead of it.
   for (auto& shard_ptr : shards_) {
     Shard* shard = shard_ptr.get();
-    shard->local_results.reserve(kResultFlush);
-    shard->join->set_result_callback([shard](Tuple&& t) {
-      shard->local_results.push_back(std::move(t));
+    shard->local_rows.reserve(kResultFlush * row_width_);
+    shard->join->set_pair_callback([shard](const Tuple& left,
+                                           const Tuple& right) {
+      std::vector<Value>& rows = shard->local_rows;
+      rows.insert(rows.end(), left.values().begin(), left.values().end());
+      rows.insert(rows.end(), right.values().begin(), right.values().end());
     });
     shard->join->set_punct_callback([shard](const Punctuation& p) {
       shard->local_releases.push_back(p);

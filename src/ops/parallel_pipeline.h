@@ -51,7 +51,13 @@
 // Output runs through per-shard result rings of OutBatches — each carries
 // the shard's staged results followed by its punctuation releases — merged
 // on the caller's thread, which also keeps the release board (plain state:
-// the merger is single-threaded, so no lock). The router records each
+// the merger is single-threaded, so no lock). A result leaves its shard as
+// a flat row of values, not as a Tuple: the shard copies the matched
+// pair's values into one vector per OutBatch, and the merger builds each
+// result's Tuple just before the result callback. Every per-result block
+// is therefore allocated and freed on the merger's thread; the only
+// shard-allocated blocks the merger frees are each batch's vectors (and
+// the heap buffers of long string values). The router records each
 // punctuation round's target shards on the board before staging it; the
 // board credits each shard's release to that shard's oldest open round of
 // the same string and emits a round once all its shards have released it
@@ -232,7 +238,9 @@ class ParallelJoinPipeline {
   /// punctuation releases recorded after them. The merger emits the
   /// results first, so a release never overtakes a result it covers.
   struct OutBatch {
-    std::vector<Tuple> results;
+    /// Results as flat rows of `row_width_` values each: the matched left
+    /// tuple's values followed by the right tuple's.
+    std::vector<Value> rows;
     std::vector<Punctuation> releases;
     /// Flow id carried over from the newest sampled RoutedBatch this shard
     /// processed (0 = none): lets the merger close the flow arrow.
@@ -280,8 +288,8 @@ class ParallelJoinPipeline {
   /// Spray shard for one tuple of a replicated key: least merged output,
   /// round-robin until output differentiates the shards.
   int SprayTarget(uint64_t key_hash);
-  /// Emits `shard`'s results, then credits its releases on the board; an
-  /// extract answer is stored in `handoff_answer_`.
+  /// Builds and emits `shard`'s result rows, then credits its releases on
+  /// the board; an extract answer is stored in `handoff_answer_`.
   void MergeOutBatch(int shard, OutBatch out);
   /// Shard-side: pushes staged results/releases into the shard's output
   /// ring when due (`force`, a pending release, or kResultFlush reached).
@@ -291,6 +299,10 @@ class ParallelJoinPipeline {
   std::vector<std::unique_ptr<JoinOperator>> joins_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<RoutedBatch> staged_;  // router-local pending batches
+  /// Schema of the merged result tuples and its field count, the width of
+  /// an OutBatch row.
+  SchemaPtr result_schema_;
+  size_t row_width_ = 0;
   ResultCallback on_result_;
   PunctCallback on_punct_;
 
@@ -312,7 +324,7 @@ class ParallelJoinPipeline {
   /// id N when N falls on the sampling period (deterministic for a fixed
   /// input order).
   int64_t routed_tuples_ = 0;
-  /// Results merged per shard so far (router/merger thread). Feeds
+  /// Result rows merged per shard so far (router/merger thread). Feeds
   /// SprayTarget's least-output choice for replicated keys.
   std::vector<int64_t> merged_results_;
 

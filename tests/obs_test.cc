@@ -172,6 +172,24 @@ TEST_F(MetricsRegistryTest, HistogramObservationsLandInPowerOfTwoBuckets) {
   EXPECT_EQ(s.buckets[7], 1);
 }
 
+TEST_F(MetricsRegistryTest, WeightedObserveCountsEveryObservation) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Histogram h = registry.GetHistogram("test.latency");
+  h.Observe(100, /*n=*/5);  // five observations of 100: bucket 7
+  h.Observe(2, /*n=*/3);    // three of 2: bucket 2
+  h.Observe(9);             // one of 9: bucket 4
+  EXPECT_EQ(h.Count(), 9);
+  EXPECT_EQ(h.Sum(), 5 * 100 + 3 * 2 + 9);
+  const std::vector<obs::MetricSample> snapshot = registry.Snapshot();
+  ASSERT_EQ(snapshot.size(), 1u);
+  const obs::MetricSample& s = snapshot[0];
+  EXPECT_EQ(s.value, 9);
+  ASSERT_EQ(s.buckets.size(), 8u);
+  EXPECT_EQ(s.buckets[2], 3);
+  EXPECT_EQ(s.buckets[4], 1);
+  EXPECT_EQ(s.buckets[7], 5);
+}
+
 TEST_F(MetricsRegistryTest, HistogramHandlesShareOneCellAndDefaultIsInert) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Histogram a = registry.GetHistogram("test.latency");

@@ -15,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "gen/stream_generator.h"
 #include "join/pjoin.h"
 #include "join/xjoin.h"
+#include "obs/metrics_registry.h"
 #include "test_util.h"
 
 namespace pjoin {
@@ -407,6 +409,92 @@ TEST(ParallelPJoinTest, SingleShardMatchesReferenceState) {
   // state must match the reference join's exactly.
   EXPECT_EQ(pipeline->shard_join(0)->total_state_tuples(),
             ref_join->total_state_tuples());
+}
+
+// Result rows copy Values of every kind across the spine, not only int64:
+// here a join key long enough that its string lives on the heap, and a
+// double payload on each side.
+TEST(ParallelPJoinTest, StringKeysAndDoublePayloadsMatchReference) {
+  const SchemaPtr left_schema = Schema::Make(
+      {{"key", ValueType::kString}, {"price", ValueType::kFloat64}});
+  const SchemaPtr right_schema = Schema::Make(
+      {{"key", ValueType::kString}, {"weight", ValueType::kFloat64}});
+  auto key = [](int64_t k) {
+    return Value("customer-account-" + std::to_string(k));
+  };
+  // Keys come from a window of 8 that slides every 25 tuples; a key that
+  // leaves the window is punctuated on both sides, and never seen again.
+  Rng rng(/*seed=*/2024);
+  ElementsBuilder left;
+  ElementsBuilder right;
+  for (int64_t i = 0; i < 600; ++i) {
+    const int64_t base = i / 25;
+    if (i > 0 && i % 25 == 0) {
+      const Punctuation done =
+          Punctuation::ForAttribute(2, 0, Pattern::Constant(key(base - 1)));
+      left.Punct(done);
+      right.Punct(done);
+    }
+    left.Tup(Tuple(left_schema, {key(base + rng.NextInt(0, 7)),
+                                 Value(rng.NextDouble() * 100.0)}));
+    right.Tup(Tuple(right_schema,
+                    {key(base + rng.NextInt(0, 7)), Value(rng.NextDouble())}));
+  }
+  const std::vector<StreamElement> l = left.Finish();
+  const std::vector<StreamElement> r = right.Finish();
+  ASSERT_GT(l.front().tuple().field(0).AsString().size(), 15u);
+
+  const JoinOptions jopts = SmallStateOptions();
+  auto ref_join = std::make_unique<PJoin>(left_schema, right_schema, jopts);
+  const RunResult ref = RunJoin(ref_join.get(), l, r);
+  ASSERT_EQ(ref.results,
+            ReferenceJoinRows(l, r, ref_join->output_schema(), 0, 0));
+  ASSERT_GT(ref.results.size(), 1000u);
+  for (const int shards : {1, 2, 4}) {
+    ParallelPipelineOptions popts;
+    popts.num_shards = shards;
+    popts.batch_size = 32;
+    const RunResult got = RunParallel(Operator::kPJoin, left_schema,
+                                      right_schema, jopts, l, r, popts);
+    EXPECT_EQ(got.results, ref.results) << "shards=" << shards;
+    EXPECT_EQ(SortedPunctStrings(got), SortedPunctStrings(ref))
+        << "shards=" << shards;
+  }
+}
+
+// A shard observes pjoin_tuple_latency_seconds with one clock read per
+// batch or stall pass, weighted by the results it emitted: every result is
+// still counted exactly once.
+TEST(ParallelPJoinTest, LatencyHistogramCountsEveryResultOnce) {
+  Workload w = MakeWorkload("latency", /*seed=*/12, /*punct_rate=*/20.0,
+                            /*zipf_s=*/0.0);
+  // The registry is process-wide and other cases bind the same cells, so
+  // compare the counts' growth over this run.
+  auto latency_count = [] {
+    int64_t count = 0;
+    for (int s = 0; s < 2; ++s) {
+      count += obs::MetricsRegistry::Global()
+                   .GetHistogram("pjoin_tuple_latency_seconds",
+                                 "pipeline=parallel,shard=" +
+                                     std::to_string(s),
+                                 /*unit_scale=*/1e-6)
+                   .Count();
+    }
+    return count;
+  };
+  const int64_t before = latency_count();
+  ParallelPipelineOptions popts;
+  popts.num_shards = 2;
+  ParallelJoinPipeline* pipeline = nullptr;
+  RunParallel(Operator::kPJoin, w.streams.schema_a, w.streams.schema_b,
+              SmallStateOptions(), w.streams.a, w.streams.b, popts, &pipeline);
+  int64_t shard_results = 0;
+  for (int s = 0; s < 2; ++s) {
+    shard_results += pipeline->shard_join(s)->results_emitted();
+  }
+  EXPECT_GT(pipeline->results_emitted(), 0);
+  EXPECT_EQ(shard_results, pipeline->results_emitted());
+  EXPECT_EQ(latency_count() - before, pipeline->results_emitted());
 }
 
 }  // namespace
