@@ -49,13 +49,10 @@
 //                    configuration for this long so scrapers catch a live
 //                    pipeline; GET /quitquitquit ends the linger early.
 //   --zipf=S   skew stream A of the MAIN sweep (zipf exponent over the open
-//              window; B stays uniform). The CI forced-skew smoke uses this
-//              with --repartition so the hot-key metrics move.
-//   --repartition    enable runtime repartitioning (adaptive shard map) on
-//              the main sweep's parallel runs.
-//   --skew_sweep=0   disable the zipf skew sweep (adaptive vs static
-//              parallel pipeline at --skew_list exponents, "skew_sweep" in
-//              the JSON; the CI skew-gate consumes it).
+//              window; B stays uniform).
+//   --skew_sweep=0   disable the zipf skew sweep (the parallel pipeline at
+//              --skew_list exponents: wall time, bottleneck share and
+//              oracle per point, "skew_sweep" in the JSON).
 //   --skew_list=a,b,c  zipf exponents swept (default 0,0.8,1.2,1.6).
 //   --skew_tuples=N --skew_window=N  skew-sweep workload shape: stream A
 //              draws keys zipf-skewed from a window of N open keys, so the
@@ -118,13 +115,10 @@ struct Cli {
   // and park paths, which CI's live scrape asserts via their counters.
   int64_t ring = 0;
   int64_t stall_polls = 0;  // 0 = ParallelPipelineOptions default
-  // Main-sweep skew + repartitioning (the CI forced-skew smoke): stream A
-  // zipf exponent, adaptive shard map on the parallel runs.
+  // Main-sweep skew: stream A's zipf exponent.
   double zipf = 0.0;
-  bool repartition = false;
-  // Skew sweep: adaptive vs static parallel pipeline at a ladder of zipf
-  // exponents, A-side skewed / B uniform ("skew_sweep" in the JSON; the
-  // perf gate's skew leg compares the static/adaptive ratio per exponent).
+  // Skew sweep: the parallel pipeline at a ladder of zipf exponents, A-side
+  // skewed / B uniform ("skew_sweep" in the JSON).
   bool skew_sweep = true;
   std::vector<double> skew_list = {0.0, 0.8, 1.2, 1.6};
   int64_t skew_tuples = 24000;
@@ -258,10 +252,6 @@ bool ParseCli(int argc, char** argv, Cli* cli) {
       cli->check = true;
       continue;
     }
-    if (arg == "--repartition") {
-      cli->repartition = true;
-      continue;
-    }
     if (arg == "--health") {
       cli->health = true;
       continue;
@@ -324,9 +314,6 @@ struct Measured {
   Oracle oracle;
   int64_t state_tuples = 0;
   std::vector<ShardStats> shard_stats;
-  // Repartitioning activity (0 unless the run had an adaptive shard map).
-  int64_t hot_keys = 0;
-  int64_t rollbacks = 0;
 
   double throughput() const {
     return wall_ms > 0 ? static_cast<double>(oracle.count) / (wall_ms / 1e3)
@@ -359,8 +346,7 @@ Measured RunSingle(const std::string& name, const GeneratedStreams& streams,
 // memory-capped indexed configuration.
 Measured RunParallel(const GeneratedStreams& streams, int shards,
                      bool indexed_probe, int64_t memcap = 0,
-                     int64_t ring_capacity = 0, int64_t stall_polls = 0,
-                     const RepartitionPolicy& repart = {}) {
+                     int64_t ring_capacity = 0, int64_t stall_polls = 0) {
   Measured m;
   m.name = "parallel_x" + std::to_string(shards) +
            (memcap > 0 ? "_spill" : (indexed_probe ? "_indexed" : "_scan"));
@@ -372,7 +358,6 @@ Measured RunParallel(const GeneratedStreams& streams, int shards,
     popts.shard_queue_capacity = static_cast<size_t>(ring_capacity);
   }
   if (stall_polls > 0) popts.stall_polls = stall_polls;
-  popts.repartition = repart;
   ParallelJoinPipeline pipeline(
       [&streams, indexed_probe, memcap, shards](int) {
         // The cap is per shard: split the total budget so the aggregate
@@ -392,8 +377,6 @@ Measured RunParallel(const GeneratedStreams& streams, int shards,
       1e3;
   m.shard_stats = pipeline.shard_stats();
   for (const ShardStats& s : m.shard_stats) m.state_tuples += s.state_tuples;
-  m.hot_keys = pipeline.hot_keys_active();
-  m.rollbacks = pipeline.migration_rollbacks();
   return m;
 }
 
@@ -459,14 +442,11 @@ void RunStalledConfig(const Cli& cli) {
   std::fflush(stdout);
 }
 
-// ---- Skew sweep: adaptive vs static shard map at a zipf ladder ----
+// ---- Skew sweep: static sharding at a zipf ladder ----
 
 /// Fraction of the run's results produced by the busiest shard (0.25 =
-/// perfectly balanced at x4). This — not wall time — is the gated skew
-/// metric: it is what repartitioning actually controls, it is
-/// deterministic for a seeded workload, and it is meaningful on any host
-/// (wall time only rewards balance when shards own physical cores, which
-/// a 1-core CI box never grants).
+/// perfectly balanced at x4): how much of the join work the hottest key
+/// pins to its owner. Deterministic for a seeded workload.
 double BottleneckShare(const Measured& m) {
   int64_t max_results = 0;
   int64_t total = 0;
@@ -481,34 +461,27 @@ double BottleneckShare(const Measured& m) {
 
 struct SkewPoint {
   double zipf_s = 0.0;
-  Measured static_run;
-  Measured adaptive_run;
-  bool oracle_pass = false;  // both runs match the 1-thread reference
-
-  /// Informational wall ratio (>1 = adaptive faster); noisy on shared
-  /// hosts, so the CI gate reads the bottleneck shares instead.
-  double StaticOverAdaptive() const {
-    return adaptive_run.wall_ms > 0
-               ? static_run.wall_ms / adaptive_run.wall_ms
-               : 0.0;
-  }
+  Measured run;
+  bool oracle_pass = false;  // matches the 1-thread reference
 };
+
+/// Tuples per punctuation in the skew sweep. The domain frontier (and with
+/// it the identity of the hottest key) advances only on punctuation, so the
+/// punctuation cadence sets how fast hotness drifts: a handful of reigns
+/// per run.
+double SkewPunctRate(const Cli& cli) {
+  return static_cast<double>(cli.skew_tuples) / 4.0;
+}
 
 /// One zipf exponent: stream A skewed, B uniform (the celebrity-key shape —
 /// skewing both sides would explode the result count quadratically), run
-/// static and adaptive at the widest shard count, best-of-reps interleaved.
+/// at the widest shard count, best of reps.
 SkewPoint RunSkewPoint(const Cli& cli, double zipf_s, int shards) {
   DomainSpec domain;
   domain.window_size = cli.skew_window;
   StreamSpec spec_a;
   spec_a.num_tuples = cli.skew_tuples;
-  // The domain frontier (and with it the identity of the hottest key)
-  // advances only on punctuation, so the punctuation cadence sets how fast
-  // hotness drifts. A handful of reigns per run is the regime runtime
-  // repartitioning targets; sub-window reigns degenerate into noise no
-  // placement can exploit.
-  spec_a.punct_mean_interarrival_tuples =
-      static_cast<double>(cli.skew_tuples) / 4.0;
+  spec_a.punct_mean_interarrival_tuples = SkewPunctRate(cli);
   spec_a.zipf_s = zipf_s;
   spec_a.flush_punctuations_at_end = true;
   StreamSpec spec_b = spec_a;
@@ -520,36 +493,15 @@ SkewPoint RunSkewPoint(const Cli& cli, double zipf_s, int shards) {
   point.zipf_s = zipf_s;
   const Measured reference = RunSingle("skew_ref", streams, true);
 
-  // Bounded shard queues (identical for both runs): a handoff command
-  // travels FIFO behind each shard's backlog, so the router's lead over
-  // the shards is the floor on handoff latency. Offline replay with
-  // unbounded queues lets the router finish routing before the first
-  // handoff lands, which would measure nothing.
+  // Small shard rings, as on perfbench's `skew` workload: the router stays
+  // close behind the shards instead of routing the whole input ahead.
   const int64_t ring_capacity = 16;
-
-  RepartitionPolicy adaptive;
-  adaptive.enabled = true;
-  // Slightly below the library default (1.25): the sweep's hot key drifts
-  // at reign boundaries, and the diluted boundary windows sit around
-  // 1.2x. Everything else: library defaults.
-  adaptive.imbalance_trigger = 1.15;
   for (int rep = 0; rep < cli.reps; ++rep) {
-    Measured s = RunParallel(streams, shards, /*indexed_probe=*/true,
+    Measured m = RunParallel(streams, shards, /*indexed_probe=*/true,
                              /*memcap=*/0, ring_capacity);
-    Measured a = RunParallel(streams, shards, /*indexed_probe=*/true,
-                             /*memcap=*/0, ring_capacity, /*stall_polls=*/0,
-                             adaptive);
-    if (rep == 0 || s.wall_ms < point.static_run.wall_ms) {
-      point.static_run = std::move(s);
-    }
-    if (rep == 0 || a.wall_ms < point.adaptive_run.wall_ms) {
-      point.adaptive_run = std::move(a);
-    }
+    if (rep == 0 || m.wall_ms < point.run.wall_ms) point.run = std::move(m);
   }
-  point.static_run.name = "skew_static";
-  point.adaptive_run.name = "skew_adaptive";
-  point.oracle_pass = point.static_run.oracle == reference.oracle &&
-                      point.adaptive_run.oracle == reference.oracle;
+  point.oracle_pass = point.run.oracle == reference.oracle;
   return point;
 }
 
@@ -558,22 +510,15 @@ void WriteSkewSweepJson(std::ofstream& out, const Cli& cli, int shards,
   out << "  \"skew_sweep\": {\n";
   out << "    \"config\": {\"tuples_per_stream\": " << cli.skew_tuples
       << ", \"window\": " << cli.skew_window << ", \"shards\": " << shards
-      << ", \"punct_mean_interarrival_tuples\": " << cli.punct_rate
+      << ", \"punct_mean_interarrival_tuples\": " << SkewPunctRate(cli)
       << ", \"reps\": " << cli.reps << "},\n";
   out << "    \"points\": [\n";
   for (size_t i = 0; i < points.size(); ++i) {
     const SkewPoint& p = points[i];
     out << "      {\"zipf_s\": " << p.zipf_s
-        << ", \"static_wall_ms\": " << p.static_run.wall_ms
-        << ", \"adaptive_wall_ms\": " << p.adaptive_run.wall_ms
-        << ", \"static_over_adaptive\": " << p.StaticOverAdaptive()
-        << ", \"static_bottleneck_share\": "
-        << BottleneckShare(p.static_run)
-        << ", \"adaptive_bottleneck_share\": "
-        << BottleneckShare(p.adaptive_run)
-        << ", \"oracle_pass\": " << (p.oracle_pass ? "true" : "false")
-        << ", \"hot_keys\": " << p.adaptive_run.hot_keys
-        << ", \"rollbacks\": " << p.adaptive_run.rollbacks << "}"
+        << ", \"wall_ms\": " << p.run.wall_ms
+        << ", \"bottleneck_share\": " << BottleneckShare(p.run)
+        << ", \"oracle_pass\": " << (p.oracle_pass ? "true" : "false") << "}"
         << (i + 1 == points.size() ? "" : ",") << "\n";
   }
   out << "    ]\n  },\n";
@@ -737,13 +682,8 @@ int Main(int argc, char** argv) {
   spec.punct_mean_interarrival_tuples = cli.punct_rate;
   spec.flush_punctuations_at_end = true;
   StreamSpec spec_a = spec;
-  spec_a.zipf_s = cli.zipf;  // forced-skew smoke: A skewed, B uniform
+  spec_a.zipf_s = cli.zipf;  // A skewed, B uniform
   const GeneratedStreams streams = GenerateStreams(domain, spec_a, spec, 2004);
-
-  // Adaptive shard map for the main sweep's parallel runs (the forced-skew
-  // smoke turns this on so the hot-key metrics move live).
-  RepartitionPolicy main_repart;
-  main_repart.enabled = cli.repartition;
 
   if (!cli.trace.empty()) {
     obs::Tracer::Global().Start();
@@ -801,15 +741,14 @@ int Main(int argc, char** argv) {
         [&, shards] { return RunParallel(streams, shards,
                                          /*indexed_probe=*/true,
                                          /*memcap=*/0, cli.ring,
-                                         cli.stall_polls, main_repart); });
+                                         cli.stall_polls); });
   }
   if (!cli.shards.empty()) {
     // The widest shard count with the seed's scan probe: isolates how much
     // of the parallel_x*_indexed speedup is the pipeline vs the index.
     configs.push_back([&] {
       return RunParallel(streams, cli.shards.back(), /*indexed_probe=*/false,
-                         /*memcap=*/0, cli.ring, cli.stall_polls,
-                         main_repart);
+                         /*memcap=*/0, cli.ring, cli.stall_polls);
     });
   }
   if (cli.memcap > 0 && !cli.shards.empty()) {
@@ -854,27 +793,22 @@ int Main(int argc, char** argv) {
     report(m);
   }
 
-  // Skew sweep: adaptive vs static shard map across the zipf ladder. At
-  // high skew the adaptive map must win (hot-key replication spreads the
-  // celebrity key's probe work); at zero skew it must cost nothing.
+  // Skew sweep: static sharding across the zipf ladder. The hottest key
+  // stays with its owner, so the bottleneck share shows how much of the
+  // join work skew pins to one shard.
   std::vector<SkewPoint> skew_points;
   const int skew_shards = cli.shards.empty() ? 4 : cli.shards.back();
   if (cli.skew_sweep && skew_shards > 1) {
     std::printf("  skew sweep (%lld tuples/stream, window %lld, x%d):\n",
                 static_cast<long long>(cli.skew_tuples),
                 static_cast<long long>(cli.skew_window), skew_shards);
-    std::printf("  %-8s %10s %11s %7s %9s %9s %4s %7s\n", "zipf_s",
-                "static_ms", "adaptive_ms", "ratio", "st_share", "ad_share",
-                "hot", "oracle");
+    std::printf("  %-8s %10s %9s %7s\n", "zipf_s", "wall_ms", "share",
+                "oracle");
     for (const double s : cli.skew_list) {
       SkewPoint point = RunSkewPoint(cli, s, skew_shards);
       all_pass = all_pass && point.oracle_pass;
-      std::printf("  %-8.2f %10.1f %11.1f %6.2fx %9.3f %9.3f %4lld %7s\n",
-                  point.zipf_s, point.static_run.wall_ms,
-                  point.adaptive_run.wall_ms, point.StaticOverAdaptive(),
-                  BottleneckShare(point.static_run),
-                  BottleneckShare(point.adaptive_run),
-                  static_cast<long long>(point.adaptive_run.hot_keys),
+      std::printf("  %-8.2f %10.1f %9.3f %7s\n", point.zipf_s,
+                  point.run.wall_ms, BottleneckShare(point.run),
                   point.oracle_pass ? "PASS" : "FAIL");
       skew_points.push_back(std::move(point));
     }

@@ -126,41 +126,6 @@ Punctuation JoinOperator::MakeOutputPunct(int side,
   return Punctuation(std::move(patterns));
 }
 
-Result<KeyStateHandoff> JoinOperator::ExtractKeyState(const Value& key) {
-  KeyStateHandoff handoff;
-  handoff.key = key;
-  handoff.key_hash = key.Hash();
-  for (int side = 0; side < 2; ++side) {
-    // The copy must be the key's whole state, so its partitions must be
-    // fully memory-resident on BOTH sides: disk-resident and purge-buffered
-    // tuples are not copied, and an unindexed disk portion may hide more
-    // tuples of the key.
-    const HashState& st = *states_[side];
-    const int p = st.PartitionOfHash(handoff.key_hash);
-    if (st.disk_tuples(p) > 0 || !st.purge_buffer(p).empty() ||
-        st.has_unindexed_disk()) {
-      return Status::FailedPrecondition(
-          "key state not memory-resident; handoff refused: " + st.name());
-    }
-    st.ForEachMemoryMatch(p, key, handoff.key_hash, [&](const TupleEntry& e) {
-      handoff.entries[side].push_back(e);
-    });
-  }
-  return handoff;
-}
-
-void JoinOperator::InstallKeyState(KeyStateHandoff handoff) {
-  for (int side = 0; side < 2; ++side) {
-    for (TupleEntry& e : handoff.entries[side]) {
-      e.ats = NextTick();
-      e.dts = kAliveDts;
-      e.pid = kNullPid;
-      e.key_hash = handoff.key_hash;
-      states_[side]->InsertMemory(std::move(e));
-    }
-  }
-}
-
 int64_t JoinOperator::ProbeOppositeMemory(int side, const Tuple& tuple,
                                           uint64_t key_hash) {
   TRACE_SPAN("join", "probe");

@@ -118,23 +118,6 @@ struct ElementBatch {
   size_t size = 0;
 };
 
-/// One key's in-memory join state, copied out of an operator — the payload
-/// of the parallel pipeline's hot-key replication handoff
-/// (ops/repartition.h). Ticks and punctuation links are source-relative and
-/// deliberately not carried: only memory-resident, punctuation-free state
-/// is eligible (ExtractKeyState refuses anything else), and such entries
-/// re-insert cleanly under the destination's tick stream.
-struct KeyStateHandoff {
-  Value key;
-  uint64_t key_hash = 0;
-  /// Memory entries per input side.
-  std::vector<TupleEntry> entries[2];
-
-  int64_t tuple_count() const {
-    return static_cast<int64_t>(entries[0].size() + entries[1].size());
-  }
-};
-
 class JoinOperator {
  public:
   /// Receives each join result as its matched pair: the left-stream tuple
@@ -185,24 +168,8 @@ class JoinOperator {
   /// predicate transfers the key pattern to the other side's key position.
   /// Deterministic, so the parallel pipeline's router can predict the exact
   /// output punctuation a shard will release (release-board dispatch
-  /// accounting under dynamic ownership).
+  /// accounting).
   Punctuation MakeOutputPunct(int side, const Punctuation& punct) const;
-
-  // ---- Key-state handoff (runtime repartitioning) ----
-
-  /// Copies every in-memory tuple of `key` from both sides' states; the
-  /// operator keeps its own state. Refuses with FailedPrecondition when the
-  /// copy would not be the key's whole state: a partition holding it has
-  /// disk-resident or purge-buffered tuples, the disk portion is unindexed,
-  /// or (PJoin) a punctuation already covers the key, so its entries are
-  /// tied to match counts that a replica could not keep in step. The
-  /// caller answers a refusal by keeping the key where it is.
-  virtual Result<KeyStateHandoff> ExtractKeyState(const Value& key);
-  /// Installs a handoff's entries into this operator's states under fresh
-  /// ticks. Install never probes: every result pair among the entries was
-  /// already emitted at the source, and pairs with future tuples arise from
-  /// future probes.
-  void InstallKeyState(KeyStateHandoff handoff);
 
   // ---- Introspection ----
   CounterSet& counters() { return counters_; }

@@ -518,34 +518,6 @@ Status PJoin::RunPropagation() {
   return Status::OK();
 }
 
-Result<KeyStateHandoff> PJoin::ExtractKeyState(const Value& key) {
-  // A punctuation covering the key on either side means its entries are
-  // woven into the propagation machinery: the covered side's entries are
-  // (or will be) pinned by match counts, and the covering punctuation's
-  // release depends on them draining HERE. Such a key is closed or closing
-  // anyway — refuse and let the router keep it where it is.
-  for (int side = 0; side < 2; ++side) {
-    if (punct_sets_[side]->SetMatchKey(key)) {
-      return Status::FailedPrecondition(
-          "key covered by a punctuation; handoff refused");
-    }
-  }
-  Result<KeyStateHandoff> result = JoinOperator::ExtractKeyState(key);
-  if (!result.ok()) return result;
-  // The key-level check cannot see payload-constrained punctuations (a
-  // constant key plus constant payload pattern indexes specific tuples
-  // without covering the key). If any copied entry carries a pid, refuse.
-  for (const std::vector<TupleEntry>& entries : result.value().entries) {
-    for (const TupleEntry& e : entries) {
-      if (e.pid != kNullPid) {
-        return Status::FailedPrecondition(
-            "key state pinned by an indexed punctuation; handoff refused");
-      }
-    }
-  }
-  return result;
-}
-
 void PJoin::DiscardEntry(int side, const TupleEntry& entry) {
   PunctuationIndexer::OnEntryDiscarded(punct_sets_[side].get(), entry);
 }

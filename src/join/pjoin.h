@@ -43,14 +43,6 @@ class PJoin : public JoinOperator {
   /// punctuations now (§3.5).
   Status RequestPropagation();
 
-  /// Key-state copy with punctuation-aware eligibility: additionally
-  /// refuses when either punctuation set covers `key` (a covered key's
-  /// entries are pinned by match counts — replicating them could propagate
-  /// a punctuation while covered state lives at another shard) or when a
-  /// copied entry is pinned by a payload-constrained punctuation the
-  /// key-level check cannot see.
-  Result<KeyStateHandoff> ExtractKeyState(const Value& key) override;
-
   // ---- Introspection ----
   const PunctuationSet& punct_set(int side) const;
   const EventRegistry& registry() const { return registry_; }

@@ -88,7 +88,7 @@ std::vector<Punctuation> Propagator::Propagate(PunctuationSet* ps) {
       blocked.push_back(&entry.punct);
     }
   });
-  for (int64_t pid : released_pids) ps->RemoveRetainingCoverage(pid);
+  for (int64_t pid : released_pids) ps->Remove(pid);
   return released;
 }
 

@@ -91,14 +91,6 @@ ParallelJoinPipeline::ParallelJoinPipeline(JoinFactory factory,
   }
   result_schema_ = joins_[0]->output_schema();
   row_width_ = result_schema_->num_fields();
-  // Key placement lives in one map consulted by tuple AND punctuation
-  // routing; the repartition controller mutates it through handoffs.
-  shard_map_.Reset(options_.num_shards);
-  repart_enabled_ = options_.repartition.enabled && options_.num_shards > 1;
-  if (repart_enabled_) {
-    controller_ = std::make_unique<RepartitionController>(
-        options_.repartition, &shard_map_);
-  }
 }
 
 ParallelJoinPipeline::~ParallelJoinPipeline() = default;
@@ -155,11 +147,6 @@ void ParallelJoinPipeline::MergeOutBatch(int shard, OutBatch out) {
   if (!out.releases.empty()) {
     punct_pending_gauge_.Set(release_board_.pending_rounds());
   }
-  if (out.handoff != nullptr) {
-    // The owner's extract answer; Replicate is waiting for it.
-    PJOIN_DCHECK(handoff_answer_ == nullptr);
-    handoff_answer_ = std::move(out.handoff);
-  }
 }
 
 size_t ParallelJoinPipeline::DrainOutputs() {
@@ -167,38 +154,11 @@ size_t ParallelJoinPipeline::DrainOutputs() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     OutBatch out;
     while (shards_[i]->out.TryPop(&out)) {
-      if (repart_enabled_) {
-        merged_results_[i] +=
-            static_cast<int64_t>(out.rows.size() / row_width_);
-      }
       MergeOutBatch(static_cast<int>(i), std::move(out));
       ++merged;
     }
   }
   return merged;
-}
-
-int ParallelJoinPipeline::SprayTarget(uint64_t key_hash) {
-  // Greedy least-output spray: send the sprayed tuple to the shard that
-  // has merged the least join output so far. Result production — not
-  // tuple count — is the work a hot key concentrates, and a blind
-  // round-robin feeds a quarter of the hot key's output to the shard
-  // that is already the bottleneck. The merger runs on this thread, so
-  // the counts are fresh to within one drain. Until output differentiates
-  // the shards, fall back to the key's round-robin cursor.
-  int best = 0;
-  bool all_equal = true;
-  for (int s = 1; s < num_shards(); ++s) {
-    const size_t i = static_cast<size_t>(s);
-    if (merged_results_[i] != merged_results_[static_cast<size_t>(best)]) {
-      all_equal = false;
-    }
-    if (merged_results_[i] < merged_results_[static_cast<size_t>(best)]) {
-      best = s;
-    }
-  }
-  if (all_equal) return shard_map_.NextSprayShard(key_hash);
-  return best;
 }
 
 void ParallelJoinPipeline::Stage(int shard, int8_t side,
@@ -293,11 +253,6 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
     }
     dry = 0;
     shard->dispatch_gauge.Set(batch.ingress_us);
-    if (batch.command != nullptr) {
-      ExecuteCommand(shard, *batch.command);
-      batch.command.reset();
-      continue;
-    }
     const size_t n = batch.elements.size();
     if (batch.flow_id != 0) {
       TRACE_FLOW_STEP("flow", "tuple_path", batch.flow_id);
@@ -362,48 +317,20 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
         fid = static_cast<uint64_t>(routed_tuples_);
         TRACE_FLOW_START("flow", "tuple_path", fid);
       }
-      if (!repart_enabled_) {
-        Stage(shard_map_.OwnerOf(h), static_cast<int8_t>(side), e, h,
-              route_now_us_, fid);
-        break;
-      }
-      if (shard_map_.IsReplicated(h)) {
-        // Hot key: the sprayed side round-robins (each tuple probes the
-        // build side's full local replica), the build side broadcasts
-        // (each tuple probes the local spray-state and refreshes every
-        // replica). Every result pair meets at exactly one shard.
-        if (side == shard_map_.SpraySideOf(h)) {
-          const int s = SprayTarget(h);
-          Stage(s, static_cast<int8_t>(side), e, h, route_now_us_, fid);
-          controller_->ObserveTuple(e->tuple().field(key_index_[side]), h,
-                                    side, s);
-        } else {
-          for (int s = 0; s < num_shards(); ++s) {
-            Stage(s, static_cast<int8_t>(side), e, h, route_now_us_, fid);
-          }
-          controller_->ObserveTuple(e->tuple().field(key_index_[side]), h,
-                                    side, shard_map_.OwnerOf(h));
-        }
-        break;
-      }
-      const int s = shard_map_.OwnerOf(h);
-      Stage(s, static_cast<int8_t>(side), e, h, route_now_us_, fid);
-      controller_->ObserveTuple(e->tuple().field(key_index_[side]), h, side,
-                                s);
+      Stage(OwnerOf(h, num_shards()), static_cast<int8_t>(side), e, h,
+            route_now_us_, fid);
       break;
     }
     case ElementKind::kPunctuation: {
-      // A constant-key punctuation concerns exactly the shards that can
-      // hold the key's state: the owning shard under the current map, or
-      // every shard once the key is hot-replicated. Non-constant patterns
-      // (range flush markers, wildcards) can cover keys of every shard and
-      // broadcast. Staged order keeps the punctuation behind every tuple
-      // dispatched before it, per shard.
+      // A constant-key punctuation concerns exactly the shard that can hold
+      // the key's state, its owner. Non-constant patterns (range flush
+      // markers, wildcards) can cover keys of every shard and broadcast.
+      // Staged order keeps the punctuation behind every tuple dispatched
+      // before it, per shard.
       const Pattern& key_pattern = e->punctuation().pattern(key_index_[side]);
       int target = -1;  // every shard
       if (key_pattern.IsConstant()) {
-        const uint64_t h = key_pattern.constant().Hash();
-        if (!shard_map_.IsReplicated(h)) target = shard_map_.OwnerOf(h);
+        target = OwnerOf(key_pattern.constant().Hash(), num_shards());
       }
       // The round is on the board before its first Stage: a Stage that
       // finds a full ring drains the output rings, which may already carry
@@ -423,80 +350,6 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
       }
       break;
     }
-  }
-}
-
-void ParallelJoinPipeline::PushCommand(int shard, RepartCommand cmd) {
-  // FIFO order: everything staged for this shard precedes the command,
-  // so the owner has processed every element of the key routed before the
-  // decision when it extracts, and everything routed later follows it.
-  FlushStaged(shard);
-  RoutedBatch batch;
-  batch.ingress_us = route_now_us_;
-  batch.command = std::make_unique<RepartCommand>(std::move(cmd));
-  PushRouted(shard, std::move(batch));
-}
-
-void ParallelJoinPipeline::ExecuteCommand(Shard* shard, RepartCommand& cmd) {
-  TRACE_SPAN("par", "repart_command");
-  if (cmd.kind == RepartCommand::Kind::kInstall) {
-    shard->join->InstallKeyState(std::move(cmd.payload));
-    return;
-  }
-  OutBatch out;
-  out.handoff = std::make_unique<Result<KeyStateHandoff>>(
-      shard->join->ExtractKeyState(cmd.key));
-  // The answer must not overtake results recorded before the command:
-  // flush anything staged first, then ship it in its own batch.
-  FlushShardOut(shard, /*force=*/true);
-  shard->out.PushBlocking(std::move(out));
-  out_activity_.fetch_add(1);
-  out_activity_.notify_all();
-}
-
-void ParallelJoinPipeline::Replicate(const RepartitionDecision& decision) {
-  handoffs_started_.fetch_add(1);
-  // The shards keep working through the staged tail while the router waits.
-  for (int s = 0; s < num_shards(); ++s) FlushStaged(s);
-  RepartCommand extract;
-  extract.kind = RepartCommand::Kind::kExtract;
-  extract.key = decision.key;
-  PushCommand(decision.from, std::move(extract));
-  // Routing pauses here until the owner answers, so no element is routed
-  // between the extract and the map change it leads to. Park on the
-  // activity eventcount between empty sweeps, as Run's final merge does.
-  while (handoff_answer_ == nullptr) {
-    const uint32_t seq = out_activity_.load();
-    if (DrainOutputs() == 0) out_activity_.wait(seq);
-  }
-  const std::unique_ptr<Result<KeyStateHandoff>> answer =
-      std::move(handoff_answer_);
-  if (answer->ok()) {
-    KeyStateHandoff& payload = answer->value();
-    // Exactly-once across the replica set: only the BUILD (broadcast)
-    // side's state is installed at the other shards. The spray side's
-    // pre-handoff tuples stay at the owner alone — a post-handoff build
-    // tuple broadcasts to every shard and must find each spray tuple at
-    // exactly one of them.
-    payload.entries[decision.spray_side].clear();
-    // Each install sits in its destination's ring ahead of every element
-    // routed after it, and an install cannot fail, so no destination is
-    // waited on.
-    for (int s = 0; s < num_shards(); ++s) {
-      if (s == decision.from) continue;
-      RepartCommand install;
-      install.kind = RepartCommand::Kind::kInstall;
-      install.payload = payload;  // one copy per destination
-      PushCommand(s, std::move(install));
-    }
-    shard_map_.MarkReplicated(decision.key_hash, decision.spray_side);
-    hot_keys_gauge_.Set(shard_map_.replicated_keys());
-  } else {
-    // Refused (ineligible state): nothing moved — the key stays where it
-    // is and is not tried again.
-    migration_rollbacks_.fetch_add(1);
-    rollbacks_counter_.Add(1);
-    controller_->OnHandoffRejected(decision.key_hash);
   }
 }
 
@@ -521,14 +374,6 @@ void ParallelJoinPipeline::RouterLoop(const std::vector<StreamElement>& left,
       now_refresh = 63;
     }
     RouteElement(side, e);
-    if (repart_enabled_ && controller_->ShouldCheck()) {
-      const RepartitionDecision decision = controller_->Decide();
-      imbalance_gauge_.Set(
-          static_cast<int64_t>(controller_->last_imbalance() * 1000.0));
-      if (decision.kind != RepartitionDecision::Kind::kNone) {
-        Replicate(decision);
-      }
-    }
     if (++since_drain >= static_cast<int64_t>(options_.batch_size)) {
       since_drain = 0;
       DrainOutputs();
@@ -559,15 +404,8 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   backpressure_counter_ = registry.GetCounter("pjoin_router_backpressure_waits",
                                               "pipeline=parallel");
-  rollbacks_counter_ = registry.GetCounter("pjoin_migration_rollbacks_total",
-                                           "pipeline=parallel");
-  hot_keys_gauge_ =
-      registry.GetGauge("pjoin_hot_keys_active", "pipeline=parallel");
-  imbalance_gauge_ = registry.GetGauge("pjoin_shard_imbalance_permille",
-                                       "pipeline=parallel");
   punct_pending_gauge_ =
       registry.GetGauge("pjoin_punct_pending_rounds", "pipeline=parallel");
-  merged_results_.assign(static_cast<size_t>(num_shards()), 0);
   // Wire per-shard output staging: results queue up locally as flat rows; a
   // punctuation release is recorded behind them, and FlushShardOut moves
   // both into the shard's output ring with that order intact — so by the

@@ -19,8 +19,10 @@
 // key hashes for partition selection, index probe and insert, and
 // amortizes the per-tuple counter bookkeeping across each batch.
 //
+// Key placement is static: a key's owner is its mixed hash modulo the
+// shard count (OwnerOf) for the whole run, so the spine carries only data.
 // Because an equi-join only ever pairs tuples of equal keys, and all
-// tuples of one key hash to the same shard, every shard runs the complete
+// tuples of one key go to the same shard, every shard runs the complete
 // single-threaded join algorithm over a disjoint key subset: memory
 // portion, disk portion, purge buffer, and purge/disk-join work all stay
 // shard-local.
@@ -39,14 +41,6 @@
 // order of a punctuation and the tuples it covers. Stalls are detected per
 // shard (a dry shard runs its disk join / reactive stage, exactly as the
 // single-threaded consumer would, then parks until data or close).
-//
-// Runtime repartitioning (ops/repartition.h, off by default) spreads a hot
-// key over every shard with one in-band handoff that the router completes
-// before it routes the next element: it sends an extract down the owner's
-// ring, merges outputs until the owner's copy of the key's state comes
-// back, and queues that copy to every other shard ahead of anything it
-// routes later. Every element is therefore routed in arrival order, under
-// the placement in force when it arrives.
 //
 // Output runs through per-shard result rings of OutBatches — each carries
 // the shard's staged results followed by its punctuation releases — merged
@@ -93,9 +87,15 @@
 #include "join/join_base.h"
 #include "obs/metrics_registry.h"
 #include "ops/release_board.h"
-#include "ops/repartition.h"
 
 namespace pjoin {
+
+/// Ignored: key placement is static. Kept because the repository benchmark
+/// still assigns both fields.
+struct RepartitionPolicy {
+  bool enabled = false;
+  double imbalance_trigger = 1.25;
+};
 
 struct ParallelPipelineOptions {
   /// Number of shard workers; 1 degenerates to router + one worker.
@@ -120,9 +120,8 @@ struct ParallelPipelineOptions {
   /// router→shard→merger as Chrome flow arrows (TRACE_FLOW_*). 0 disables
   /// sampling.
   uint64_t flow_sample_period = 1024;
-  /// Runtime repartitioning (ops/repartition.h): hot-key replication via
-  /// in-band handoffs. Disabled by default — the static pipeline pays
-  /// nothing.
+  /// Ignored, as input_buffer_capacity is: every key stays with its static
+  /// owner (ParallelJoinPipeline::OwnerOf).
   RepartitionPolicy repartition;
 };
 
@@ -182,34 +181,24 @@ class ParallelJoinPipeline {
   /// (also counter pjoin_shard_spin_parks).
   int64_t shard_spin_parks() const { return shard_spin_parks_.load(); }
 
-  // ---- Repartitioning introspection (atomics: readable mid-run) ----
-  /// Always 0: replication is the only repartition action. Kept because
-  /// the repository benchmark still reports it (repart.migrations).
+  // Always 0: key placement is static. Kept because the repository
+  // benchmark still reports them (repart.*).
   int64_t migrations_completed() const { return 0; }
-  /// Handoffs whose extract the owner refused; the key stays where it was
-  /// (also counter pjoin_migration_rollbacks_total).
-  int64_t migration_rollbacks() const { return migration_rollbacks_.load(); }
-  /// Handoffs started (replications + rollbacks).
-  int64_t handoffs_started() const { return handoffs_started_.load(); }
-  /// Keys currently hot-replicated (also gauge pjoin_hot_keys_active).
-  int64_t hot_keys_active() const { return shard_map_.replicated_keys(); }
-  const ShardMap& shard_map() const { return shard_map_; }
+  int64_t migration_rollbacks() const { return 0; }
+  int64_t handoffs_started() const { return 0; }
+  int64_t hot_keys_active() const { return 0; }
+
+  /// The shard owning `key_hash` at `num_shards` shards: the mixed hash
+  /// modulo the shard count. (The hash is mixed before the modulo because
+  /// its low bits already select the partition inside a shard's
+  /// HashState.) Tuple routing and punctuation routing both call this, so
+  /// they cannot disagree about a key's owner.
+  static int OwnerOf(uint64_t key_hash, int num_shards) {
+    const uint64_t mixed = (key_hash * 0x9e3779b97f4a7c15ull) >> 32;
+    return static_cast<int>(mixed % static_cast<uint64_t>(num_shards));
+  }
 
  private:
-  /// An in-band repartitioning command, delivered through a shard's routed
-  /// ring so FIFO order puts it behind every element dispatched before it
-  /// and ahead of every element routed after it. kExtract asks the owner to
-  /// copy a key's state and answer; kInstall delivers the copy to another
-  /// shard, which does not answer.
-  struct RepartCommand {
-    enum class Kind { kExtract, kInstall };
-    Kind kind = Kind::kExtract;
-    /// kExtract: the key whose state to copy.
-    Value key;
-    /// kInstall: the state to install.
-    KeyStateHandoff payload;
-  };
-
   /// Columnar routed batch — the unit of the router→shard rings. Parallel
   /// flat arrays (borrowed element pointers, input sides, router-computed
   /// key hashes) keep the shard's probe loop walking plain memory, and the
@@ -230,8 +219,6 @@ class ParallelJoinPipeline {
     /// router on ~1/flow_sample_period tuples, stepped by the shard,
     /// terminated by the merger.
     uint64_t flow_id = 0;
-    /// A command batch carries exactly one command and no elements.
-    std::unique_ptr<RepartCommand> command;
   };
 
   /// The unit of the shard→merger rings: staged results followed by the
@@ -245,10 +232,6 @@ class ParallelJoinPipeline {
     /// Flow id carried over from the newest sampled RoutedBatch this shard
     /// processed (0 = none): lets the merger close the flow arrow.
     uint64_t flow_id = 0;
-    /// An extract answer (the copied state, or the owner's refusal) rides
-    /// alone in its own batch, behind the output the shard staged before
-    /// executing the command.
-    std::unique_ptr<Result<KeyStateHandoff>> handoff;
   };
 
   // Per-shard context: the two rings, progress counters, staging buffers.
@@ -257,21 +240,8 @@ class ParallelJoinPipeline {
   void RouterLoop(const std::vector<StreamElement>& left,
                   const std::vector<StreamElement>& right);
   void ShardLoop(Shard* shard);
-  /// Dispatches one element (tuple / punctuation / EOS) under the current
-  /// shard map.
+  /// Dispatches one element (tuple / punctuation / EOS) to its shards.
   void RouteElement(int side, const StreamElement* e);
-  /// Carries out one replication decision before the router routes another
-  /// element: flushes every shard's staged batch, sends the extract to the
-  /// owner and merges outputs until its answer arrives, then queues the
-  /// build side's copy to the other shards and marks the key replicated, or
-  /// blocklists a refused key.
-  void Replicate(const RepartitionDecision& decision);
-  /// Pushes a command batch to `shard` behind its staged elements (FIFO
-  /// order).
-  void PushCommand(int shard, RepartCommand cmd);
-  /// Shard-side command execution against the local join; an extract is
-  /// answered through the shard's output ring.
-  void ExecuteCommand(Shard* shard, RepartCommand& cmd);
   /// Appends element `e` (borrowed) to `shard`'s pending batch, flushing
   /// when full.
   void Stage(int shard, int8_t side, const StreamElement* e,
@@ -285,11 +255,8 @@ class ParallelJoinPipeline {
   /// merged, so callers waiting on output can park when a sweep comes back
   /// empty.
   size_t DrainOutputs();
-  /// Spray shard for one tuple of a replicated key: least merged output,
-  /// round-robin until output differentiates the shards.
-  int SprayTarget(uint64_t key_hash);
   /// Builds and emits `shard`'s result rows, then credits its releases on
-  /// the board; an extract answer is stored in `handoff_answer_`.
+  /// the board.
   void MergeOutBatch(int shard, OutBatch out);
   /// Shard-side: pushes staged results/releases into the shard's output
   /// ring when due (`force`, a pending release, or kResultFlush reached).
@@ -306,16 +273,6 @@ class ParallelJoinPipeline {
   ResultCallback on_result_;
   PunctCallback on_punct_;
 
-  // ---- Repartitioning (router/merger thread only, like the board) ----
-  /// The single source of truth for key → shard placement: tuple routing
-  /// and punctuation routing both consult this map, so they can never
-  /// disagree about a key's owner.
-  ShardMap shard_map_;
-  bool repart_enabled_ = false;
-  std::unique_ptr<RepartitionController> controller_;
-  /// The owner's extract answer, stored by MergeOutBatch for Replicate
-  /// (null outside a handoff).
-  std::unique_ptr<Result<KeyStateHandoff>> handoff_answer_;
   /// Per-side join-key positions of the running RouterLoop.
   size_t key_index_[2] = {0, 0};
   /// Coarse dispatch timestamp (see RouterLoop's refresh cadence).
@@ -324,9 +281,6 @@ class ParallelJoinPipeline {
   /// id N when N falls on the sampling period (deterministic for a fixed
   /// input order).
   int64_t routed_tuples_ = 0;
-  /// Result rows merged per shard so far (router/merger thread). Feeds
-  /// SprayTarget's least-output choice for replicated keys.
-  std::vector<int64_t> merged_results_;
 
   /// Punctuation release board — router/caller thread only (the merger is
   /// single-threaded, which is what lets the old mutex-guarded board go).
@@ -349,11 +303,6 @@ class ParallelJoinPipeline {
   /// cycles the shard workers need to produce the output it waits for.
   std::atomic<uint32_t> out_activity_{0};
   obs::Counter backpressure_counter_;
-  std::atomic<int64_t> migration_rollbacks_{0};
-  std::atomic<int64_t> handoffs_started_{0};
-  obs::Counter rollbacks_counter_;
-  obs::Gauge hot_keys_gauge_;
-  obs::Gauge imbalance_gauge_;
   /// Rounds partially released on the board (pjoin_punct_pending_rounds).
   obs::Gauge punct_pending_gauge_;
   bool ran_ = false;

@@ -14,8 +14,7 @@
 //
 // Counting per shard, not per string, matters because rounds of one string
 // overlap: a left and a right punctuation over the same keys map to the
-// same output string, and so do the two sides' punctuations of a
-// hot-replicated key. A fast shard's second release must not stand in for
+// same output string. A fast shard's second release must not stand in for
 // a slow shard's first.
 //
 // Threading: the board is deliberately plain sequential state, owned by

@@ -42,6 +42,13 @@ Result<int64_t> PunctuationSet::Add(Punctuation punct, TimeMicros arrival) {
       break;
     }
   }
+  if (entry.key_only) {
+    if (attr_pattern.IsConstant()) {
+      covered_constants_.insert(attr_pattern.constant());
+    } else if (!attr_pattern.IsEmpty()) {
+      covered_patterns_.push_back(attr_pattern);
+    }
+  }
   entry.punct = std::move(punct);
   entries_.emplace(pid, std::move(entry));
   unapplied_purge_pids_.push_back(pid);
@@ -83,25 +90,9 @@ bool PunctuationSet::SetMatch(const Tuple& t) const {
 }
 
 bool PunctuationSet::SetMatchKey(const Value& join_value) const {
-  if (retained_constants_.count(join_value) > 0) return true;
-  for (const Pattern& p : retained_patterns_) {
+  if (covered_constants_.count(join_value) > 0) return true;
+  for (const Pattern& p : covered_patterns_) {
     if (p.Matches(join_value)) return true;
-  }
-  auto it = constant_index_.find(join_value);
-  if (it != constant_index_.end()) {
-    for (int64_t pid : it->second) {
-      const PunctEntry* entry = Find(pid);
-      PJOIN_DCHECK(entry != nullptr);
-      if (entry->key_only) return true;
-    }
-  }
-  for (int64_t pid : nonconstant_pids_) {
-    const PunctEntry* entry = Find(pid);
-    PJOIN_DCHECK(entry != nullptr);
-    if (entry->key_only &&
-        entry->punct.pattern(attr_index_).Matches(join_value)) {
-      return true;
-    }
   }
   return false;
 }
@@ -157,20 +148,6 @@ void PunctuationSet::Remove(int64_t pid) {
   entries_.erase(it);
 }
 
-void PunctuationSet::RemoveRetainingCoverage(int64_t pid) {
-  auto it = entries_.find(pid);
-  if (it == entries_.end()) return;
-  if (it->second.key_only) {
-    const Pattern& attr_pattern = it->second.punct.pattern(attr_index_);
-    if (attr_pattern.IsConstant()) {
-      retained_constants_.insert(attr_pattern.constant());
-    } else if (!attr_pattern.IsEmpty()) {
-      retained_patterns_.push_back(attr_pattern);
-    }
-  }
-  Remove(pid);
-}
-
 std::vector<int64_t> PunctuationSet::PidsInOrder() const {
   std::vector<int64_t> pids;
   pids.reserve(entries_.size());
@@ -183,8 +160,8 @@ size_t PunctuationSet::ByteSize() const {
   for (const auto& [pid, entry] : entries_) {
     total += sizeof(PunctEntry) + entry.punct.ByteSize();
   }
-  for (const auto& v : retained_constants_) total += v.ByteSize();
-  for (const auto& p : retained_patterns_) total += p.ByteSize();
+  for (const auto& v : covered_constants_) total += v.ByteSize();
+  for (const auto& p : covered_patterns_) total += p.ByteSize();
   return total;
 }
 

@@ -59,9 +59,9 @@ class PunctuationSet {
 
   /// Cross-stream setMatch on the join attribute (paper §2.2: "we only focus
   /// on exploiting punctuations over the join attribute"): true if some
-  /// *key-only* punctuation's join-attribute pattern covers `join_value`.
-  /// This is the test used to purge the opposite state and to drop arriving
-  /// opposite-stream tuples on the fly.
+  /// *key-only* punctuation ever added, removed or not, covers `join_value`
+  /// with its join-attribute pattern. This is the test used to purge the
+  /// opposite state and to drop arriving opposite-stream tuples on the fly.
   [[nodiscard]] bool SetMatchKey(const Value& join_value) const;
 
   /// The earliest-arrived punctuation matching `t`, or nullptr. Used to
@@ -72,16 +72,12 @@ class PunctuationSet {
   PunctEntry* Find(int64_t pid);
   const PunctEntry* Find(int64_t pid) const;
 
-  /// Removes a punctuation (after propagation).
-  void Remove(int64_t pid);
-
-  /// Removes a punctuation but retains its key coverage: SetMatchKey keeps
-  /// reporting its join-attribute pattern as covered. Used when a
-  /// punctuation is propagated — the guarantee "no more tuples with these
-  /// keys" holds forever, and the purge / on-the-fly-drop checks of the
+  /// Removes a punctuation (after propagation). Its key coverage stays:
+  /// a key-only punctuation's guarantee "no more tuples with these keys"
+  /// holds forever, and the purge / on-the-fly-drop checks of the
   /// *opposite* stream (or, in the n-ary join, of all other streams) still
   /// rely on it.
-  void RemoveRetainingCoverage(int64_t pid);
+  void Remove(int64_t pid);
 
   /// Pids in arrival order.
   std::vector<int64_t> PidsInOrder() const;
@@ -121,9 +117,11 @@ class PunctuationSet {
   std::unordered_map<Value, std::vector<int64_t>, ValueHash> constant_index_;
   // Pids whose join-attribute pattern is not a constant.
   std::vector<int64_t> nonconstant_pids_;
-  // Key coverage retained from propagated key-only punctuations.
-  std::unordered_set<Value, ValueHash> retained_constants_;
-  std::vector<Pattern> retained_patterns_;
+  // Join-attribute patterns of every key-only punctuation added, recorded
+  // at Add and never withdrawn: constants in a hash set, any other
+  // non-empty pattern in a list. SetMatchKey reads only these.
+  std::unordered_set<Value, ValueHash> covered_constants_;
+  std::vector<Pattern> covered_patterns_;
   // Work queues consumed by the purge and index-build components.
   std::vector<int64_t> unapplied_purge_pids_;
   std::vector<int64_t> unindexed_pids_;

@@ -499,10 +499,10 @@ TEST_F(HealthTest, SampledFlowsRenderAsChromeFlowArrows) {
 
 // ---- Concurrent scrape (the TSan leg) ----
 
-// A real pipeline run with repartitioning enabled, scraped concurrently by
-// the watchdog thread, /healthz probes and direct EvaluateNow calls. Run
-// under TSan in CI: the assertion is the absence of data races between the
-// health read path and the router/shard/merger write path.
+// A real pipeline run, scraped concurrently by the watchdog thread,
+// /healthz probes and direct EvaluateNow calls. Run under TSan in CI: the
+// assertion is the absence of data races between the health read path and
+// the router/shard/merger write path.
 TEST_F(HealthTest, ConcurrentScrapeDuringRunIsSafe) {
   DomainSpec domain;
   domain.window_size = 16;
@@ -521,9 +521,6 @@ TEST_F(HealthTest, ConcurrentScrapeDuringRunIsSafe) {
   ParallelPipelineOptions popts;
   popts.num_shards = 4;
   popts.batch_size = 32;
-  popts.repartition.enabled = true;
-  popts.repartition.min_tuples = 256;
-  popts.repartition.check_interval = 256;
   ParallelJoinPipeline pipeline(
       [&](int) {
         JoinOptions jopts;

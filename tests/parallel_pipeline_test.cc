@@ -100,9 +100,12 @@ struct Workload {
   GeneratedStreams streams;
 };
 
+/// Stream A draws its keys at zipf exponent `zipf_s`, stream B at `zipf_b`
+/// (the same as A when negative).
 Workload MakeWorkload(const std::string& name, uint64_t seed,
                       double punct_rate, double zipf_s,
-                      PunctStyle style = PunctStyle::kConstant) {
+                      PunctStyle style = PunctStyle::kConstant,
+                      double zipf_b = -1.0) {
   DomainSpec domain;
   domain.window_size = 16;
   StreamSpec spec;
@@ -112,7 +115,15 @@ Workload MakeWorkload(const std::string& name, uint64_t seed,
   spec.punct_batch = style == PunctStyle::kConstant ? 1 : 4;
   spec.zipf_s = zipf_s;
   spec.flush_punctuations_at_end = true;
-  return Workload{name, GenerateStreams(domain, spec, spec, seed)};
+  StreamSpec spec_b = spec;
+  if (zipf_b >= 0.0) spec_b.zipf_s = zipf_b;
+  return Workload{name, GenerateStreams(domain, spec, spec_b, seed)};
+}
+
+/// The perfbench `skew` shape: stream A at zipf 1.6, stream B uniform.
+Workload SkewWorkload(uint64_t seed) {
+  return MakeWorkload("skew", seed, /*punct_rate=*/20.0, /*zipf_s=*/1.6,
+                      PunctStyle::kConstant, /*zipf_b=*/0.0);
 }
 
 class ParallelEquivalenceTest : public ::testing::TestWithParam<Operator> {};
@@ -169,23 +180,29 @@ TEST_P(ParallelEquivalenceTest, PunctuationHeavyWorkload) {
   }
 }
 
+// The skew oracle: every key stays with its static owner however hot it
+// is, so the busiest shard gets the celebrity key's whole share, and the
+// results and released punctuations still match the references.
 TEST_P(ParallelEquivalenceTest, SkewedWorkload) {
   const Operator op = GetParam();
-  Workload w = MakeWorkload("zipf", /*seed=*/5150, /*punct_rate=*/20.0,
-                            /*zipf_s=*/1.2);
+  Workload w = SkewWorkload(/*seed=*/5150);
   const std::vector<std::string> reference = ReferenceJoinRows(
       w.streams.a, w.streams.b,
       MakeJoin(op, w.streams.schema_a, w.streams.schema_b, JoinOptions())
           ->output_schema(),
       0, 0);
   const JoinOptions jopts = SmallStateOptions();
-  for (const int shards : {2, 4}) {
+  auto ref_join = MakeJoin(op, w.streams.schema_a, w.streams.schema_b, jopts);
+  const RunResult ref = RunJoin(ref_join.get(), w.streams.a, w.streams.b);
+  for (const int shards : {1, 2, 4}) {
     ParallelPipelineOptions popts;
     popts.num_shards = shards;
     const RunResult got =
         RunParallel(op, w.streams.schema_a, w.streams.schema_b, jopts,
                     w.streams.a, w.streams.b, popts);
     EXPECT_EQ(got.results, reference) << "shards=" << shards;
+    EXPECT_EQ(SortedPunctStrings(got), SortedPunctStrings(ref))
+        << "shards=" << shards;
   }
 }
 
@@ -213,6 +230,18 @@ INSTANTIATE_TEST_SUITE_P(Operators, ParallelEquivalenceTest,
                            return info.param == Operator::kPJoin ? "PJoin"
                                                                  : "XJoin";
                          });
+
+// ---- Key placement ----
+
+TEST(OwnerOfTest, StaticMappingIsStableAndInRange) {
+  for (uint64_t h = 0; h < 1000; ++h) {
+    const int shard = ParallelJoinPipeline::OwnerOf(h, 4);
+    EXPECT_GE(shard, 0);
+    EXPECT_LT(shard, 4);
+    EXPECT_EQ(shard, ParallelJoinPipeline::OwnerOf(h, 4))
+        << "must be deterministic";
+  }
+}
 
 // ---- PJoin-specific: punctuations and purge behavior ----
 
@@ -252,6 +281,44 @@ TEST(ParallelPJoinTest, PunctuationsReleasedOnceAndAfterCoveredResults) {
     }
     EXPECT_EQ(state, ref_join->total_state_tuples()) << "shards=" << shards;
   }
+}
+
+// The repartition options are ignored: with perfbench's `skew` settings the
+// run is the static run, and the accessors the benchmark reads stay 0.
+TEST(ParallelPJoinTest, RepartitionPolicyIsIgnored) {
+  Workload w = SkewWorkload(/*seed=*/1);
+  const JoinOptions jopts = SmallStateOptions();
+  ParallelPipelineOptions popts;
+  popts.num_shards = 2;
+  popts.shard_queue_capacity = 16;
+  ParallelJoinPipeline* pipeline = nullptr;
+  const RunResult static_run =
+      RunParallel(Operator::kPJoin, w.streams.schema_a, w.streams.schema_b,
+                  jopts, w.streams.a, w.streams.b, popts, &pipeline);
+  const std::vector<ShardStats> static_stats = pipeline->shard_stats();
+
+  popts.repartition.enabled = true;
+  popts.repartition.imbalance_trigger = 1.15;
+  const RunResult got =
+      RunParallel(Operator::kPJoin, w.streams.schema_a, w.streams.schema_b,
+                  jopts, w.streams.a, w.streams.b, popts, &pipeline);
+  EXPECT_EQ(got.results, static_run.results);
+  EXPECT_EQ(SortedPunctStrings(got), SortedPunctStrings(static_run));
+  ASSERT_EQ(pipeline->shard_stats().size(), static_stats.size());
+  for (size_t i = 0; i < static_stats.size(); ++i) {
+    // Stall counts follow thread timing; everything else the input fixes.
+    const ShardStats& a = pipeline->shard_stats()[i];
+    const ShardStats& b = static_stats[i];
+    EXPECT_EQ(a.elements, b.elements) << "shard " << i;
+    EXPECT_EQ(a.tuples, b.tuples) << "shard " << i;
+    EXPECT_EQ(a.results, b.results) << "shard " << i;
+    EXPECT_EQ(a.puncts_emitted, b.puncts_emitted) << "shard " << i;
+    EXPECT_EQ(a.state_tuples, b.state_tuples) << "shard " << i;
+  }
+  EXPECT_EQ(pipeline->handoffs_started(), 0);
+  EXPECT_EQ(pipeline->migrations_completed(), 0);
+  EXPECT_EQ(pipeline->migration_rollbacks(), 0);
+  EXPECT_EQ(pipeline->hot_keys_active(), 0);
 }
 
 TEST(ParallelPJoinTest, ShardStatsCoverAllRoutedElements) {

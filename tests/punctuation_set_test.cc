@@ -103,7 +103,9 @@ TEST(PunctuationSetTest, RemoveDropsFromIndexes) {
   EXPECT_EQ(ps.Find(pid_const), nullptr);
   ps.Remove(pid_range);
   EXPECT_TRUE(ps.empty());
-  EXPECT_FALSE(ps.SetMatchKey(Value(int64_t{15})));
+  // Key coverage survives the removal: a key-only punctuation's promise
+  // holds forever.
+  EXPECT_TRUE(ps.SetMatchKey(Value(int64_t{15})));
 }
 
 TEST(PunctuationSetTest, KeyOnlyFlagComputed) {
@@ -144,10 +146,10 @@ TEST(PunctuationSetTest, ForEachVisitsInArrivalOrder) {
   EXPECT_EQ(pids, (std::vector<int64_t>{0, 1, 2}));
 }
 
-TEST(PunctuationSetTest, RemoveRetainingCoverageKeepsKeyMatch) {
+TEST(PunctuationSetTest, RemoveKeepsKeyCoverage) {
   PunctuationSet ps(0);
   int64_t pid = ps.Add(KeyPunct(5), 0).value();
-  ps.RemoveRetainingCoverage(pid);
+  ps.Remove(pid);
   EXPECT_TRUE(ps.empty());
   EXPECT_EQ(ps.Find(pid), nullptr);
   // The key is still covered for purge / on-the-fly-drop purposes.
@@ -155,20 +157,20 @@ TEST(PunctuationSetTest, RemoveRetainingCoverageKeepsKeyMatch) {
   EXPECT_FALSE(ps.SetMatchKey(Value(int64_t{6})));
 }
 
-TEST(PunctuationSetTest, RemoveRetainingCoverageRangePattern) {
+TEST(PunctuationSetTest, RemoveKeepsRangeCoverage) {
   PunctuationSet ps(0);
   int64_t pid = ps.Add(KeyRangePunct(10, 20), 0).value();
-  ps.RemoveRetainingCoverage(pid);
+  ps.Remove(pid);
   EXPECT_TRUE(ps.SetMatchKey(Value(int64_t{15})));
   EXPECT_FALSE(ps.SetMatchKey(Value(int64_t{25})));
 }
 
-TEST(PunctuationSetTest, RemoveRetainingCoverageSkipsNonKeyOnly) {
+TEST(PunctuationSetTest, RemoveGrantsNonKeyOnlyNoCoverage) {
   PunctuationSet ps(0);
   Punctuation both({Pattern::Constant(Value(int64_t{5})),
                     Pattern::Constant(Value(int64_t{1}))});
   int64_t pid = ps.Add(both, 0).value();
-  ps.RemoveRetainingCoverage(pid);
+  ps.Remove(pid);
   // A non-key-only punctuation never grants key coverage.
   EXPECT_FALSE(ps.SetMatchKey(Value(int64_t{5})));
 }
