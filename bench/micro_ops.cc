@@ -149,13 +149,21 @@ void BM_ProbeIndexedBucket(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeIndexedBucket)->Arg(10)->Arg(100)->Arg(1000);
 
-void BM_PurgeScan(benchmark::State& state) {
+// The purge scans below share one state and one punctuation set: 10 of the
+// 40 keys are covered, so a quarter of the entries would be purged.
+PunctuationSet TenKeyPunctuations() {
   PunctuationSet ps(0);
   for (int64_t k = 0; k < 10; ++k) {
     const Result<int64_t> pid = ps.Add(
         Punctuation::ForAttribute(2, 0, Pattern::Constant(Value(k))), k);
     PJOIN_DCHECK(pid.ok());
   }
+  return ps;
+}
+
+// setMatch by key value: one Value::Hash per entry.
+void BM_PurgeScan(benchmark::State& state) {
+  const PunctuationSet ps = TenKeyPunctuations();
   HashState st = MakeState(state.range(0), 40);
   for (auto _ : state) {
     int64_t would_purge = 0;
@@ -169,6 +177,23 @@ void BM_PurgeScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PurgeScan)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// setMatch by the entry's cached key hash, the test PJoin's purges run.
+void BM_PurgeScanByHash(benchmark::State& state) {
+  const PunctuationSet ps = TenKeyPunctuations();
+  HashState st = MakeState(state.range(0), 40);
+  for (auto _ : state) {
+    int64_t would_purge = 0;
+    for (int p = 0; p < st.num_partitions(); ++p) {
+      for (const TupleEntry& e : st.memory(p)) {
+        if (ps.SetMatchKey(st.KeyOf(e.tuple), e.key_hash)) ++would_purge;
+      }
+    }
+    benchmark::DoNotOptimize(would_purge);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PurgeScanByHash)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_IndexBuild(benchmark::State& state) {
   SchemaPtr schema = KP();

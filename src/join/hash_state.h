@@ -19,8 +19,10 @@
 #define PJOIN_JOIN_HASH_STATE_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -101,27 +103,34 @@ class HashState : public SpillableState {
   }
 
   /// Removes and returns all memory entries of partition `p` for which
-  /// `pred` holds, preserving order of the kept entries. The partition's
+  /// `pred` holds, in insertion order, preserving the order of the kept
+  /// entries. One in-order pass: each entry moves at most once, into the
+  /// result or down over the gap the extracted ones left. The partition's
   /// index is rebuilt when anything was extracted.
   template <typename Pred>
   std::vector<TupleEntry> ExtractMemoryMatching(int p, Pred&& pred) {
     Partition& part = partition(p);
     auto& mem = part.memory;
     std::vector<TupleEntry> extracted;
-    auto keep_end = std::stable_partition(
-        mem.begin(), mem.end(),
-        [&pred](const TupleEntry& e) { return !pred(e); });
-    for (auto it = keep_end; it != mem.end(); ++it) {
-      const int64_t bytes = static_cast<int64_t>(it->tuple.ByteSize());
-      memory_bytes_ -= bytes;
-      part.memory_bytes -= bytes;
-      extracted.push_back(std::move(*it));
+    int64_t extracted_bytes = 0;
+    size_t kept = 0;
+    for (size_t i = 0; i < mem.size(); ++i) {
+      if (pred(std::as_const(mem[i]))) {
+        extracted_bytes += static_cast<int64_t>(mem[i].tuple.ByteSize());
+        extracted.push_back(std::move(mem[i]));
+      } else {
+        if (kept != i) mem[kept] = std::move(mem[i]);
+        ++kept;
+      }
     }
-    mem.erase(keep_end, mem.end());
+    if (extracted.empty()) return extracted;
+    mem.erase(mem.begin() + static_cast<std::ptrdiff_t>(kept), mem.end());
+    memory_bytes_ -= extracted_bytes;
+    part.memory_bytes -= extracted_bytes;
     memory_tuples_ -= static_cast<int64_t>(extracted.size());
     PJOIN_DCHECK(memory_tuples_ >= 0);
     PJOIN_DCHECK(memory_bytes_ >= 0);
-    if (!extracted.empty()) RebuildIndex(&part);
+    RebuildIndex(&part);
     return extracted;
   }
 

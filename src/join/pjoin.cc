@@ -142,7 +142,7 @@ Status PJoin::OnTupleHashed(int side, const Tuple& tuple,
   // purged from the opposite state), so it is dropped/quarantined before it
   // can probe or be stored.
   if (options().violation_policy != ViolationPolicy::kIgnore &&
-      punct_sets_[side]->SetMatchKey(state(side).KeyOf(tuple))) {
+      punct_sets_[side]->SetMatchKey(state(side).KeyOf(tuple), key_hash)) {
     return OnContractViolation(side, "late_tuple", &tuple, nullptr);
   }
   const int64_t tick = NextTick();
@@ -154,7 +154,7 @@ Status PJoin::OnTupleHashed(int side, const Tuple& tuple,
   // stream's punctuations can never join future opposite tuples; it only
   // still owes joins against the opposite disk portion, if any.
   if (options().drop_on_the_fly &&
-      punct_sets_[1 - side]->SetMatchKey(own.KeyOf(tuple))) {
+      punct_sets_[1 - side]->SetMatchKey(own.KeyOf(tuple), key_hash)) {
     const int p = own.PartitionOfHash(key_hash);
     if (opp.disk_tuples(p) > 0) {
       TupleEntry entry;
@@ -254,60 +254,54 @@ Status PJoin::RunPurge() {
 
 Status PJoin::PurgeState(int side) {
   HashState& own = mutable_state(side);
-  HashState& opp = mutable_state(1 - side);
   PunctuationSet& opp_ps = *punct_sets_[1 - side];
   if (opp_ps.empty()) return Status::OK();
   const int64_t purge_tick = NextTick();
 
-  auto dispose = [&](int p, std::vector<TupleEntry> extracted) {
-    for (TupleEntry& e : extracted) {
-      e.dts = purge_tick;
-      if (opp.disk_tuples(p) > 0) {
-        // The tuple may still join opposite disk-resident tuples: park it in
-        // the purge buffer until the disk join clears it (paper §3.1).
-        own.AddToPurgeBuffer(p, std::move(e));
-        counters().Add("purge_buffered");
-      } else {
-        DiscardEntry(side, e);
-        counters().Add("purged_tuples");
-      }
-    }
-  };
-
   if (options().purge_mode == PurgeMode::kScan) {
     // The paper's algorithm: scan the memory state applying setMatch. The
     // scan cost, proportional to the state size, is what makes eager purge
-    // expensive (Fig 9).
-    opp_ps.TakeUnappliedForPurge();  // mark them applied
+    // expensive (Fig 9). Each test reads the entry's cached key hash and
+    // touches the key only on a hash hit.
+    opp_ps.TakeUnappliedForPurge();  // the scan applies them all
+    int64_t scanned = 0;
     for (int p = 0; p < own.num_partitions(); ++p) {
-      counters().Add("purge_scanned",
-                     static_cast<int64_t>(own.memory(p).size()));
-      dispose(p, own.ExtractMemoryMatching(p, [&](const TupleEntry& e) {
-        return opp_ps.SetMatchKey(own.KeyOf(e.tuple));
-      }));
+      scanned += static_cast<int64_t>(own.memory(p).size());
+      DisposePurged(side, p,
+                    own.ExtractMemoryMatching(p, [&](const TupleEntry& e) {
+                      return opp_ps.SetMatchKey(own.KeyOf(e.tuple),
+                                                e.key_hash);
+                    }),
+                    purge_tick);
     }
+    counters().Add("purge_scanned", scanned);
   } else {
     // Indexed purge (extension): jump straight to the partitions named by
     // the not-yet-applied punctuations. (Pair with drop_on_the_fly: covered
     // tuples arriving after a punctuation was applied are handled there.)
-    for (int64_t pid : opp_ps.TakeUnappliedForPurge()) {
-      const PunctEntry* pe = opp_ps.Find(pid);
-      if (pe == nullptr || !pe->key_only) continue;
-      const Pattern& pattern = pe->punct.pattern(opp.key_index());
+    for (const Pattern& pattern : opp_ps.TakeUnappliedForPurge()) {
       if (pattern.IsConstant()) {
-        const int p = own.PartitionOf(pattern.constant());
+        const Value& key = pattern.constant();
+        const uint64_t key_hash = key.Hash();
+        const int p = own.PartitionOfHash(key_hash);
         counters().Add("purge_scanned",
                        static_cast<int64_t>(own.memory(p).size()));
-        dispose(p, own.ExtractMemoryMatching(p, [&](const TupleEntry& e) {
-          return own.KeyOf(e.tuple) == pattern.constant();
-        }));
+        DisposePurged(side, p,
+                      own.ExtractMemoryMatching(p, [&](const TupleEntry& e) {
+                        return e.key_hash == key_hash &&
+                               own.KeyOf(e.tuple) == key;
+                      }),
+                      purge_tick);
       } else {
         for (int p = 0; p < own.num_partitions(); ++p) {
           counters().Add("purge_scanned",
                          static_cast<int64_t>(own.memory(p).size()));
-          dispose(p, own.ExtractMemoryMatching(p, [&](const TupleEntry& e) {
-            return pattern.Matches(own.KeyOf(e.tuple));
-          }));
+          DisposePurged(
+              side, p,
+              own.ExtractMemoryMatching(p, [&](const TupleEntry& e) {
+                return pattern.Matches(own.KeyOf(e.tuple));
+              }),
+              purge_tick);
         }
       }
     }
@@ -315,32 +309,40 @@ Status PJoin::PurgeState(int side) {
   return Status::OK();
 }
 
+void PJoin::DisposePurged(int side, int p, std::vector<TupleEntry> extracted,
+                          int64_t purge_tick) {
+  if (extracted.empty()) return;
+  const auto n = static_cast<int64_t>(extracted.size());
+  HashState& own = mutable_state(side);
+  if (state(1 - side).disk_tuples(p) > 0) {
+    // The tuples may still join opposite disk-resident tuples: park them in
+    // the purge buffer until the disk join clears them (paper §3.1).
+    for (TupleEntry& e : extracted) {
+      e.dts = purge_tick;
+      own.AddToPurgeBuffer(p, std::move(e));
+    }
+    counters().Add("purge_buffered", n);
+  } else {
+    for (const TupleEntry& e : extracted) DiscardEntry(side, e);
+    counters().Add("purged_tuples", n);
+  }
+}
+
 EarlyPurgeOutcome PJoin::EarlyPurgePartition(int side, int p) {
   EarlyPurgeOutcome out;
   HashState& own = mutable_state(side);
-  HashState& opp = mutable_state(1 - side);
   PunctuationSet& opp_ps = *punct_sets_[1 - side];
   if (opp_ps.empty()) return out;
   const int64_t purge_tick = NextTick();
   std::vector<TupleEntry> extracted =
       own.ExtractMemoryMatching(p, [&](const TupleEntry& e) {
-        return opp_ps.SetMatchKey(own.KeyOf(e.tuple));
+        return opp_ps.SetMatchKey(own.KeyOf(e.tuple), e.key_hash);
       });
-  // Same disposal rule as PurgeState: covered tuples that may still join
-  // the opposite disk portion park in the purge buffer, the rest leave the
-  // join entirely (their punctuations' match counts drop).
-  for (TupleEntry& e : extracted) {
-    ++out.tuples;
+  out.tuples = static_cast<int64_t>(extracted.size());
+  for (const TupleEntry& e : extracted) {
     out.bytes += static_cast<int64_t>(e.tuple.ByteSize());
-    e.dts = purge_tick;
-    if (opp.disk_tuples(p) > 0) {
-      own.AddToPurgeBuffer(p, std::move(e));
-      counters().Add("purge_buffered");
-    } else {
-      DiscardEntry(side, e);
-      counters().Add("purged_tuples");
-    }
   }
+  DisposePurged(side, p, std::move(extracted), purge_tick);
   if (out.tuples > 0) counters().Add("early_purge_passes");
   return out;
 }
@@ -458,7 +460,7 @@ Status PJoin::DiskJoinPartition(int p) {
     bool reindexed = false;
     int64_t purged = 0;
     for (TupleEntry& e : entries) {
-      if (opp_ps.SetMatchKey(own.KeyOf(e.tuple))) {
+      if (opp_ps.SetMatchKey(own.KeyOf(e.tuple), e.key_hash)) {
         DiscardEntry(side, e);
         ++purged;
         continue;

@@ -78,6 +78,12 @@ class PJoin : public JoinOperator {
   /// State purge (§3.4): applies the purge rules to both states.
   Status RunPurge();
   Status PurgeState(int side);
+  /// Disposes of the tuples a purge extracted from `side`'s memory
+  /// partition `p`: those that may still join the opposite disk portion
+  /// park in the purge buffer (dts `purge_tick`), the rest leave the join
+  /// and their punctuations' match counts drop.
+  void DisposePurged(int side, int p, std::vector<TupleEntry> extracted,
+                     int64_t purge_tick);
 
   /// SpillManager early-purge hook: removes tuples of `side`'s partition
   /// `p` covered by the opposite punctuation set, in place, before the

@@ -1,6 +1,9 @@
 #include "punct/punctuation_set.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
 
 #include "common/macros.h"
 
@@ -44,26 +47,61 @@ Result<int64_t> PunctuationSet::Add(Punctuation punct, TimeMicros arrival) {
   }
   if (entry.key_only) {
     if (attr_pattern.IsConstant()) {
-      covered_constants_.insert(attr_pattern.constant());
+      CoverConstant(attr_pattern.constant());
     } else if (!attr_pattern.IsEmpty()) {
       covered_patterns_.push_back(attr_pattern);
     }
+    unapplied_purge_patterns_.push_back(attr_pattern);
   }
   entry.punct = std::move(punct);
   entries_.emplace(pid, std::move(entry));
-  unapplied_purge_pids_.push_back(pid);
   unindexed_pids_.push_back(pid);
   return pid;
 }
 
-std::vector<int64_t> PunctuationSet::TakeUnappliedForPurge() {
-  std::vector<int64_t> pids = std::move(unapplied_purge_pids_);
-  unapplied_purge_pids_.clear();
-  for (int64_t pid : pids) {
-    PunctEntry* entry = Find(pid);
-    if (entry != nullptr) entry->purge_applied = true;
+bool PunctuationSet::CoversConstant(const Value& constant,
+                                    uint64_t hash) const {
+  if (covered_slots_.empty()) return false;
+  const size_t mask = covered_slots_.size() - 1;
+  // At most half the slots are taken, so the probe reaches a free one.
+  for (size_t i = HomeSlot(hash);; i = (i + 1) & mask) {
+    const CoveredSlot& slot = covered_slots_[i];
+    if (slot.value_pos == 0) return false;
+    if (slot.hash == hash && covered_values_[slot.value_pos - 1] == constant) {
+      return true;
+    }
   }
-  return pids;
+}
+
+void PunctuationSet::CoverConstant(const Value& constant) {
+  const uint64_t hash = constant.Hash();
+  if (CoversConstant(constant, hash)) return;
+  PJOIN_DCHECK(covered_values_.size() < UINT32_MAX);
+  if (2 * (covered_values_.size() + 1) > covered_slots_.size()) {
+    // Double the table (16 slots at first) and re-place every constant.
+    const size_t slots = std::max<size_t>(16, 2 * covered_slots_.size());
+    std::vector<CoveredSlot> old =
+        std::exchange(covered_slots_, std::vector<CoveredSlot>(slots));
+    covered_shift_ = 64 - std::countr_zero(slots);
+    for (const CoveredSlot& slot : old) {
+      if (slot.value_pos != 0) PlaceCovered(slot);
+    }
+  }
+  covered_values_.push_back(constant);
+  PlaceCovered({hash, static_cast<uint32_t>(covered_values_.size())});
+}
+
+void PunctuationSet::PlaceCovered(CoveredSlot slot) {
+  const size_t mask = covered_slots_.size() - 1;
+  size_t i = HomeSlot(slot.hash);
+  while (covered_slots_[i].value_pos != 0) i = (i + 1) & mask;
+  covered_slots_[i] = slot;
+}
+
+std::vector<Pattern> PunctuationSet::TakeUnappliedForPurge() {
+  std::vector<Pattern> patterns = std::move(unapplied_purge_patterns_);
+  unapplied_purge_patterns_.clear();
+  return patterns;
 }
 
 std::vector<int64_t> PunctuationSet::TakeUnindexed() {
@@ -89,8 +127,9 @@ bool PunctuationSet::SetMatch(const Tuple& t) const {
   return false;
 }
 
-bool PunctuationSet::SetMatchKey(const Value& join_value) const {
-  if (covered_constants_.count(join_value) > 0) return true;
+bool PunctuationSet::SetMatchKey(const Value& join_value,
+                                 uint64_t key_hash) const {
+  if (CoversConstant(join_value, key_hash)) return true;
   for (const Pattern& p : covered_patterns_) {
     if (p.Matches(join_value)) return true;
   }
@@ -160,8 +199,10 @@ size_t PunctuationSet::ByteSize() const {
   for (const auto& [pid, entry] : entries_) {
     total += sizeof(PunctEntry) + entry.punct.ByteSize();
   }
-  for (const auto& v : covered_constants_) total += v.ByteSize();
+  total += covered_slots_.size() * sizeof(CoveredSlot);
+  for (const auto& v : covered_values_) total += v.ByteSize();
   for (const auto& p : covered_patterns_) total += p.ByteSize();
+  for (const auto& p : unapplied_purge_patterns_) total += p.ByteSize();
   return total;
 }
 

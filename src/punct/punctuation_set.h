@@ -5,7 +5,10 @@
 //   - setMatch(t, PS): does any punctuation in the set match tuple t?
 //   - first-match lookup for the propagation index (assigning pids).
 // Constant patterns on the join attribute (by far the common case) are
-// indexed in a hash map; other pattern kinds are scanned linearly.
+// indexed in a hash map; other pattern kinds are scanned linearly. The
+// cross-stream key test (SetMatchKey) reads a flat table of the covered
+// constants' hashes, so a caller holding a tuple's cached key hash never
+// hashes the key again.
 
 #ifndef PJOIN_PUNCT_PUNCTUATION_SET_H_
 #define PJOIN_PUNCT_PUNCTUATION_SET_H_
@@ -13,7 +16,6 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
@@ -38,9 +40,6 @@ struct PunctEntry {
   /// Only such punctuations may purge the *opposite* state: they alone
   /// guarantee that no future tuple of this stream carries a covered key.
   bool key_only = false;
-  /// True once the state purge has applied this punctuation (used by the
-  /// indexed purge mode).
-  bool purge_applied = false;
 };
 
 class PunctuationSet {
@@ -62,7 +61,17 @@ class PunctuationSet {
   /// *key-only* punctuation ever added, removed or not, covers `join_value`
   /// with its join-attribute pattern. This is the test used to purge the
   /// opposite state and to drop arriving opposite-stream tuples on the fly.
-  [[nodiscard]] bool SetMatchKey(const Value& join_value) const;
+  [[nodiscard]] bool SetMatchKey(const Value& join_value) const {
+    return SetMatchKey(join_value, join_value.Hash());
+  }
+
+  /// SetMatchKey for a caller that already holds `key_hash`, which must be
+  /// `join_value.Hash()` (a state entry's cached `key_hash`). Covered
+  /// constants are found by hash; `join_value` is read only on a full
+  /// 64-bit hash hit or by a covered non-constant pattern. A wrong hash can
+  /// only miss a covered constant, never cover an uncovered key.
+  [[nodiscard]] bool SetMatchKey(const Value& join_value,
+                                 uint64_t key_hash) const;
 
   /// The earliest-arrived punctuation matching `t`, or nullptr. Used to
   /// assign pids when building the propagation index.
@@ -82,11 +91,12 @@ class PunctuationSet {
   /// Pids in arrival order.
   std::vector<int64_t> PidsInOrder() const;
 
-  /// Drains the queue of punctuations added since the last call, in arrival
-  /// order (pids of already-removed punctuations are skipped by callers via
-  /// Find). Used by the state purge to touch each punctuation once instead
-  /// of rescanning the whole set, and marks them purge_applied.
-  std::vector<int64_t> TakeUnappliedForPurge();
+  /// Drains the join-attribute patterns of the key-only punctuations added
+  /// since the last call, in arrival order. They are queued at Add, so a
+  /// punctuation that propagation has removed in between is still applied.
+  /// Used by the indexed state purge to touch each punctuation once instead
+  /// of rescanning the whole set.
+  std::vector<Pattern> TakeUnappliedForPurge();
 
   /// Drains the queue of punctuations that index building has not yet
   /// processed, in arrival order. BuildIndex marks them indexed.
@@ -107,6 +117,26 @@ class PunctuationSet {
 
  private:
   bool PrefixOk(const Punctuation& punct) const;
+  /// One slot of the covered-constant table: a constant's 64-bit hash and
+  /// its position in `covered_values_` plus one; 0 marks a free slot, so
+  /// every hash fits in the table.
+  struct CoveredSlot {
+    uint64_t hash = 0;
+    uint32_t value_pos = 0;
+  };
+
+  /// True if `constant` (whose hash is `hash`) is a covered constant.
+  bool CoversConstant(const Value& constant, uint64_t hash) const;
+  /// Records a covered constant, once, growing the table as needed.
+  void CoverConstant(const Value& constant);
+  /// Puts `slot` into the first free slot from its home slot.
+  void PlaceCovered(CoveredSlot slot);
+  /// Home slot of `hash` in the covered-constant table (Fibonacci map of
+  /// the mixed high bits; the low bits also pick shards and partitions).
+  size_t HomeSlot(uint64_t hash) const {
+    return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ull) >>
+                               covered_shift_);
+  }
 
   size_t attr_index_;
   bool validate_prefix_;
@@ -118,12 +148,17 @@ class PunctuationSet {
   // Pids whose join-attribute pattern is not a constant.
   std::vector<int64_t> nonconstant_pids_;
   // Join-attribute patterns of every key-only punctuation added, recorded
-  // at Add and never withdrawn: constants in a hash set, any other
-  // non-empty pattern in a list. SetMatchKey reads only these.
-  std::unordered_set<Value, ValueHash> covered_constants_;
+  // at Add and never withdrawn; SetMatchKey reads only these. Constants are
+  // kept once each in `covered_values_` and found through
+  // `covered_slots_`, an open-addressing table with linear probing,
+  // power-of-two sized and at most half full. Any other non-empty pattern
+  // goes into a list.
+  std::vector<Value> covered_values_;
+  std::vector<CoveredSlot> covered_slots_;
+  int covered_shift_ = 0;
   std::vector<Pattern> covered_patterns_;
   // Work queues consumed by the purge and index-build components.
-  std::vector<int64_t> unapplied_purge_pids_;
+  std::vector<Pattern> unapplied_purge_patterns_;
   std::vector<int64_t> unindexed_pids_;
 };
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "join/hash_state.h"
 #include "storage/simulated_disk.h"
 
@@ -51,20 +57,84 @@ TEST_F(HashStateTest, InsertGoesToKeyPartition) {
   EXPECT_EQ(state_.KeyOf(state_.memory(p)[0].tuple).AsInt64(), 5);
 }
 
+// Whichever entries go, the compaction keeps the survivors in insertion
+// order, their index finds each exactly once, and the accounting equals
+// sums recomputed from the entries.
 TEST_F(HashStateTest, ExtractMemoryMatching) {
-  for (int64_t i = 0; i < 10; ++i) {
-    state_.InsertMemory(MakeEntry(schema_, 1, i, i));
-  }
-  const int p = state_.PartitionOf(Value(int64_t{1}));
-  auto extracted = state_.ExtractMemoryMatching(p, [](const TupleEntry& e) {
-    return e.tuple.field(1).AsInt64() % 2 == 0;
-  });
-  EXPECT_EQ(extracted.size(), 5u);
-  EXPECT_EQ(state_.memory_tuples(), 5);
-  // Kept entries preserve arrival order.
-  const auto& mem = state_.memory(p);
-  for (size_t i = 1; i < mem.size(); ++i) {
-    EXPECT_LT(mem[i - 1].ats, mem[i].ats);
+  constexpr int64_t kEntries = 12;
+  const std::vector<std::pair<std::string, std::function<bool(int64_t)>>>
+      cases = {
+          {"none", [](int64_t) { return false; }},
+          {"all", [](int64_t) { return true; }},
+          {"every other", [](int64_t i) { return i % 2 == 0; }},
+          {"only the first", [](int64_t i) { return i == 0; }},
+          {"only the last", [](int64_t i) { return i == kEntries - 1; }},
+      };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.first);
+    const std::function<bool(int64_t)>& extract = c.second;
+    HashState st("test", schema_, 0, 4, std::make_unique<SimulatedDisk>());
+    // Three keys of one partition share it, so the index holds chains.
+    const int p = st.PartitionOf(Value(int64_t{0}));
+    std::vector<int64_t> keys;
+    for (int64_t k = 0; keys.size() < 3; ++k) {
+      if (st.PartitionOf(Value(k)) == p) keys.push_back(k);
+    }
+    for (int64_t i = 0; i < kEntries; ++i) {
+      st.InsertMemory(MakeEntry(schema_, keys[i % 3], i, i));
+    }
+    const int other = (p + 1) % st.num_partitions();
+    int64_t other_key = 0;
+    while (st.PartitionOf(Value(other_key)) != other) ++other_key;
+    st.InsertMemory(MakeEntry(schema_, other_key, 100, kEntries));
+
+    std::vector<TupleEntry> extracted =
+        st.ExtractMemoryMatching(p, [&](const TupleEntry& e) {
+          return extract(e.tuple.field(1).AsInt64());
+        });
+
+    std::vector<int64_t> want_extracted;
+    std::vector<int64_t> want_kept;
+    for (int64_t i = 0; i < kEntries; ++i) {
+      (extract(i) ? want_extracted : want_kept).push_back(i);
+    }
+    std::vector<int64_t> got_extracted;
+    for (const TupleEntry& e : extracted) got_extracted.push_back(e.ats);
+    EXPECT_EQ(got_extracted, want_extracted);
+    std::vector<int64_t> got_kept;
+    for (const TupleEntry& e : st.memory(p)) got_kept.push_back(e.ats);
+    EXPECT_EQ(got_kept, want_kept);
+
+    std::map<int64_t, int> found;
+    for (int64_t k : keys) {
+      const Value key(k);
+      st.ForEachMemoryMatch(p, key, key.Hash(), [&](const TupleEntry& e) {
+        EXPECT_EQ(st.KeyOf(e.tuple), key);
+        ++found[e.ats];
+      });
+    }
+    std::map<int64_t, int> want_found;
+    for (int64_t i : want_kept) want_found[i] = 1;
+    EXPECT_EQ(found, want_found);
+
+    int64_t tuples = 0;
+    int64_t bytes = 0;
+    for (int q = 0; q < st.num_partitions(); ++q) {
+      int64_t part_bytes = 0;
+      for (const TupleEntry& e : st.memory(q)) {
+        part_bytes += static_cast<int64_t>(e.tuple.ByteSize());
+      }
+      EXPECT_EQ(st.PartitionMemoryBytes(q), part_bytes) << q;
+      EXPECT_EQ(st.PartitionMemoryTuples(q),
+                static_cast<int64_t>(st.memory(q).size()))
+          << q;
+      tuples += static_cast<int64_t>(st.memory(q).size());
+      bytes += part_bytes;
+    }
+    EXPECT_EQ(tuples, kEntries - static_cast<int64_t>(want_extracted.size()) +
+                          1);
+    EXPECT_EQ(st.memory_tuples(), tuples);
+    EXPECT_EQ(st.memory_bytes(), bytes);
   }
 }
 

@@ -511,21 +511,28 @@ TEST(ParallelPJoinTest, StringKeysAndDoublePayloadsMatchReference) {
   const std::vector<StreamElement> r = right.Finish();
   ASSERT_GT(l.front().tuple().field(0).AsString().size(), 15u);
 
-  const JoinOptions jopts = SmallStateOptions();
-  auto ref_join = std::make_unique<PJoin>(left_schema, right_schema, jopts);
-  const RunResult ref = RunJoin(ref_join.get(), l, r);
-  ASSERT_EQ(ref.results,
-            ReferenceJoinRows(l, r, ref_join->output_schema(), 0, 0));
-  ASSERT_GT(ref.results.size(), 1000u);
-  for (const int shards : {1, 2, 4}) {
-    ParallelPipelineOptions popts;
-    popts.num_shards = shards;
-    popts.batch_size = 32;
-    const RunResult got = RunParallel(Operator::kPJoin, left_schema,
-                                      right_schema, jopts, l, r, popts);
-    EXPECT_EQ(got.results, ref.results) << "shards=" << shards;
-    EXPECT_EQ(SortedPunctStrings(got), SortedPunctStrings(ref))
-        << "shards=" << shards;
+  // Both purge modes test each state entry against heap-allocated string
+  // constants, comparing the key on every cached-hash hit.
+  for (const PurgeMode mode : {PurgeMode::kScan, PurgeMode::kIndexed}) {
+    SCOPED_TRACE(mode == PurgeMode::kScan ? "scan" : "indexed");
+    JoinOptions jopts = SmallStateOptions();
+    jopts.purge_mode = mode;
+    auto ref_join = std::make_unique<PJoin>(left_schema, right_schema, jopts);
+    const RunResult ref = RunJoin(ref_join.get(), l, r);
+    ASSERT_EQ(ref.results,
+              ReferenceJoinRows(l, r, ref_join->output_schema(), 0, 0));
+    ASSERT_GT(ref.results.size(), 1000u);
+    EXPECT_GT(ref_join->counters().Get("purged_tuples"), 0);
+    for (const int shards : {1, 2, 4}) {
+      ParallelPipelineOptions popts;
+      popts.num_shards = shards;
+      popts.batch_size = 32;
+      const RunResult got = RunParallel(Operator::kPJoin, left_schema,
+                                        right_schema, jopts, l, r, popts);
+      EXPECT_EQ(got.results, ref.results) << "shards=" << shards;
+      EXPECT_EQ(SortedPunctStrings(got), SortedPunctStrings(ref))
+          << "shards=" << shards;
+    }
   }
 }
 

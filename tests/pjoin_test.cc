@@ -208,6 +208,29 @@ TEST(PJoinTest, IndexedPurgeModeMatchesScanResults) {
             scan_join.counters().Get("purge_scanned"));
 }
 
+// Under lazy purge with push propagation, propagation can release (and
+// remove) a punctuation before the purge applies it; the tuples it covers
+// must still be purged, in either purge mode.
+TEST(PJoinTest, PurgeAppliesPunctuationsPropagatedBeforeIt) {
+  SchemaPtr sa = KeyPayloadSchema("a");
+  SchemaPtr sb = KeyPayloadSchema("b");
+  auto left = ElementsBuilder().Tup(KP(sa, 1, 0)).Finish();
+  ElementsBuilder rb(/*step=*/10000);
+  for (int64_t k = 1; k <= 4; ++k) rb.Punct(KeyPunct(k));
+  auto right = rb.Finish();
+  for (const PurgeMode mode : {PurgeMode::kScan, PurgeMode::kIndexed}) {
+    SCOPED_TRACE(mode == PurgeMode::kScan ? "scan" : "indexed");
+    JoinOptions opts;
+    opts.purge_mode = mode;
+    opts.runtime.purge_threshold = 2;
+    opts.runtime.propagate_count_threshold = 1;
+    PJoin join(sa, sb, opts);
+    RunJoin(&join, left, right);
+    EXPECT_EQ(join.state(0).memory_tuples(), 0);
+    EXPECT_EQ(join.counters().Get("purged_tuples"), 1);
+  }
+}
+
 TEST(PJoinTest, ValidatePrefixRejectsBadStream) {
   SchemaPtr sa = KeyPayloadSchema("a");
   SchemaPtr sb = KeyPayloadSchema("b");

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "punct/punctuation_set.h"
 
 namespace pjoin {
@@ -50,16 +53,115 @@ TEST(PunctuationSetTest, SetMatchHonorsNonKeyPatterns) {
   EXPECT_FALSE(ps.SetMatch(T(s, 5, 2)));
 }
 
+// Both forms of SetMatchKey: by value, and by the caller's key hash.
+void ExpectCovered(const PunctuationSet& ps, const Value& key, bool covered) {
+  EXPECT_EQ(ps.SetMatchKey(key), covered) << key.ToString();
+  EXPECT_EQ(ps.SetMatchKey(key, key.Hash()), covered) << key.ToString();
+}
+
 TEST(PunctuationSetTest, SetMatchKeyIgnoresNonKeyOnlyPunctuations) {
   PunctuationSet ps(0);
   Punctuation p({Pattern::Constant(Value(int64_t{5})),
                  Pattern::Constant(Value(int64_t{1}))});
   ASSERT_TRUE(ps.Add(p, 0).ok());
+  Punctuation range({Pattern::Range(Value(int64_t{10}), Value(int64_t{20})),
+                     Pattern::Constant(Value(int64_t{1}))});
+  ASSERT_TRUE(ps.Add(range, 1).ok());
   // Key 5 may still arrive with other payloads, so a cross-stream purge on
   // key 5 would be unsafe.
-  EXPECT_FALSE(ps.SetMatchKey(Value(int64_t{5})));
-  ASSERT_TRUE(ps.Add(KeyPunct(5), 1).ok());
-  EXPECT_TRUE(ps.SetMatchKey(Value(int64_t{5})));
+  ExpectCovered(ps, Value(int64_t{5}), false);
+  ExpectCovered(ps, Value(int64_t{15}), false);
+  ASSERT_TRUE(ps.Add(KeyPunct(5), 2).ok());
+  ExpectCovered(ps, Value(int64_t{5}), true);
+}
+
+// The hashed lookup answers as the by-value one over every key type and
+// every kind of covered pattern.
+TEST(PunctuationSetTest, SetMatchKeyByHashAgreesWithByValue) {
+  struct Case {
+    std::string name;
+    std::vector<Pattern> covered;
+    std::vector<Value> in;
+    std::vector<Value> out;
+  };
+  const std::vector<Case> cases = {
+      {"int64",
+       {Pattern::Constant(Value(int64_t{7})),
+        Pattern::Range(Value(int64_t{100}), Value(int64_t{200})),
+        Pattern::EnumList({Value(int64_t{300}), Value(int64_t{302})})},
+       {Value(int64_t{7}), Value(int64_t{100}), Value(int64_t{150}),
+        Value(int64_t{200}), Value(int64_t{302})},
+       {Value(int64_t{8}), Value(int64_t{99}), Value(int64_t{201}),
+        Value(int64_t{301}), Value()}},
+      {"double",
+       {Pattern::Constant(Value(0.0)), Pattern::Constant(Value(2.5)),
+        Pattern::Range(Value(10.0), Value(11.0)),
+        Pattern::EnumList({Value(20.25), Value(30.5)})},
+       {Value(0.0), Value(-0.0), Value(2.5), Value(10.5), Value(30.5)},
+       {Value(2.4), Value(9.99), Value(20.0), Value()}},
+      {"string",
+       {Pattern::Constant(Value("customer-account-7")),
+        Pattern::Range(Value("m"), Value("n")),
+        Pattern::EnumList({Value("x"), Value("zz")})},
+       {Value("customer-account-7"), Value("m"), Value("ma"), Value("zz")},
+       {Value("customer-account-8"), Value("customer-account-77"),
+        Value("o"), Value("z"), Value("")}},
+      {"null",
+       {Pattern::Constant(Value()), Pattern::Constant(Value(int64_t{1}))},
+       {Value(), Value(int64_t{1})},
+       {Value(int64_t{0})}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    PunctuationSet ps(0);
+    for (size_t i = 0; i < c.covered.size(); ++i) {
+      ASSERT_TRUE(ps.Add(Punctuation::ForAttribute(2, 0, c.covered[i]),
+                         static_cast<TimeMicros>(i))
+                      .ok());
+    }
+    for (const Value& v : c.in) ExpectCovered(ps, v, true);
+    for (const Value& v : c.out) ExpectCovered(ps, v, false);
+  }
+}
+
+// A hash hit is checked against the key itself, so a forged hash equal to
+// a covered constant's never covers another key; a wrong hash for a
+// covered key only misses it.
+TEST(PunctuationSetTest, SetMatchKeyComparesTheKeyOnAHashHit) {
+  PunctuationSet ps(0);
+  ASSERT_TRUE(ps.Add(KeyPunct(5), 0).ok());
+  ASSERT_TRUE(ps.Add(Punctuation::ForAttribute(
+                         2, 0, Pattern::Constant(Value("customer-account-1"))),
+                     1)
+                  .ok());
+  const uint64_t five = Value(int64_t{5}).Hash();
+  EXPECT_FALSE(ps.SetMatchKey(Value(int64_t{6}), five));
+  EXPECT_FALSE(ps.SetMatchKey(Value(5.0), five));
+  EXPECT_FALSE(ps.SetMatchKey(Value("5"), five));
+  EXPECT_FALSE(ps.SetMatchKey(Value("customer-account-2"),
+                              Value("customer-account-1").Hash()));
+  EXPECT_FALSE(ps.SetMatchKey(Value(int64_t{5}), five + 1));
+  // Free slots are zero-filled; a zero hash still finds nothing.
+  EXPECT_FALSE(ps.SetMatchKey(Value(int64_t{0}), 0));
+  EXPECT_TRUE(ps.SetMatchKey(Value(int64_t{5}), five));
+}
+
+// Answers stay exact as the table grows through many doublings.
+TEST(PunctuationSetTest, SetMatchKeySurvivesTableGrowth) {
+  PunctuationSet ps(0);
+  constexpr int64_t kConstants = 5000;
+  for (int64_t k = 0; k < kConstants; ++k) {
+    ASSERT_TRUE(ps.Add(KeyPunct(2 * k), k).ok());
+    if (k % 997 == 0) {
+      ExpectCovered(ps, Value(2 * k), true);
+      ExpectCovered(ps, Value(2 * k + 2), false);
+    }
+  }
+  // Punctuating a covered key again changes nothing.
+  ASSERT_TRUE(ps.Add(KeyPunct(0), kConstants).ok());
+  for (int64_t v = -2; v < 2 * kConstants + 2; ++v) {
+    ExpectCovered(ps, Value(v), v >= 0 && v < 2 * kConstants && v % 2 == 0);
+  }
 }
 
 TEST(PunctuationSetTest, SetMatchKeyWithRangePattern) {
@@ -153,16 +255,16 @@ TEST(PunctuationSetTest, RemoveKeepsKeyCoverage) {
   EXPECT_TRUE(ps.empty());
   EXPECT_EQ(ps.Find(pid), nullptr);
   // The key is still covered for purge / on-the-fly-drop purposes.
-  EXPECT_TRUE(ps.SetMatchKey(Value(int64_t{5})));
-  EXPECT_FALSE(ps.SetMatchKey(Value(int64_t{6})));
+  ExpectCovered(ps, Value(int64_t{5}), true);
+  ExpectCovered(ps, Value(int64_t{6}), false);
 }
 
 TEST(PunctuationSetTest, RemoveKeepsRangeCoverage) {
   PunctuationSet ps(0);
   int64_t pid = ps.Add(KeyRangePunct(10, 20), 0).value();
   ps.Remove(pid);
-  EXPECT_TRUE(ps.SetMatchKey(Value(int64_t{15})));
-  EXPECT_FALSE(ps.SetMatchKey(Value(int64_t{25})));
+  ExpectCovered(ps, Value(int64_t{15}), true);
+  ExpectCovered(ps, Value(int64_t{25}), false);
 }
 
 TEST(PunctuationSetTest, RemoveGrantsNonKeyOnlyNoCoverage) {
@@ -172,26 +274,36 @@ TEST(PunctuationSetTest, RemoveGrantsNonKeyOnlyNoCoverage) {
   int64_t pid = ps.Add(both, 0).value();
   ps.Remove(pid);
   // A non-key-only punctuation never grants key coverage.
-  EXPECT_FALSE(ps.SetMatchKey(Value(int64_t{5})));
+  ExpectCovered(ps, Value(int64_t{5}), false);
 }
 
 TEST(PunctuationSetTest, WorkQueuesDrainOnce) {
   PunctuationSet ps(0);
   ASSERT_TRUE(ps.Add(KeyPunct(1), 0).ok());
-  ASSERT_TRUE(ps.Add(KeyPunct(2), 1).ok());
+  ASSERT_TRUE(ps.Add(KeyRangePunct(10, 20), 1).ok());
+  // Not key-only: never applied to the opposite state.
+  ASSERT_TRUE(ps.Add(Punctuation({Pattern::Constant(Value(int64_t{2})),
+                                  Pattern::Constant(Value(int64_t{9}))}),
+                     2)
+                  .ok());
   auto purge_batch = ps.TakeUnappliedForPurge();
-  EXPECT_EQ(purge_batch, (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(purge_batch,
+            (std::vector<Pattern>{Pattern::Constant(Value(int64_t{1})),
+                                  Pattern::Range(Value(int64_t{10}),
+                                                 Value(int64_t{20}))}));
   EXPECT_TRUE(ps.TakeUnappliedForPurge().empty());
-  EXPECT_TRUE(ps.Find(0)->purge_applied);
 
   auto index_batch = ps.TakeUnindexed();
-  EXPECT_EQ(index_batch, (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(index_batch, (std::vector<int64_t>{0, 1, 2}));
   EXPECT_TRUE(ps.TakeUnindexed().empty());
 
-  // New additions re-enter both queues.
-  ASSERT_TRUE(ps.Add(KeyPunct(3), 2).ok());
-  EXPECT_EQ(ps.TakeUnappliedForPurge(), (std::vector<int64_t>{2}));
-  EXPECT_EQ(ps.TakeUnindexed(), (std::vector<int64_t>{2}));
+  // New additions re-enter both queues, and a punctuation removed before
+  // the purge drains the queue is still applied.
+  ASSERT_TRUE(ps.Add(KeyPunct(3), 3).ok());
+  ps.Remove(3);
+  EXPECT_EQ(ps.TakeUnappliedForPurge(),
+            (std::vector<Pattern>{Pattern::Constant(Value(int64_t{3}))}));
+  EXPECT_EQ(ps.TakeUnindexed(), (std::vector<int64_t>{3}));
 }
 
 TEST(PunctuationSetTest, ByteSizeGrowsWithEntries) {
