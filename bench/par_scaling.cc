@@ -25,9 +25,6 @@
 //              0 = library defaults. CI's live-scrape smoke
 //              shrinks the rings so backpressure and spin-park paths
 //              demonstrably fire even on a small workload.
-//   --stall_polls=N  empty polls before a shard runs stall work and parks
-//              (default: library's). The smoke sets 1 so every dry moment
-//              takes the spin-then-park slow path and its counter moves.
 //   --trace    record operator tracing for the whole sweep and write a
 //              Chrome trace_event JSON (Perfetto-loadable); needs a build
 //              with PJOIN_TRACING=ON to contain events.
@@ -114,7 +111,6 @@ struct Cli {
   // ParallelPipelineOptions defaults. Small values force the backpressure
   // and park paths, which CI's live scrape asserts via their counters.
   int64_t ring = 0;
-  int64_t stall_polls = 0;  // 0 = ParallelPipelineOptions default
   // Main-sweep skew: stream A's zipf exponent.
   double zipf = 0.0;
   // Skew sweep: the parallel pipeline at a ladder of zipf exponents, A-side
@@ -225,7 +221,6 @@ bool ParseCli(int argc, char** argv, Cli* cli) {
       Number<double>("--spill_punct", &cli->spill_punct_rate, 1.0),
       Number<int>("--reps", &cli->reps, 1),
       Number<int64_t>("--ring", &cli->ring, 0),
-      Number<int64_t>("--stall_polls", &cli->stall_polls, 0),
       Number<double>("--zipf", &cli->zipf, 0.0),
       {"--skew_sweep", "0 or 1",
        [cli](std::string_view v) {
@@ -346,7 +341,7 @@ Measured RunSingle(const std::string& name, const GeneratedStreams& streams,
 // memory-capped indexed configuration.
 Measured RunParallel(const GeneratedStreams& streams, int shards,
                      bool indexed_probe, int64_t memcap = 0,
-                     int64_t ring_capacity = 0, int64_t stall_polls = 0) {
+                     int64_t ring_capacity = 0) {
   Measured m;
   m.name = "parallel_x" + std::to_string(shards) +
            (memcap > 0 ? "_spill" : (indexed_probe ? "_indexed" : "_scan"));
@@ -357,7 +352,6 @@ Measured RunParallel(const GeneratedStreams& streams, int shards,
   if (ring_capacity > 0) {
     popts.shard_queue_capacity = static_cast<size_t>(ring_capacity);
   }
-  if (stall_polls > 0) popts.stall_polls = stall_polls;
   ParallelJoinPipeline pipeline(
       [&streams, indexed_probe, memcap, shards](int) {
         // The cap is per shard: split the total budget so the aggregate
@@ -740,15 +734,14 @@ int Main(int argc, char** argv) {
     configs.push_back(
         [&, shards] { return RunParallel(streams, shards,
                                          /*indexed_probe=*/true,
-                                         /*memcap=*/0, cli.ring,
-                                         cli.stall_polls); });
+                                         /*memcap=*/0, cli.ring); });
   }
   if (!cli.shards.empty()) {
     // The widest shard count with the seed's scan probe: isolates how much
     // of the parallel_x*_indexed speedup is the pipeline vs the index.
     configs.push_back([&] {
       return RunParallel(streams, cli.shards.back(), /*indexed_probe=*/false,
-                         /*memcap=*/0, cli.ring, cli.stall_polls);
+                         /*memcap=*/0, cli.ring);
     });
   }
   if (cli.memcap > 0 && !cli.shards.empty()) {
@@ -757,7 +750,7 @@ int Main(int argc, char** argv) {
     // is measured (and traced) alongside the in-memory sweep.
     configs.push_back([&] {
       return RunParallel(streams, cli.shards.back(), /*indexed_probe=*/true,
-                         cli.memcap, cli.ring, cli.stall_polls);
+                         cli.memcap, cli.ring);
     });
   }
   std::vector<Measured> measured(configs.size());
@@ -844,12 +837,11 @@ int Main(int argc, char** argv) {
     while (linger.ElapsedMicros() < cli.serve_linger_ms * 1000 &&
            !server->quit_requested()) {
       // Keep a pipeline running so scrapes catch moving per-shard gauges
-      // (ring occupancies, queue depths) in /statusz, not just end-of-run
+      // (ring occupancies, dispatch times) in /statusz, not just end-of-run
       // values.
       const Measured again = RunParallel(streams, widest,
                                          /*indexed_probe=*/true,
-                                         /*memcap=*/0, cli.ring,
-                                         cli.stall_polls);
+                                         /*memcap=*/0, cli.ring);
       all_pass = all_pass && again.oracle == baseline.oracle;
     }
   }

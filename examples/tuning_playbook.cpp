@@ -95,8 +95,8 @@ int main() {
       PJOIN_DCHECK(join.OnElement(1, g.b[i]).ok());
     }
     const int64_t purges_first_half = join.counters().Get("purge_runs");
-    // …then switch to lazy purge at runtime: thresholds live in the
-    // monitor and take effect immediately.
+    // …then switch to lazy purge at runtime: the monitor's thresholds are
+    // the join's own and take effect immediately.
     join.monitor().params().purge_threshold = 50;
     for (size_t i = half_a; i < g.a.size(); ++i) {
       PJOIN_DCHECK(join.OnElement(0, g.a[i]).ok());

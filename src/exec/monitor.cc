@@ -4,9 +4,10 @@
 
 namespace pjoin {
 
-Monitor::Monitor(RuntimeParams params, EventRegistry* registry,
+Monitor::Monitor(RuntimeParams* params, EventRegistry* registry,
                  const Clock* clock)
     : params_(params), registry_(registry), clock_(clock) {
+  PJOIN_DCHECK(params != nullptr);
   PJOIN_DCHECK(registry != nullptr);
   PJOIN_DCHECK(clock != nullptr);
 }
@@ -20,13 +21,13 @@ Status Monitor::OnPunctuationArrived(int stream) {
   ++puncts_since_purge_[stream];
   ++puncts_since_propagation_;
   const int64_t total = puncts_since_purge_[0] + puncts_since_purge_[1];
-  if (params_.purge_threshold > 0 && total >= params_.purge_threshold) {
+  if (params_->purge_threshold > 0 && total >= params_->purge_threshold) {
     PJOIN_RETURN_NOT_OK(
         registry_->Dispatch(MakeEvent(EventType::kPurgeThresholdReach,
                                       stream)));
   }
-  if (params_.propagate_count_threshold > 0 &&
-      puncts_since_propagation_ >= params_.propagate_count_threshold) {
+  if (params_->propagate_count_threshold > 0 &&
+      puncts_since_propagation_ >= params_->propagate_count_threshold) {
     PJOIN_RETURN_NOT_OK(
         registry_->Dispatch(MakeEvent(EventType::kPropagateCountReach)));
   }
@@ -35,9 +36,9 @@ Status Monitor::OnPunctuationArrived(int stream) {
 
 Status Monitor::OnStateSizeChanged(int64_t in_memory_tuples,
                                    int64_t in_memory_bytes) {
-  const bool over_bytes = params_.memory_threshold_bytes > 0 &&
-                          in_memory_bytes >= params_.memory_threshold_bytes;
-  if (over_bytes || in_memory_tuples >= params_.memory_threshold_tuples) {
+  const bool over_bytes = params_->memory_threshold_bytes > 0 &&
+                          in_memory_bytes >= params_->memory_threshold_bytes;
+  if (over_bytes || in_memory_tuples >= params_->memory_threshold_tuples) {
     // Raise once per crossing; re-arm when the state shrinks below the
     // threshold (after relocation or purge).
     if (!state_full_raised_) {
@@ -53,7 +54,7 @@ Status Monitor::OnStateSizeChanged(int64_t in_memory_tuples,
 
 Status Monitor::OnStreamsEmpty(int64_t disk_resident_tuples) {
   PJOIN_RETURN_NOT_OK(registry_->Dispatch(MakeEvent(EventType::kStreamEmpty)));
-  if (disk_resident_tuples >= params_.disk_join_activation_threshold) {
+  if (disk_resident_tuples >= params_->disk_join_activation_threshold) {
     PJOIN_RETURN_NOT_OK(
         registry_->Dispatch(MakeEvent(EventType::kDiskJoinActivate)));
   }
@@ -65,9 +66,9 @@ Status Monitor::RequestPropagation() {
 }
 
 Status Monitor::Tick() {
-  if (params_.propagate_time_threshold > 0 &&
+  if (params_->propagate_time_threshold > 0 &&
       clock_->NowMicros() - last_propagation_time_ >=
-          params_.propagate_time_threshold) {
+          params_->propagate_time_threshold) {
     PJOIN_RETURN_NOT_OK(
         registry_->Dispatch(MakeEvent(EventType::kPropagateTimeExpire)));
   }

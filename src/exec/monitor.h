@@ -13,7 +13,7 @@
 namespace pjoin {
 
 /// All threshold parameters of §3.6. They can be changed at runtime through
-/// Monitor::params().
+/// Monitor::params(), which is the join's own copy.
 struct RuntimeParams {
   /// Punctuations between two state purges; 1 = eager purge (paper §3.4).
   int64_t purge_threshold = 1;
@@ -37,11 +37,14 @@ struct RuntimeParams {
 
 class Monitor {
  public:
-  Monitor(RuntimeParams params, EventRegistry* registry, const Clock* clock);
+  /// `params` must outlive the monitor. A join passes its own
+  /// JoinOptions::runtime, so a threshold retuned here also reaches the
+  /// join's relocation, which reads the same struct.
+  Monitor(RuntimeParams* params, EventRegistry* registry, const Clock* clock);
 
   /// Thresholds, tunable at runtime.
-  RuntimeParams& params() { return params_; }
-  const RuntimeParams& params() const { return params_; }
+  RuntimeParams& params() { return *params_; }
+  const RuntimeParams& params() const { return *params_; }
 
   // ---- Notifications from the join execution ----
 
@@ -80,7 +83,7 @@ class Monitor {
  private:
   Event MakeEvent(EventType type, int stream = -1) const;
 
-  RuntimeParams params_;
+  RuntimeParams* params_;
   EventRegistry* registry_;
   const Clock* clock_;
   int64_t puncts_since_purge_[2] = {0, 0};

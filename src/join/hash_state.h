@@ -28,12 +28,11 @@
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "join/tuple_entry.h"
-#include "storage/spill_manager.h"
 #include "storage/spill_store.h"
 
 namespace pjoin {
 
-class HashState : public SpillableState {
+class HashState {
  public:
   /// `key_index` is the join attribute within `schema`. The state takes
   /// ownership of its spill store. With `indexed` false the memory portion
@@ -143,17 +142,12 @@ class HashState : public SpillableState {
   /// scoring.
   void NotePartitionProbed(int p, int64_t tick);
 
-  // ---- SpillableState (per-partition view for the SpillManager) ----
+  // ---- Per-partition view for the SpillManager ----
 
-  int num_spill_partitions() const override { return num_partitions(); }
-  int64_t TotalMemoryTuples() const override { return memory_tuples_; }
-  int64_t TotalMemoryBytes() const override { return memory_bytes_; }
-  int64_t PartitionMemoryTuples(int p) const override;
-  int64_t PartitionMemoryBytes(int p) const override;
-  int64_t PartitionLastAccessTick(int p) const override;
-  [[nodiscard]] Status SpillPartition(int p, int64_t dts_tick) override {
-    return FlushPartitionToDisk(p, dts_tick);
-  }
+  int64_t PartitionMemoryTuples(int p) const;
+  int64_t PartitionMemoryBytes(int p) const;
+  /// Tick of the partition's most recent insert or probe (0 = never).
+  int64_t PartitionLastAccessTick(int p) const;
 
   // ---- Disk portion ----
 

@@ -128,7 +128,6 @@ Punctuation JoinOperator::MakeOutputPunct(int side,
 
 int64_t JoinOperator::ProbeOppositeMemory(int side, const Tuple& tuple,
                                           uint64_t key_hash) {
-  TRACE_SPAN("join", "probe");
   HashState& own = *states_[side];
   HashState& opp = *states_[1 - side];
   const Value& key = own.KeyOf(tuple);
@@ -164,7 +163,6 @@ void JoinOperator::InsertTuple(int side, const Tuple& tuple, int64_t tick,
 }
 
 Status JoinOperator::RelocateUntilBelowThreshold() {
-  TRACE_SPAN("join", "relocate");
   return spill_manager_->EnsureWithinBudget(
       options_.runtime.memory_threshold_tuples,
       options_.runtime.memory_threshold_bytes, current_tick(),

@@ -245,6 +245,9 @@ class JoinOperator {
   HashState& mutable_state(int side);
 
   const JoinOptions& options() const { return options_; }
+  /// The join's thresholds, the one copy: PJoin's Monitor retunes them
+  /// through this.
+  RuntimeParams& mutable_runtime() { return options_.runtime; }
 
   /// Monotone event ticks; every arrival / relocation / purge / disk probe
   /// consumes one, giving a total order for duplicate avoidance.

@@ -47,9 +47,8 @@ PJoin::PJoin(SchemaPtr left_schema, SchemaPtr right_schema,
   punct_sets_[1] = std::make_unique<PunctuationSet>(
       this->options().right_key, this->options().validate_prefix);
   clock_ = std::make_unique<ArrivalClock>(this);
-  monitor_ =
-      std::make_unique<Monitor>(this->options().runtime, &registry_,
-                                clock_.get());
+  monitor_ = std::make_unique<Monitor>(&mutable_runtime(), &registry_,
+                                       clock_.get());
   disk_pass_tick_.assign(
       static_cast<size_t>(this->options().num_partitions), -1);
 

@@ -53,17 +53,6 @@ void WriteChromeTrace(
       case TracePhase::kCounter:
         os << ", \"ph\": \"C\", \"args\": {\"value\": " << e.value << "}";
         break;
-      case TracePhase::kFlowStart:
-        os << ", \"ph\": \"s\", \"id\": " << e.flow_id;
-        break;
-      case TracePhase::kFlowStep:
-        os << ", \"ph\": \"t\", \"id\": " << e.flow_id;
-        break;
-      case TracePhase::kFlowEnd:
-        // "bp": "e" binds the arrow to the enclosing slice rather than the
-        // next one, which is what Perfetto expects for terminating flows.
-        os << ", \"ph\": \"f\", \"bp\": \"e\", \"id\": " << e.flow_id;
-        break;
     }
     os << "}";
   }

@@ -136,12 +136,6 @@ std::string RenderTracez() {
           out.append(" value=");
           out.append(std::to_string(e.value));
           break;
-        case TracePhase::kFlowStart:
-        case TracePhase::kFlowStep:
-        case TracePhase::kFlowEnd:
-          out.append(" flow=");
-          out.append(std::to_string(e.flow_id));
-          break;
         case TracePhase::kInstant:
           break;
       }

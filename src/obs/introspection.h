@@ -4,8 +4,8 @@
 //   GET /metrics   Prometheus text exposition of MetricsRegistry::Global()
 //   GET /statusz   human-readable snapshot: uptime, build flags, and a dump
 //                  of all registry gauges (a parallel pipeline's per-shard
-//                  ring occupancies, queue depths and join state are gauges
-//                  labeled by shard)
+//                  ring occupancies, dispatch times and join state are
+//                  gauges labeled by shard)
 //   GET /healthz   stall classification (obs/health.h)
 //   GET /debug/stalls  current verdict and stall history
 //   GET /tracez    most recent drained trace spans, grouped by category

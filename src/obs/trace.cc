@@ -20,7 +20,7 @@ TraceRing::TraceRing(int32_t tid, size_t capacity)
 }
 
 void TraceRing::Emit(const char* category, const char* name, TracePhase phase,
-                     TimeMicros ts, int64_t value, uint64_t flow_id) {
+                     TimeMicros ts, int64_t value) {
   const int64_t idx = next_.load(std::memory_order_relaxed);
   Slot& slot = slots_[static_cast<size_t>(idx) % capacity_];
   // Invalidate the slot first so a concurrent drain that catches the write
@@ -31,7 +31,6 @@ void TraceRing::Emit(const char* category, const char* name, TracePhase phase,
   slot.phase.store(static_cast<int32_t>(phase), std::memory_order_relaxed);
   slot.ts.store(ts, std::memory_order_relaxed);
   slot.value.store(value, std::memory_order_relaxed);
-  slot.flow_id.store(flow_id, std::memory_order_relaxed);
   slot.seq.store(idx, std::memory_order_release);
   next_.store(idx + 1, std::memory_order_release);
 }
@@ -50,7 +49,6 @@ int64_t TraceRing::Collect(std::vector<TraceEvent>* out, int64_t from,
     e.phase = static_cast<TracePhase>(slot.phase.load(std::memory_order_relaxed));
     e.ts = slot.ts.load(std::memory_order_relaxed);
     e.value = slot.value.load(std::memory_order_relaxed);
-    e.flow_id = slot.flow_id.load(std::memory_order_relaxed);
     // Re-check: a writer that wrapped during the reads above invalidated or
     // re-published the slot for a different index.
     if (slot.seq.load(std::memory_order_acquire) != i) continue;
@@ -204,13 +202,6 @@ void EmitEvent(const char* category, const char* name, TracePhase phase,
                int64_t value) {
   Tracer::Global().CurrentThreadRing()->Emit(category, name, phase,
                                              TraceNowMicros(), value);
-}
-
-void EmitFlowEvent(const char* category, const char* name, TracePhase phase,
-                   uint64_t flow_id) {
-  Tracer::Global().CurrentThreadRing()->Emit(category, name, phase,
-                                             TraceNowMicros(), /*value=*/0,
-                                             flow_id);
 }
 
 ScopedSpan::~ScopedSpan() {

@@ -8,18 +8,13 @@
 // wrapping writer overwrote mid-read. Overflow therefore keeps the *newest*
 // events and counts the dropped ones.
 //
-// Instrumentation goes through three macros:
+// Instrumentation goes through these macros:
 //
 //   TRACE_SPAN(cat, name)             RAII span: a Chrome "X" (complete)
 //                                     event covering the enclosing scope.
 //   TRACE_INSTANT(cat, name)          a point-in-time "i" event.
 //   TRACE_COUNTER(cat, name, value)   a "C" counter sample (e.g. queue
 //                                     depth over time).
-//   TRACE_FLOW_START(cat, name, id)   cross-thread flow arrows ("s"/"t"/
-//   TRACE_FLOW_STEP(cat, name, id)    "f" in the Chrome export): one flow
-//   TRACE_FLOW_END(cat, name, id)     id links events across threads, so
-//                                     Perfetto draws a sampled tuple's
-//                                     route→probe→merge path as arrows.
 //   TRACE_SET_THREAD_NAME(name)       labels the calling thread in trace
 //                                     exports ("router", "shard-3").
 //
@@ -29,6 +24,8 @@
 // macro costs one relaxed atomic load and a branch.
 //
 // Category and name must be string literals (the ring stores the pointers).
+// Trace points sit at batch and stage boundaries, never on a per-tuple path:
+// a span per tuple would overflow a ring within one run.
 //
 // This file and trace.cc are — together with src/common/clock.* — the only
 // places in src/ allowed to call std::chrono::steady_clock::now() directly
@@ -61,21 +58,16 @@ enum class TracePhase : int32_t {
   kComplete = 0,   // "X": a span with start + duration
   kInstant = 1,    // "i": a point event
   kCounter = 2,    // "C": a sampled counter value
-  kFlowStart = 3,  // "s": a cross-thread flow begins here
-  kFlowStep = 4,   // "t": the flow passes through here
-  kFlowEnd = 5,    // "f": the flow terminates here
 };
 
 /// One drained event. `value` is the duration (kComplete, microseconds) or
-/// the sampled value (kCounter); unused for kInstant. `flow_id` links the
-/// kFlow* phases of one cross-thread flow (0 = not a flow event).
+/// the sampled value (kCounter); unused for kInstant.
 struct TraceEvent {
   const char* category = nullptr;
   const char* name = nullptr;
   TracePhase phase = TracePhase::kInstant;
   TimeMicros ts = 0;
   int64_t value = 0;
-  uint64_t flow_id = 0;
   /// Dense tracer-assigned thread id (stable across the run).
   int32_t tid = 0;
 };
@@ -90,7 +82,7 @@ class TraceRing {
   PJOIN_DISALLOW_COPY_AND_MOVE(TraceRing);
 
   void Emit(const char* category, const char* name, TracePhase phase,
-            TimeMicros ts, int64_t value, uint64_t flow_id = 0);
+            TimeMicros ts, int64_t value);
 
   /// Appends every event still resident (oldest first) to `out`, without
   /// consuming anything. Returns the number of events that were overwritten
@@ -117,7 +109,6 @@ class TraceRing {
     std::atomic<int32_t> phase{0};
     std::atomic<int64_t> ts{0};
     std::atomic<int64_t> value{0};
-    std::atomic<uint64_t> flow_id{0};
   };
 
   int64_t Collect(std::vector<TraceEvent>* out, int64_t from,
@@ -202,11 +193,6 @@ TimeMicros TraceNowMicros();
 void EmitEvent(const char* category, const char* name, TracePhase phase,
                int64_t value);
 
-/// Emits one flow event (kFlowStart / kFlowStep / kFlowEnd) carrying
-/// `flow_id` on the calling thread's ring.
-void EmitFlowEvent(const char* category, const char* name, TracePhase phase,
-                   uint64_t flow_id);
-
 /// RAII span: captures the start time at construction and emits one complete
 /// event at destruction. Inert when the tracer is not recording.
 class ScopedSpan {
@@ -250,19 +236,6 @@ class ScopedSpan {
                               static_cast<int64_t>(value));           \
     }                                                                 \
   } while (0)
-#define PJOIN_TRACE_FLOW(category, name, phase, id)                   \
-  do {                                                                \
-    if (::pjoin::obs::Tracer::Global().enabled()) {                   \
-      ::pjoin::obs::EmitFlowEvent(category, name, phase,              \
-                                  static_cast<uint64_t>(id));         \
-    }                                                                 \
-  } while (0)
-#define TRACE_FLOW_START(category, name, id) \
-  PJOIN_TRACE_FLOW(category, name, ::pjoin::obs::TracePhase::kFlowStart, id)
-#define TRACE_FLOW_STEP(category, name, id) \
-  PJOIN_TRACE_FLOW(category, name, ::pjoin::obs::TracePhase::kFlowStep, id)
-#define TRACE_FLOW_END(category, name, id) \
-  PJOIN_TRACE_FLOW(category, name, ::pjoin::obs::TracePhase::kFlowEnd, id)
 #define TRACE_SET_THREAD_NAME(name)                                 \
   do {                                                              \
     ::pjoin::obs::Tracer::Global().SetCurrentThreadName(name);      \
@@ -278,15 +251,6 @@ class ScopedSpan {
   } while (0)
 #define TRACE_COUNTER(category, name, value) \
   do {                                       \
-  } while (0)
-#define TRACE_FLOW_START(category, name, id) \
-  do {                                       \
-  } while (0)
-#define TRACE_FLOW_STEP(category, name, id) \
-  do {                                      \
-  } while (0)
-#define TRACE_FLOW_END(category, name, id) \
-  do {                                     \
   } while (0)
 #define TRACE_SET_THREAD_NAME(name) \
   do {                              \

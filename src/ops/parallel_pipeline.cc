@@ -16,6 +16,14 @@ namespace {
 // (releases always flush with the batch they end).
 constexpr size_t kResultFlush = 256;
 
+// A dry shard reports a stall to its join (disk join / reactive stage) after
+// this many consecutive empty polls, then parks until data or close.
+constexpr int kStallPolls = 4;
+
+// Capacity of each shard→merger output ring in OutBatches; a shard parks on
+// a full ring until the merger drains it.
+constexpr size_t kOutRingBatches = 64;
+
 // Ring capacities are configured in elements but the rings carry batches;
 // 0 means "effectively unbounded" (a large default).
 size_t RingBatches(size_t capacity_elements, size_t batch_size) {
@@ -27,29 +35,17 @@ size_t RingBatches(size_t capacity_elements, size_t batch_size) {
 }  // namespace
 
 struct ParallelJoinPipeline::Shard {
-  Shard(int id_in, size_t queue_batches, size_t out_batches)
-      : id(id_in), queue(queue_batches), out(out_batches) {}
+  Shard(int id_in, size_t queue_batches)
+      : id(id_in), queue(queue_batches), out(kOutRingBatches) {}
 
   const int id;
   JoinOperator* join = nullptr;
-  /// Flow id of the newest sampled RoutedBatch processed and not yet
-  /// flushed (worker-local; travels out with the next OutBatch).
-  uint64_t pending_flow_id = 0;
   /// Router → worker: routed batches (router is the sole producer, the
   /// worker the sole consumer).
   SpscRing<RoutedBatch> queue;
   /// Worker → merger: result/release batches (worker produces, the
   /// router/caller thread consumes).
   SpscRing<OutBatch> out;
-  /// Elements the worker has fully processed (with `enqueued`, the live
-  /// backlog; worker-local).
-  int64_t processed = 0;
-  /// Elements the router has pushed (written by the router, read by the
-  /// worker).
-  std::atomic<int64_t> enqueued{0};
-  /// Live routed-element backlog (enqueued - processed), published by the
-  /// worker once per batch.
-  obs::Gauge depth_gauge;
   /// Router dispatch time (RoutedBatch::ingress_us) of the batch the worker
   /// is on, 0 while its ring is empty (pjoin_shard_dispatch_us): the stall
   /// diagnosis reads the shard's lag behind the router as now minus this.
@@ -58,7 +54,8 @@ struct ParallelJoinPipeline::Shard {
   obs::Gauge queue_occupancy_gauge;
   obs::Gauge out_occupancy_gauge;
   /// Times the worker entered the spin-then-park slow path on an empty
-  /// routed ring (pjoin_shard_spin_parks).
+  /// routed ring (worker-local; also counter pjoin_shard_spin_parks).
+  int64_t spin_parks = 0;
   obs::Counter spin_parks_counter;
   /// Worker-local staging, moved into `out` as one OutBatch: result rows
   /// as flat values (OutBatch::rows), then releases. Results always precede
@@ -83,8 +80,7 @@ ParallelJoinPipeline::ParallelJoinPipeline(JoinFactory factory,
   for (int s = 0; s < options_.num_shards; ++s) {
     joins_.push_back(factory(s));
     PJOIN_DCHECK(joins_.back() != nullptr);
-    auto shard = std::make_unique<Shard>(
-        s, queue_batches, std::max<size_t>(2, options_.out_ring_batches));
+    auto shard = std::make_unique<Shard>(s, queue_batches);
     shard->join = joins_.back().get();
     shard->stats.shard = s;
     shards_.push_back(std::move(shard));
@@ -106,8 +102,6 @@ void ParallelJoinPipeline::FlushShardOut(Shard* shard, bool force) {
   OutBatch out;
   out.rows = std::move(shard->local_rows);
   out.releases = std::move(shard->local_releases);
-  out.flow_id = shard->pending_flow_id;
-  shard->pending_flow_id = 0;
   shard->local_rows.clear();
   shard->local_releases.clear();
   // The moved-from vector restarts at zero capacity; reserving the flush
@@ -124,7 +118,6 @@ void ParallelJoinPipeline::FlushShardOut(Shard* shard, bool force) {
 
 void ParallelJoinPipeline::MergeOutBatch(int shard, OutBatch out) {
   TRACE_SPAN("par", "merge_drain");
-  if (out.flow_id != 0) TRACE_FLOW_END("flow", "tuple_path", out.flow_id);
   // Each result's Tuple is built here, so its block is allocated and freed
   // by this thread; the values move out of the row.
   const size_t results = out.rows.size() / row_width_;
@@ -163,24 +156,18 @@ size_t ParallelJoinPipeline::DrainOutputs() {
 
 void ParallelJoinPipeline::Stage(int shard, int8_t side,
                                  const StreamElement* e, uint64_t key_hash,
-                                 TimeMicros ingress_us, uint64_t flow_id) {
+                                 TimeMicros ingress_us) {
   RoutedBatch& pending = staged_[static_cast<size_t>(shard)];
   if (pending.elements.empty()) pending.ingress_us = ingress_us;
-  // Stamp before the flush check below so a sampled tuple that fills the
-  // batch still travels with it.
-  if (flow_id != 0) pending.flow_id = flow_id;
   pending.elements.push_back(e);
   pending.sides.push_back(side);
   pending.key_hashes.push_back(key_hash);
-  if (e->is_tuple()) ++pending.tuple_count;
   if (pending.elements.size() >= options_.batch_size) FlushStaged(shard);
 }
 
 void ParallelJoinPipeline::FlushStaged(int shard) {
   RoutedBatch& pending = staged_[static_cast<size_t>(shard)];
   if (pending.elements.empty()) return;
-  Shard& s = *shards_[static_cast<size_t>(shard)];
-  s.enqueued.fetch_add(static_cast<int64_t>(pending.elements.size()));
   RoutedBatch batch = std::move(pending);
   pending = RoutedBatch{};
   pending.elements.reserve(options_.batch_size);
@@ -224,7 +211,7 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
       // gauge on exit, after a failure too).
       shard->dispatch_gauge.Set(0);
       if (shard->queue.exhausted()) break;
-      if (++dry < options_.stall_polls) {
+      if (++dry < kStallPolls) {
         std::this_thread::yield();
         continue;
       }
@@ -246,47 +233,35 @@ void ParallelJoinPipeline::ShardLoop(Shard* shard) {
         join->PublishStateGauges();
         FlushShardOut(shard, /*force=*/true);
       }
+      ++shard->spin_parks;
       shard->spin_parks_counter.Add(1);
-      shard_spin_parks_.fetch_add(1);
       shard->queue.WaitForData();
       continue;
     }
     dry = 0;
     shard->dispatch_gauge.Set(batch.ingress_us);
-    const size_t n = batch.elements.size();
-    if (batch.flow_id != 0) {
-      TRACE_FLOW_STEP("flow", "tuple_path", batch.flow_id);
-      shard->pending_flow_id = batch.flow_id;
-    }
-    {
+    if (!failed) {
       TRACE_SPAN("par", "shard_batch");
-      if (!failed) {
-        shard->stats.elements += static_cast<int64_t>(n);
-        shard->stats.tuples += batch.tuple_count;
-        join->set_element_ingress_micros(batch.ingress_us);
-        const Status st = join->ProcessBatch(
-            ElementBatch{batch.elements.data(), batch.sides.data(),
-                         batch.key_hashes.data(), n});
-        if (!st.ok()) {
-          shard->status = st;
-          // Keep draining (and discarding) so the router never wedges on
-          // this shard's ring; the error is surfaced after the run.
-          failed = true;
-        }
+      join->set_element_ingress_micros(batch.ingress_us);
+      const Status st = join->ProcessBatch(
+          ElementBatch{batch.elements.data(), batch.sides.data(),
+                       batch.key_hashes.data(), batch.elements.size()});
+      if (!st.ok()) {
+        shard->status = st;
+        // Keep draining (and discarding) so the router never wedges on
+        // this shard's ring; the error is surfaced after the run.
+        failed = true;
       }
-      shard->processed += static_cast<int64_t>(n);
     }
-    // Once-per-batch live publication: backlog, ring occupancies, and the
-    // join's state gauges (the worker owns the join, so the HashState reads
-    // are safe).
-    shard->depth_gauge.Set(shard->enqueued.load() - shard->processed);
+    // Once-per-batch live publication: ring occupancies and the join's
+    // state gauges (the worker owns the join, so the HashState reads are
+    // safe).
     shard->queue_occupancy_gauge.Set(
         static_cast<int64_t>(shard->queue.size()));
     join->PublishStateGauges();
     FlushShardOut(shard, /*force=*/false);
     shard->out_occupancy_gauge.Set(static_cast<int64_t>(shard->out.size()));
   }
-  shard->depth_gauge.Set(0);
   shard->queue_occupancy_gauge.Set(0);
   join->PublishStateGauges();
   FlushShardOut(shard, /*force=*/true);
@@ -305,20 +280,8 @@ void ParallelJoinPipeline::RouteElement(int side, const StreamElement* e) {
       // in the shard (via RoutedBatch::key_hashes).
       const uint64_t h =
           e->tuple().field(key_index_[side]).Hash();
-      // Causal flow sampling: every flow_sample_period-th routed tuple is
-      // stamped with its ordinal as flow id and traced router→shard→merger
-      // as Chrome flow arrows. Deterministic for a fixed input order.
-      ++routed_tuples_;
-      uint64_t fid = 0;
-      if (options_.flow_sample_period != 0 &&
-          static_cast<uint64_t>(routed_tuples_) %
-                  options_.flow_sample_period ==
-              1 % options_.flow_sample_period) {
-        fid = static_cast<uint64_t>(routed_tuples_);
-        TRACE_FLOW_START("flow", "tuple_path", fid);
-      }
       Stage(OwnerOf(h, num_shards()), static_cast<int8_t>(side), e, h,
-            route_now_us_, fid);
+            route_now_us_);
       break;
     }
     case ElementKind::kPunctuation: {
@@ -427,8 +390,6 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
         "pipeline=parallel,shard=" + std::to_string(shard->id);
     shard->join->BindLatencyMetrics(labels);
     shard->join->BindStateGauges(labels);
-    shard->depth_gauge =
-        registry.GetGauge("pjoin_shard_queue_depth", labels);
     shard->dispatch_gauge =
         registry.GetGauge("pjoin_shard_dispatch_us", labels);
     shard->queue_occupancy_gauge = registry.GetGauge(
@@ -464,10 +425,13 @@ Status ParallelJoinPipeline::Run(const std::vector<StreamElement>& left,
   Status status;
   shard_stats_.clear();
   for (auto& shard : shards_) {
-    shard->stats.results = shard->join->results_emitted();
-    shard->stats.puncts_emitted = shard->join->puncts_emitted();
-    shard->stats.state_tuples = shard->join->total_state_tuples();
+    const JoinOperator& join = *shard->join;
+    shard->stats.tuples = join.counters().Get("tuples_in");
+    shard->stats.results = join.results_emitted();
+    shard->stats.puncts_emitted = join.puncts_emitted();
+    shard->stats.state_tuples = join.total_state_tuples();
     stalls_reported_ += shard->stats.stalls;
+    shard_spin_parks_ += shard->spin_parks;
     shard_stats_.push_back(shard->stats);
     if (status.ok() && !shard->status.ok()) status = shard->status;
   }

@@ -109,31 +109,20 @@ struct ParallelPipelineOptions {
   size_t shard_queue_capacity = 8192;
   /// Elements per RoutedBatch (router dispatch granularity).
   size_t batch_size = 256;
-  /// A dry shard reports a stall to its join (disk join / reactive stage)
-  /// after this many consecutive empty polls, then parks until data/close.
-  int64_t stall_polls = 4;
-  /// Capacity of each shard→merger output ring in OutBatches; a shard
-  /// parks on a full ring until the merger drains it. Small values make
-  /// sink backpressure (and therefore stall diagnosis) bite sooner.
-  size_t out_ring_batches = 64;
-  /// Stamp every Nth routed tuple with a flow id, traced through
-  /// router→shard→merger as Chrome flow arrows (TRACE_FLOW_*). 0 disables
-  /// sampling.
-  uint64_t flow_sample_period = 1024;
   /// Ignored, as input_buffer_capacity is: every key stays with its static
   /// owner (ParallelJoinPipeline::OwnerOf).
   RepartitionPolicy repartition;
 };
 
-/// Final per-shard occupancy of one run.
+/// Final per-shard occupancy of one run, read after the workers have
+/// joined. Every field but `stalls` comes from the shard's join.
 struct ShardStats {
   int shard = 0;
-  /// Elements delivered to the shard (routed tuples + broadcasts).
-  int64_t elements = 0;
-  /// Tuples routed to the shard (its key subset).
+  /// Tuples the shard's join took in (its key subset): "tuples_in".
   int64_t tuples = 0;
   int64_t results = 0;
   int64_t puncts_emitted = 0;
+  /// Stalls the shard worker reported to its join (OnStreamsStalled).
   int64_t stalls = 0;
   /// Final retained state (memory + disk + purge buffer) of the shard.
   int64_t state_tuples = 0;
@@ -179,7 +168,7 @@ class ParallelJoinPipeline {
   }
   /// Times a shard worker parked after spinning on an empty routed ring
   /// (also counter pjoin_shard_spin_parks).
-  int64_t shard_spin_parks() const { return shard_spin_parks_.load(); }
+  int64_t shard_spin_parks() const { return shard_spin_parks_; }
 
   // Always 0: key placement is static. Kept because the repository
   // benchmark still reports them (repart.*).
@@ -208,17 +197,12 @@ class ParallelJoinPipeline {
     std::vector<int8_t> sides;
     /// Join-key hash per element; 0 (unused) for punctuations and EOS.
     std::vector<uint64_t> key_hashes;
-    int64_t tuple_count = 0;
     /// Wall-clock (TraceNowMicros) router dispatch time of the batch; the
     /// shard hands it to the join so emits can observe end-to-end latency,
     /// and publishes it while it works on the batch, so the stall diagnosis
     /// (obs/health.h) can read how far the shard trails the router.
     /// Coarse (refreshed every few router iterations).
     TimeMicros ingress_us = 0;
-    /// Sampled causal-trace flow id (0 = unsampled batch): stamped by the
-    /// router on ~1/flow_sample_period tuples, stepped by the shard,
-    /// terminated by the merger.
-    uint64_t flow_id = 0;
   };
 
   /// The unit of the shard→merger rings: staged results followed by the
@@ -229,12 +213,9 @@ class ParallelJoinPipeline {
     /// tuple's values followed by the right tuple's.
     std::vector<Value> rows;
     std::vector<Punctuation> releases;
-    /// Flow id carried over from the newest sampled RoutedBatch this shard
-    /// processed (0 = none): lets the merger close the flow arrow.
-    uint64_t flow_id = 0;
   };
 
-  // Per-shard context: the two rings, progress counters, staging buffers.
+  // Per-shard context: the two rings, live gauges, staging buffers.
   struct Shard;
 
   void RouterLoop(const std::vector<StreamElement>& left,
@@ -245,7 +226,7 @@ class ParallelJoinPipeline {
   /// Appends element `e` (borrowed) to `shard`'s pending batch, flushing
   /// when full.
   void Stage(int shard, int8_t side, const StreamElement* e,
-             uint64_t key_hash, TimeMicros ingress_us, uint64_t flow_id = 0);
+             uint64_t key_hash, TimeMicros ingress_us);
   void FlushStaged(int shard);
   /// Pushes `batch` into `shard`'s routed ring. The router never parks:
   /// on a full ring it drains the output rings and retries.
@@ -277,10 +258,6 @@ class ParallelJoinPipeline {
   size_t key_index_[2] = {0, 0};
   /// Coarse dispatch timestamp (see RouterLoop's refresh cadence).
   TimeMicros route_now_us_ = 0;
-  /// Tuples routed so far — the flow-id source: tuple ordinal N gets flow
-  /// id N when N falls on the sampling period (deterministic for a fixed
-  /// input order).
-  int64_t routed_tuples_ = 0;
 
   /// Punctuation release board — router/caller thread only (the merger is
   /// single-threaded, which is what lets the old mutex-guarded board go).
@@ -292,10 +269,8 @@ class ParallelJoinPipeline {
   int64_t results_emitted_ = 0;
   int64_t puncts_emitted_ = 0;
   int64_t stalls_reported_ = 0;
+  int64_t shard_spin_parks_ = 0;
   int64_t router_backpressure_waits_ = 0;
-  /// Bumped by every shard worker (default ordering — a plain counter, no
-  /// publication protocol).
-  std::atomic<int64_t> shard_spin_parks_{0};
   std::atomic<int64_t> workers_done_{0};
   /// Output-activity eventcount: shards bump it after pushing an OutBatch
   /// (and once on exit), so the merger can park between drains instead of

@@ -3,15 +3,17 @@
 #include <algorithm>
 
 #include "common/macros.h"
+#include "join/hash_state.h"
+#include "obs/trace.h"
 
 namespace pjoin {
 
-SpillManager::SpillManager(SpillPolicy policy, SpillableState* left,
-                           SpillableState* right)
+SpillManager::SpillManager(SpillPolicy policy, HashState* left,
+                           HashState* right)
     : policy_(policy), states_{left, right} {
   PJOIN_DCHECK(left != nullptr && right != nullptr);
-  PJOIN_DCHECK(left->num_spill_partitions() == right->num_spill_partitions());
-  cooldown_.assign(2 * static_cast<size_t>(left->num_spill_partitions()), 0);
+  PJOIN_DCHECK(left->num_partitions() == right->num_partitions());
+  cooldown_.assign(2 * static_cast<size_t>(left->num_partitions()), 0);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   bytes_spilled_counter_ =
       registry.GetCounter("pjoin_spill_bytes_spilled", "");
@@ -27,22 +29,22 @@ SpillManager::SpillManager(SpillPolicy policy, SpillableState* left,
 bool SpillManager::OverBudget(int64_t threshold_tuples,
                               int64_t threshold_bytes) const {
   const int64_t tuples =
-      states_[0]->TotalMemoryTuples() + states_[1]->TotalMemoryTuples();
+      states_[0]->memory_tuples() + states_[1]->memory_tuples();
   if (tuples >= threshold_tuples) return true;
   if (threshold_bytes <= 0) return false;
   const int64_t bytes =
-      states_[0]->TotalMemoryBytes() + states_[1]->TotalMemoryBytes();
+      states_[0]->memory_bytes() + states_[1]->memory_bytes();
   return bytes >= threshold_bytes;
 }
 
 bool SpillManager::Quarantined(int side, int p) const {
   return cooldown_[static_cast<size_t>(
-             side * states_[0]->num_spill_partitions() + p)] > 0;
+             side * states_[0]->num_partitions() + p)] > 0;
 }
 
 void SpillManager::Quarantine(int side, int p) {
   int& slot = cooldown_[static_cast<size_t>(
-      side * states_[0]->num_spill_partitions() + p)];
+      side * states_[0]->num_partitions() + p)];
   // Incremental Add on the 0→nonzero transition (not Set): managers
   // sharing the process-wide gauge cell stay additive.
   if (slot == 0 && policy_.quarantine_cooldown > 0) {
@@ -76,8 +78,8 @@ SpillManager::Candidate SpillManager::PickVictim(int64_t now_tick) const {
   const bool adaptive = effective_mode() == SpillMode::kAdaptive;
   double best_score = 0.0;
   for (int side = 0; side < 2; ++side) {
-    const SpillableState& state = *states_[side];
-    for (int p = 0; p < state.num_spill_partitions(); ++p) {
+    const HashState& state = *states_[side];
+    for (int p = 0; p < state.num_partitions(); ++p) {
       const int64_t tuples = state.PartitionMemoryTuples(p);
       if (tuples <= 0 || Quarantined(side, p)) continue;
       double score;
@@ -103,6 +105,9 @@ Status SpillManager::EnsureWithinBudget(
     int64_t threshold_tuples, int64_t threshold_bytes, int64_t now_tick,
     const std::function<int64_t()>& next_tick) {
   if (!OverBudget(threshold_tuples, threshold_bytes)) return Status::OK();
+  // The join's relocation span opens only when there is something to
+  // relocate: XJoin asks after every tuple.
+  TRACE_SPAN("join", "relocate");
   DecayQuarantine();
   // Hysteresis targets: overshoot below the trigger thresholds so the
   // caller's Monitor observes below-threshold samples and its kStateFull
@@ -125,7 +130,7 @@ Status SpillManager::EnsureWithinBudget(
       overran = true;
       break;
     }
-    SpillableState& state = *states_[victim.side];
+    HashState& state = *states_[victim.side];
     if (effective_mode() == SpillMode::kAdaptive && purger_) {
       // Dead state never has to touch disk: purge the victim in place
       // first, and skip the write entirely when that already freed enough.
@@ -144,7 +149,7 @@ Status SpillManager::EnsureWithinBudget(
     const int64_t resident_tuples =
         state.PartitionMemoryTuples(victim.partition);
     resident_bytes_hist_.Observe(resident_bytes);
-    Status st = state.SpillPartition(victim.partition, next_tick());
+    Status st = state.FlushPartitionToDisk(victim.partition, next_tick());
     if (!st.ok()) {
       // A failed flush keeps its unpersisted tuples in memory (HashState
       // drops exactly the durable prefix); quarantine the partition and try

@@ -86,23 +86,7 @@ struct SpillDecisionStats {
   bool operator==(const SpillDecisionStats&) const = default;
 };
 
-/// What the manager needs from one join state (HashState implements this;
-/// the indirection keeps storage/ independent of join/).
-class SpillableState {
- public:
-  virtual ~SpillableState() = default;
-
-  virtual int num_spill_partitions() const = 0;
-  virtual int64_t TotalMemoryTuples() const = 0;
-  virtual int64_t TotalMemoryBytes() const = 0;
-  virtual int64_t PartitionMemoryTuples(int p) const = 0;
-  virtual int64_t PartitionMemoryBytes(int p) const = 0;
-  /// Tick of the partition's most recent insert or probe (0 = never).
-  virtual int64_t PartitionLastAccessTick(int p) const = 0;
-
-  /// Moves the memory portion of `p` to disk, stamping dts = `dts_tick`.
-  [[nodiscard]] virtual Status SpillPartition(int p, int64_t dts_tick) = 0;
-};
+class HashState;
 
 /// Outcome of one early-purge pass over a partition.
 struct EarlyPurgeOutcome {
@@ -117,9 +101,8 @@ class SpillManager {
   /// place and reports what was freed. Must not touch disk.
   using EarlyPurger = std::function<EarlyPurgeOutcome(int side, int p)>;
 
-  /// `left` / `right` must outlive the manager.
-  SpillManager(SpillPolicy policy, SpillableState* left,
-               SpillableState* right);
+  /// The join's two states; `left` / `right` must outlive the manager.
+  SpillManager(SpillPolicy policy, HashState* left, HashState* right);
 
   void set_early_purger(EarlyPurger purger) { purger_ = std::move(purger); }
   void set_event_sink(EventSink sink) { sink_ = std::move(sink); }
@@ -156,7 +139,7 @@ class SpillManager {
   void RecordFailure();
 
   SpillPolicy policy_;
-  SpillableState* states_[2];
+  HashState* states_[2];
   EarlyPurger purger_;
   EventSink sink_;
   SpillDecisionStats stats_;

@@ -101,10 +101,12 @@ class MonitorTest : public ::testing::Test {
   MonitorTest() : clock_(0) {}
 
   void Wire(RuntimeParams params) {
-    monitor_ = std::make_unique<Monitor>(params, &registry_, &clock_);
+    params_ = params;
+    monitor_ = std::make_unique<Monitor>(&params_, &registry_, &clock_);
   }
 
   VirtualClock clock_;
+  RuntimeParams params_;
   EventRegistry registry_;
   std::unique_ptr<Monitor> monitor_;
 };

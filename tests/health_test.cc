@@ -2,9 +2,8 @@
 // each shard's dispatch gauge on synthetic clocks, the report JSON, a failed
 // run that must leave no lag behind, the end-to-end forced-stall pipeline (a
 // gated shard join flips /healthz to 503 with a root-cause chain naming the
-// shard, then recovers to 200), flow-id sampling determinism with Chrome
-// flow arrows, and a concurrent scrape-during-run test that runs under TSan
-// in CI.
+// shard, then recovers to 200), and a concurrent scrape-during-run test that
+// runs under TSan in CI.
 //
 // The raw client sockets below are the test's HTTP client; the raw-socket
 // lint rule is src/-only, so tests may speak to the server directly.
@@ -20,10 +19,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <set>
-#include <sstream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -31,7 +27,6 @@
 #include "gen/stream_generator.h"
 #include "join/pjoin.h"
 #include "json_test_util.h"
-#include "obs/chrome_trace.h"
 #include "obs/health.h"
 #include "obs/introspection.h"
 #include "obs/metrics_registry.h"
@@ -272,7 +267,6 @@ TEST_F(HealthTest, HealthzFlipsTo503OnStallAndRecoversTo200) {
   ParallelPipelineOptions popts;
   popts.num_shards = 1;
   popts.batch_size = 1;
-  popts.out_ring_batches = 2;
   ParallelJoinPipeline pipeline(
       [&](int) {
         return std::make_unique<GatedPJoin>(schema, schema, jopts, &gate,
@@ -373,129 +367,6 @@ TEST_F(HealthTest, HealthzFlipsTo503OnStallAndRecoversTo200) {
                 .Count(),
             0);
 }
-
-// ---- Flow-id sampling ----
-
-#if PJOIN_TRACING
-
-struct FlowIds {
-  std::set<uint64_t> starts;
-  std::set<uint64_t> steps;
-  std::set<uint64_t> ends;
-};
-
-FlowIds RunSampledPipeline(const SchemaPtr& schema,
-                           const std::vector<StreamElement>& l,
-                           const std::vector<StreamElement>& r,
-                           uint64_t period) {
-  obs::Tracer::Global().ResetForTest();
-  obs::Tracer::Global().Start();
-  ParallelPipelineOptions popts;
-  popts.num_shards = 1;
-  popts.batch_size = 1;
-  popts.flow_sample_period = period;
-  ParallelJoinPipeline pipeline(
-      [&](int) { return std::make_unique<PJoin>(schema, schema); }, popts);
-  pipeline.set_result_callback([](const Tuple&) {});
-  const Status st = pipeline.Run(l, r);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  obs::Tracer::Global().Stop();
-  FlowIds ids;
-  for (const obs::TraceEvent& e : obs::Tracer::Global().Drain()) {
-    if (std::string_view(e.name) != "tuple_path") continue;
-    if (e.phase == obs::TracePhase::kFlowStart) ids.starts.insert(e.flow_id);
-    if (e.phase == obs::TracePhase::kFlowStep) ids.steps.insert(e.flow_id);
-    if (e.phase == obs::TracePhase::kFlowEnd) ids.ends.insert(e.flow_id);
-  }
-  return ids;
-}
-
-TEST_F(HealthTest, FlowSamplingIsDeterministicForAFixedInput) {
-  const SchemaPtr schema = KeyPayloadSchema();
-  ElementsBuilder left, right;
-  for (int64_t k = 0; k < 8; ++k) {
-    left.Tup(KP(schema, k, 10 + k));
-    right.Tup(KP(schema, k, 20 + k));
-  }
-  const std::vector<StreamElement> l = left.Finish();
-  const std::vector<StreamElement> r = right.Finish();
-
-  const FlowIds first = RunSampledPipeline(schema, l, r, /*period=*/4);
-  // Flow ids are routed-tuple ordinals: with period 4 the sampled ordinals
-  // are 1, 5, 9, 13 out of the 16 routed tuples.
-  EXPECT_EQ(first.starts, (std::set<uint64_t>{1, 5, 9, 13}));
-  // Every sampled batch was stepped by the shard; ends ride the next
-  // flushed OutBatch, so they are a non-empty subset of the starts.
-  EXPECT_EQ(first.steps, first.starts);
-  EXPECT_FALSE(first.ends.empty());
-  for (const uint64_t id : first.ends) EXPECT_EQ(first.starts.count(id), 1u);
-
-  // Same input, fresh pipeline: the identical sample set.
-  const FlowIds second = RunSampledPipeline(schema, l, r, /*period=*/4);
-  EXPECT_EQ(second.starts, first.starts);
-  EXPECT_EQ(second.steps, first.steps);
-
-  // period=1 samples every routed tuple (the 1 % period == 0 edge case).
-  const FlowIds all = RunSampledPipeline(schema, l, r, /*period=*/1);
-  EXPECT_EQ(all.starts.size(), 16u);
-
-  // period=0 disables sampling entirely.
-  const FlowIds none = RunSampledPipeline(schema, l, r, /*period=*/0);
-  EXPECT_TRUE(none.starts.empty());
-}
-
-TEST_F(HealthTest, SampledFlowsRenderAsChromeFlowArrows) {
-  const SchemaPtr schema = KeyPayloadSchema();
-  ElementsBuilder left, right;
-  for (int64_t k = 0; k < 4; ++k) {
-    left.Tup(KP(schema, k, 10 + k));
-    right.Tup(KP(schema, k, 20 + k));
-  }
-  const std::vector<StreamElement> l = left.Finish();
-  const std::vector<StreamElement> r = right.Finish();
-
-  obs::Tracer::Global().ResetForTest();
-  obs::Tracer::Global().Start();
-  ParallelPipelineOptions popts;
-  popts.num_shards = 1;
-  popts.batch_size = 1;
-  popts.flow_sample_period = 2;
-  ParallelJoinPipeline pipeline(
-      [&](int) { return std::make_unique<PJoin>(schema, schema); }, popts);
-  pipeline.set_result_callback([](const Tuple&) {});
-  ASSERT_TRUE(pipeline.Run(l, r).ok());
-  obs::Tracer::Global().Stop();
-
-  std::ostringstream os;
-  obs::WriteChromeTrace(os, obs::Tracer::Global().Drain(),
-                        obs::Tracer::Global().ThreadNames());
-  JsonValue root;
-  ASSERT_TRUE(JsonParser(os.str()).Parse(&root));
-
-  std::set<double> start_ids, step_ids, end_ids;
-  for (const JsonValue& e : root.Find("traceEvents")->array) {
-    const JsonValue* cat = e.Find("cat");
-    if (cat == nullptr || cat->str != "flow") continue;
-    EXPECT_EQ(e.Find("name")->str, "tuple_path");
-    ASSERT_NE(e.Find("id"), nullptr);
-    const std::string& ph = e.Find("ph")->str;
-    if (ph == "s") start_ids.insert(e.Find("id")->number);
-    if (ph == "t") step_ids.insert(e.Find("id")->number);
-    if (ph == "f") {
-      end_ids.insert(e.Find("id")->number);
-      // Perfetto binds the arrow to the enclosing slice via bp=e.
-      ASSERT_NE(e.Find("bp"), nullptr);
-      EXPECT_EQ(e.Find("bp")->str, "e");
-    }
-  }
-  // 8 routed tuples, period 2: ordinals 1, 3, 5, 7.
-  EXPECT_EQ(start_ids, (std::set<double>{1, 3, 5, 7}));
-  EXPECT_EQ(step_ids, start_ids);
-  EXPECT_FALSE(end_ids.empty());
-  for (const double id : end_ids) EXPECT_EQ(start_ids.count(id), 1u);
-}
-
-#endif  // PJOIN_TRACING
 
 // ---- Concurrent scrape (the TSan leg) ----
 

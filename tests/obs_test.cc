@@ -1,12 +1,13 @@
 // Tests for the observability layer (src/obs/): metrics registry handle
 // semantics, trace-ring overflow behavior, concurrent emit/drain (exercised
-// under TSan in CI), and Chrome trace_event export validated by an in-test
-// JSON parser.
+// under TSan in CI), Chrome trace_event export validated by an in-test JSON
+// parser, and a traced pipeline run that fits its rings.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -15,12 +16,15 @@
 #include <utility>
 #include <vector>
 
+#include "join/pjoin.h"
 #include "json_test_util.h"
 #include "obs/chrome_trace.h"
 #include "obs/introspection.h"
 #include "obs/metrics_registry.h"
 #include "obs/promtext.h"
 #include "obs/trace.h"
+#include "ops/parallel_pipeline.h"
+#include "test_util.h"
 
 namespace pjoin {
 namespace {
@@ -391,17 +395,6 @@ TEST(TraceRingTest, SnapshotIsNonDestructiveDrainConsumes) {
   EXPECT_EQ(snap3.size(), 5u);
 }
 
-TEST(TraceRingTest, FlowIdSurvivesTheRing) {
-  obs::TraceRing ring(/*tid=*/0, /*capacity=*/8);
-  ring.Emit("flow", "tuple_path", obs::TracePhase::kFlowStart, /*ts=*/1,
-            /*value=*/0, /*flow_id=*/0xdeadbeefULL);
-  std::vector<obs::TraceEvent> events;
-  ring.Snapshot(&events);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].phase, obs::TracePhase::kFlowStart);
-  EXPECT_EQ(events[0].flow_id, 0xdeadbeefULL);
-}
-
 // ---- Tracer ----
 
 class TracerTest : public ::testing::Test {
@@ -590,49 +583,49 @@ TEST_F(TracerTest, ScrapeDoesNotStealFromExportAndDrainRecordsMetadata) {
   EXPECT_EQ(tracer.Snapshot().size(), 3u);
 }
 
-// Flow events render as Chrome flow arrows: "s"/"t"/"f" records sharing an
-// id, with "bp":"e" on the end so Perfetto binds the arrow to the enclosing
-// slice.
-TEST_F(TracerTest, ChromeTraceExportRendersFlowArrows) {
-  obs::Tracer& tracer = obs::Tracer::Global();
-  tracer.Start();
-  TRACE_FLOW_START("flow", "tuple_path", 42);
-  TRACE_FLOW_STEP("flow", "tuple_path", 42);
-  TRACE_FLOW_END("flow", "tuple_path", 42);
-  tracer.Stop();
-
-  std::ostringstream os;
-  obs::WriteChromeTrace(os, tracer.Drain(), tracer.ThreadNames());
-
-  JsonValue root;
-  ASSERT_TRUE(JsonParser(os.str()).Parse(&root)) << os.str();
-  const JsonValue* trace_events = root.Find("traceEvents");
-  ASSERT_NE(trace_events, nullptr);
-  ASSERT_EQ(trace_events->array.size(), 3u);
-
-  bool saw_start = false, saw_step = false, saw_end = false;
-  for (const JsonValue& e : trace_events->array) {
-    const JsonValue* ph = e.Find("ph");
-    ASSERT_NE(ph, nullptr);
-    EXPECT_EQ(e.Find("name")->str, "tuple_path");
-    EXPECT_EQ(e.Find("cat")->str, "flow");
-    ASSERT_NE(e.Find("id"), nullptr);
-    EXPECT_EQ(e.Find("id")->number, 42.0);
-    if (ph->str == "s") {
-      saw_start = true;
-    } else if (ph->str == "t") {
-      saw_step = true;
-    } else if (ph->str == "f") {
-      saw_end = true;
-      ASSERT_NE(e.Find("bp"), nullptr);
-      EXPECT_EQ(e.Find("bp")->str, "e");
-    } else {
-      FAIL() << "unexpected phase " << ph->str;
+// A traced run keeps every event it records. The shard thread's trace
+// points sit at batch and stage boundaries, so a 1-shard PJoin over more
+// tuples than one ring holds overflows nothing and keeps its batch and
+// purge spans.
+TEST_F(TracerTest, TracedShardRunDropsNoEvents) {
+  const SchemaPtr schema = testing::KeyPayloadSchema();
+  constexpr int64_t kKeys = 40000;
+  static_assert(2 * kKeys > static_cast<int64_t>(obs::Tracer::kRingCapacity));
+  testing::ElementsBuilder left, right;
+  for (int64_t k = 0; k < kKeys; ++k) {
+    left.Tup(testing::KP(schema, k, k));
+    right.Tup(testing::KP(schema, k, -k));
+    if (k % 100 == 99) {
+      left.Punct(testing::KeyPunct(k));
+      right.Punct(testing::KeyPunct(k));
     }
   }
-  EXPECT_TRUE(saw_start);
-  EXPECT_TRUE(saw_step);
-  EXPECT_TRUE(saw_end);
+  const std::vector<StreamElement> l = left.Finish();
+  const std::vector<StreamElement> r = right.Finish();
+
+  ParallelPipelineOptions popts;
+  popts.num_shards = 1;
+  ParallelJoinPipeline pipeline(
+      [&](int) { return std::make_unique<PJoin>(schema, schema); }, popts);
+  int64_t results = 0;
+  pipeline.set_result_callback([&results](const Tuple&) { ++results; });
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Start();
+  ASSERT_TRUE(pipeline.Run(l, r).ok());
+  tracer.Stop();
+  EXPECT_EQ(results, kKeys);
+
+  EXPECT_EQ(tracer.dropped_events(), 0);
+  int64_t batch_spans = 0;
+  int64_t purge_spans = 0;
+  for (const obs::TraceEvent& e : tracer.Drain()) {
+    if (e.phase != obs::TracePhase::kComplete) continue;
+    const std::string_view name(e.name);
+    if (name == "shard_batch") ++batch_spans;
+    if (name == "purge") ++purge_spans;
+  }
+  EXPECT_GT(batch_spans, 0);
+  EXPECT_GT(purge_spans, 0);
 }
 
 #endif  // PJOIN_TRACING

@@ -309,7 +309,6 @@ TEST(ParallelPJoinTest, RepartitionPolicyIsIgnored) {
     // Stall counts follow thread timing; everything else the input fixes.
     const ShardStats& a = pipeline->shard_stats()[i];
     const ShardStats& b = static_stats[i];
-    EXPECT_EQ(a.elements, b.elements) << "shard " << i;
     EXPECT_EQ(a.tuples, b.tuples) << "shard " << i;
     EXPECT_EQ(a.results, b.results) << "shard " << i;
     EXPECT_EQ(a.puncts_emitted, b.puncts_emitted) << "shard " << i;
@@ -325,41 +324,50 @@ TEST(ParallelPJoinTest, ShardStatsCoverAllRoutedElements) {
   Workload w = MakeWorkload("stats", /*seed=*/8, /*punct_rate=*/20.0,
                             /*zipf_s=*/0.0);
   const JoinOptions jopts = SmallStateOptions();
-  ParallelPipelineOptions popts;
-  popts.num_shards = 4;
-  ParallelJoinPipeline* pipeline = nullptr;
-  const RunResult got =
-      RunParallel(Operator::kPJoin, w.streams.schema_a, w.streams.schema_b,
-                  jopts, w.streams.a, w.streams.b, popts, &pipeline);
-  (void)got;
   // Data tuples and constant-key punctuations are routed to exactly one
-  // shard; non-constant punctuations and the two end-of-stream markers are
-  // broadcast to every shard.
-  int64_t expected_elements = 2 * popts.num_shards;  // the EOS broadcasts
+  // shard; non-constant punctuations are broadcast to every shard.
+  int64_t constant_puncts = 0;
+  int64_t broadcast_puncts = 0;
   for (const auto* stream : {&w.streams.a, &w.streams.b}) {
     for (const StreamElement& e : *stream) {
-      if (e.is_tuple()) {
-        ++expected_elements;
-      } else if (e.is_punctuation()) {
-        expected_elements += e.punctuation().pattern(0).IsConstant()
-                                 ? 1
-                                 : popts.num_shards;
+      if (!e.is_punctuation()) continue;
+      if (e.punctuation().pattern(0).IsConstant()) {
+        ++constant_puncts;
+      } else {
+        ++broadcast_puncts;
       }
     }
   }
-  int64_t elements = 0;
-  int64_t tuples = 0;
-  int64_t results = 0;
-  for (const ShardStats& s : pipeline->shard_stats()) {
-    elements += s.elements;
-    tuples += s.tuples;
-    results += s.results;
+  // The end-of-stream flush punctuations are ranges.
+  ASSERT_GT(broadcast_puncts, 0);
+  const int64_t tuples =
+      w.streams.NumTuples(w.streams.a) + w.streams.NumTuples(w.streams.b);
+  for (const int shards : {1, 2, 4}) {
+    ParallelPipelineOptions popts;
+    popts.num_shards = shards;
+    ParallelJoinPipeline* pipeline = nullptr;
+    const RunResult got =
+        RunParallel(Operator::kPJoin, w.streams.schema_a, w.streams.schema_b,
+                    jopts, w.streams.a, w.streams.b, popts, &pipeline);
+    (void)got;
+    int64_t tuples_in = 0;
+    int64_t puncts_in = 0;
+    int64_t results = 0;
+    for (int s = 0; s < pipeline->num_shards(); ++s) {
+      const CounterSet& counters = pipeline->shard_join(s)->counters();
+      const ShardStats& stats = pipeline->shard_stats()[s];
+      EXPECT_EQ(stats.tuples, counters.Get("tuples_in"))
+          << "shards=" << shards << " shard " << s;
+      tuples_in += counters.Get("tuples_in");
+      puncts_in += counters.Get("puncts_in");
+      results += stats.results;
+    }
+    EXPECT_EQ(tuples_in, tuples) << "shards=" << shards;
+    EXPECT_EQ(puncts_in, constant_puncts + shards * broadcast_puncts)
+        << "shards=" << shards;
+    // The merged output saw every shard-emitted result exactly once.
+    EXPECT_EQ(results, pipeline->results_emitted()) << "shards=" << shards;
   }
-  EXPECT_EQ(elements, expected_elements);
-  EXPECT_EQ(tuples, w.streams.NumTuples(w.streams.a) +
-                        w.streams.NumTuples(w.streams.b));
-  // The merged output saw every shard-emitted result exactly once.
-  EXPECT_EQ(results, pipeline->results_emitted());
 }
 
 // A shard's join error is the run's outcome: the failed shard keeps draining

@@ -148,6 +148,31 @@ TEST(PJoinTest, PurgeBufferHoldsTuplesOwingDiskJoins) {
   EXPECT_EQ(join.state(0).purge_buffer_tuples(), 0);  // cleared by disk join
 }
 
+// A memory threshold lowered through monitor().params() is the one the
+// join relocates against: the next tuple spills the state below it, as the
+// same threshold set at construction would have.
+TEST(PJoinTest, RuntimeMemoryThresholdReachesRelocation) {
+  SchemaPtr sa = KeyPayloadSchema("a");
+  SchemaPtr sb = KeyPayloadSchema("b");
+  JoinOptions opts;
+  opts.num_partitions = 4;
+  PJoin join(sa, sb, opts);
+  const auto feed = [&](int64_t key) {
+    const StreamElement e =
+        StreamElement::MakeTuple(KP(sa, key, key), 1000 * (key + 1), key);
+    ASSERT_TRUE(join.OnElement(0, e).ok());
+  };
+  for (int64_t k = 0; k < 200; ++k) feed(k);
+  EXPECT_EQ(join.memory_state_tuples(), 200);
+  EXPECT_EQ(join.spill_stats().spills, 0);
+
+  join.monitor().params().memory_threshold_tuples = 100;
+  feed(200);
+  EXPECT_LT(join.memory_state_tuples(), 100);
+  EXPECT_GT(join.spill_stats().spills, 0);
+  EXPECT_EQ(join.total_state_tuples(), 201);
+}
+
 TEST(PJoinTest, StateStaysBoundedWithPunctuations) {
   DomainSpec d;
   d.window_size = 10;

@@ -127,8 +127,8 @@ TEST(SpillManagerTest, HysteresisOvershootsBelowLowWater) {
                   .ok());
   // Not "just under 30" — under the 15-tuple low-water mark, so the
   // caller's threshold latch reliably observes below-threshold samples.
-  EXPECT_LT(left->TotalMemoryTuples(), 15);
-  EXPECT_GE(left->TotalMemoryTuples(), 15 - 4);
+  EXPECT_LT(left->memory_tuples(), 15);
+  EXPECT_GE(left->memory_tuples(), 15 - 4);
 }
 
 // A spill appends each resident record to its partition's disk unit once
