@@ -33,14 +33,13 @@
 //                    loopback port for the duration of the run (0 =
 //                    ephemeral; the bound port is printed). See
 //                    docs/OBSERVABILITY.md.
-//   --health   start the health watchdog (feeds the frontier-lag histogram
-//              and /healthz classification; implied by --stall_ms).
 //   --stall_ms=N     before the sweep, run a deliberately wedged x1
 //              configuration whose join sleeps N ms per tuple: the router
 //              runs ahead, the shard's frontier stalls, and a scraper polling
-//              /healthz observes 503 (stalled, naming shard 0) for roughly
-//              stall_tuples * N ms, then 200 again once it completes. The
-//              CI health smoke drives this.
+//              /healthz observes 503 (stalled, naming shard 0) from the
+//              moment the shard trails the router by obs::kStallThresholdUs
+//              (1 s) until the run completes (roughly stall_tuples * N ms),
+//              then 200 again. The CI health smoke drives this.
 //   --stall_tuples=N  tuples per stream for the stalled run (default 100).
 //   --serve_linger_ms  after the sweep, keep re-running the widest parallel
 //                    configuration for this long so scrapers catch a live
@@ -73,7 +72,6 @@
 #include "common/clock.h"
 #include "join/pjoin.h"
 #include "obs/chrome_trace.h"
-#include "obs/health.h"
 #include "obs/introspection.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -125,8 +123,7 @@ struct Cli {
   bool check = false;
   int serve_port = -1;         // -1 = no introspection server
   int64_t serve_linger_ms = 0;
-  // Health watchdog + deliberate stall (the CI health smoke).
-  bool health = false;
+  // Deliberate stall (the CI health smoke).
   int64_t stall_ms = 0;      // per-tuple sleep of the wedged run; 0 = skip
   int64_t stall_tuples = 100;
 };
@@ -245,10 +242,6 @@ bool ParseCli(int argc, char** argv, Cli* cli) {
     const std::string_view arg = argv[i];
     if (arg == "--check") {
       cli->check = true;
-      continue;
-    }
-    if (arg == "--health") {
-      cli->health = true;
       continue;
     }
     const size_t eq = arg.find('=');
@@ -698,12 +691,6 @@ int Main(int argc, char** argv) {
     std::fflush(stdout);  // scrape scripts poll for this line
   }
 
-  // The watchdog classifies /healthz and feeds pjoin_frontier_lag_seconds;
-  // a stalled run is pointless without it, so --stall_ms implies --health.
-  const bool health = cli.health || cli.stall_ms > 0;
-  if (health) {
-    obs::HealthMonitor::Global().Start();
-  }
   if (cli.stall_ms > 0) {
     std::printf("  running wedged x1 configuration (%lld ms/tuple)...\n",
                 static_cast<long long>(cli.stall_ms));
@@ -844,10 +831,6 @@ int Main(int argc, char** argv) {
                                          /*memcap=*/0, cli.ring);
       all_pass = all_pass && again.oracle == baseline.oracle;
     }
-  }
-
-  if (health) {
-    obs::HealthMonitor::Global().Stop();
   }
 
   if (!cli.trace.empty()) {

@@ -108,22 +108,9 @@ Status JoinOperator::OnStreamsStalled() { return Status::OK(); }
 
 Punctuation JoinOperator::MakeOutputPunct(int side,
                                           const Punctuation& punct) const {
-  const size_t left_width = states_[0]->schema()->num_fields();
-  const size_t right_width = states_[1]->schema()->num_fields();
-  std::vector<Pattern> patterns(left_width + right_width,
-                                Pattern::Wildcard());
-  if (side == 0) {
-    for (size_t i = 0; i < left_width; ++i) patterns[i] = punct.pattern(i);
-    // The equi-join predicate transfers the key pattern to the other side.
-    patterns[left_width + options_.right_key] =
-        punct.pattern(options_.left_key);
-  } else {
-    for (size_t i = 0; i < right_width; ++i) {
-      patterns[left_width + i] = punct.pattern(i);
-    }
-    patterns[options_.left_key] = punct.pattern(options_.right_key);
-  }
-  return Punctuation(std::move(patterns));
+  return LiftToJoinOutput(side, punct, states_[0]->schema()->num_fields(),
+                          states_[1]->schema()->num_fields(),
+                          options_.left_key, options_.right_key);
 }
 
 int64_t JoinOperator::ProbeOppositeMemory(int side, const Tuple& tuple,

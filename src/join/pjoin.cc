@@ -254,15 +254,17 @@ Status PJoin::RunPurge() {
 Status PJoin::PurgeState(int side) {
   HashState& own = mutable_state(side);
   PunctuationSet& opp_ps = *punct_sets_[1 - side];
-  if (opp_ps.empty()) return Status::OK();
-  const int64_t purge_tick = NextTick();
 
   if (options().purge_mode == PurgeMode::kScan) {
     // The paper's algorithm: scan the memory state applying setMatch. The
     // scan cost, proportional to the state size, is what makes eager purge
     // expensive (Fig 9). Each test reads the entry's cached key hash and
-    // touches the key only on a hash hit.
+    // touches the key only on a hash hit. Propagation removes released
+    // punctuations from the set but not their key coverage, so an empty
+    // set may still purge.
     opp_ps.TakeUnappliedForPurge();  // the scan applies them all
+    if (!opp_ps.covers_any_key()) return Status::OK();
+    const int64_t purge_tick = NextTick();
     int64_t scanned = 0;
     for (int p = 0; p < own.num_partitions(); ++p) {
       scanned += static_cast<int64_t>(own.memory(p).size());
@@ -276,8 +278,11 @@ Status PJoin::PurgeState(int side) {
     counters().Add("purge_scanned", scanned);
   } else {
     // Indexed purge (extension): jump straight to the partitions named by
-    // the not-yet-applied punctuations. (Pair with drop_on_the_fly: covered
-    // tuples arriving after a punctuation was applied are handled there.)
+    // the not-yet-applied punctuations, queued at Add whether or not
+    // propagation has removed them since. (Pair with drop_on_the_fly:
+    // covered tuples arriving after a punctuation was applied are handled
+    // there.)
+    const int64_t purge_tick = NextTick();
     for (const Pattern& pattern : opp_ps.TakeUnappliedForPurge()) {
       if (pattern.IsConstant()) {
         const Value& key = pattern.constant();
@@ -331,7 +336,7 @@ EarlyPurgeOutcome PJoin::EarlyPurgePartition(int side, int p) {
   EarlyPurgeOutcome out;
   HashState& own = mutable_state(side);
   PunctuationSet& opp_ps = *punct_sets_[1 - side];
-  if (opp_ps.empty()) return out;
+  if (!opp_ps.covers_any_key()) return out;
   const int64_t purge_tick = NextTick();
   std::vector<TupleEntry> extracted =
       own.ExtractMemoryMatching(p, [&](const TupleEntry& e) {

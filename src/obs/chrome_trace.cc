@@ -50,9 +50,6 @@ void WriteChromeTrace(
       case TracePhase::kInstant:
         os << ", \"ph\": \"i\", \"s\": \"t\"";
         break;
-      case TracePhase::kCounter:
-        os << ", \"ph\": \"C\", \"args\": {\"value\": " << e.value << "}";
-        break;
     }
     os << "}";
   }
@@ -61,7 +58,7 @@ void WriteChromeTrace(
 
 Status WriteChromeTraceFile(const std::string& path) {
   Tracer& tracer = Tracer::Global();
-  std::vector<TraceEvent> events = tracer.Drain();
+  const std::vector<TraceEvent> events = tracer.Snapshot();
   std::ofstream out(path);
   if (!out) {
     return Status::IOError("cannot open trace file '" + path + "'");

@@ -1,8 +1,8 @@
-// Chrome trace_event JSON export (docs/OBSERVABILITY.md): serializes drained
+// Chrome trace_event JSON export (docs/OBSERVABILITY.md): serializes
 // TraceEvents into the object-form trace format that chrome://tracing and
-// Perfetto load directly. Spans become "X" (complete) events, instants "i",
-// counter samples "C"; named threads are emitted as "thread_name" metadata
-// records so Perfetto labels the tracks.
+// Perfetto load directly. Spans become "X" (complete) events and instants
+// "i"; named threads are emitted as "thread_name" metadata records so
+// Perfetto labels the tracks.
 
 #ifndef PJOIN_OBS_CHROME_TRACE_H_
 #define PJOIN_OBS_CHROME_TRACE_H_
@@ -23,7 +23,7 @@ void WriteChromeTrace(
     std::ostream& os, const std::vector<TraceEvent>& events,
     const std::vector<std::pair<int32_t, std::string>>& thread_names);
 
-/// Drains the global tracer and writes the trace to `path`.
+/// Writes a snapshot of the global tracer's resident events to `path`.
 [[nodiscard]] Status WriteChromeTraceFile(const std::string& path);
 
 }  // namespace obs

@@ -4,12 +4,8 @@
 #include <charconv>
 #include <cstdio>
 #include <string_view>
-#include <utility>
 
-#include "common/mutex.h"
-#include "obs/metrics_registry.h"
 #include "obs/text_escape.h"
-#include "obs/trace.h"
 
 namespace pjoin {
 namespace obs {
@@ -116,24 +112,11 @@ std::string HealthReport::ToJson() const {
   return out;
 }
 
-HealthMonitor& HealthMonitor::Global() {
-  static HealthMonitor* monitor = new HealthMonitor();  // leaked
-  return *monitor;
-}
-
-HealthReport HealthMonitor::EvaluateNow(TimeMicros now_us) const {
-  HealthOptions options;
-  {
-    MutexLock lock(mu_);
-    options = options_;
-  }
-  if (now_us == 0) now_us = TraceNowMicros();
-
+HealthReport EvaluateHealth(const std::vector<MetricSample>& snapshot,
+                            TimeMicros now_us) {
   HealthReport report;
   report.now_us = now_us;
-  // One snapshot feeds the whole verdict, and reading it registers nothing.
-  const std::vector<MetricSample> samples = MetricsRegistry::Global().Snapshot();
-  for (const MetricSample& sample : samples) {
+  for (const MetricSample& sample : snapshot) {
     if (sample.name == "pjoin_puncts_since_purge") {
       report.unfired_purges += sample.value;
       continue;
@@ -154,10 +137,10 @@ HealthReport HealthMonitor::EvaluateNow(TimeMicros now_us) const {
               return a.shard < b.shard;
             });
   for (const ShardFrontier& frontier : report.frontiers) {
-    if (frontier.lag_us >= options.stall_threshold_us) {
+    if (frontier.lag_us >= kStallThresholdUs) {
       ++report.stalled_frontiers;
-      report.causes.push_back(StallCauseChain(samples, frontier));
-    } else if (frontier.lag_us >= options.degraded_threshold_us) {
+      report.causes.push_back(StallCauseChain(snapshot, frontier));
+    } else if (frontier.lag_us >= kDegradedThresholdUs) {
       ++report.degraded_signals;
       report.causes.push_back("shard " + std::to_string(frontier.shard) +
                               " frontier lagging " +
@@ -165,141 +148,16 @@ HealthReport HealthMonitor::EvaluateNow(TimeMicros now_us) const {
                               "s behind router");
     }
   }
-  if (ValueOf(samples, "pjoin_spill_degraded", "") > 0) {
+  if (ValueOf(snapshot, "pjoin_spill_degraded", "") > 0) {
     ++report.degraded_signals;
     report.causes.push_back(
-        "spill storage degraded (fallback store active)");
+        "spill storage degraded (global-threshold spill victims or fallback "
+        "store active)");
   }
   report.status = report.stalled_frontiers > 0 ? HealthStatus::kStalled
                   : report.degraded_signals > 0 ? HealthStatus::kDegraded
                                                 : HealthStatus::kOk;
   return report;
-}
-
-void HealthMonitor::Configure(const HealthOptions& options) {
-  MutexLock lock(mu_);
-  options_ = options;
-}
-
-void HealthMonitor::Start(HealthOptions options) {
-  MutexLock lock(mu_);
-  options_ = options;
-  if (running_) return;
-  stop_requested_ = false;
-  running_ = true;
-  thread_ = std::thread([this, options] { WatchdogLoop(options); });
-}
-
-void HealthMonitor::Stop() {
-  std::thread to_join;
-  {
-    MutexLock lock(mu_);
-    if (!running_) return;
-    stop_requested_ = true;
-    running_ = false;
-    cv_.NotifyAll();
-    to_join = std::move(thread_);
-  }
-  if (to_join.joinable()) to_join.join();
-}
-
-bool HealthMonitor::running() const {
-  MutexLock lock(mu_);
-  return running_;
-}
-
-void HealthMonitor::RecordPass() {
-  const HealthReport report = EvaluateNow();
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  for (const ShardFrontier& frontier : report.frontiers) {
-    registry
-        .GetHistogram("pjoin_frontier_lag_seconds",
-                      "shard=" + std::to_string(frontier.shard),
-                      /*unit_scale=*/1e-6)
-        .Observe(frontier.lag_us);
-  }
-
-  bool newly_stalled = false;
-  {
-    MutexLock lock(history_mu_);
-    newly_stalled = report.status == HealthStatus::kStalled &&
-                    last_status_ != HealthStatus::kStalled;
-    last_status_ = report.status;
-    if (newly_stalled) {
-      if (history_.size() >= kMaxStallHistory) {
-        history_.erase(history_.begin());
-      }
-      history_.push_back(report);
-    }
-  }
-  if (!newly_stalled) return;
-
-  registry.GetCounter("pjoin_stalls_diagnosed_total").Add(1);
-  TRACE_INSTANT("health", "stall_diagnosed");
-}
-
-void HealthMonitor::WatchdogLoop(HealthOptions options) {
-  TRACE_SET_THREAD_NAME("health-watchdog");
-  for (;;) {
-    {
-      MutexLock lock(mu_);
-      if (stop_requested_) return;
-    }
-    RecordPass();
-    MutexLock lock(mu_);
-    if (stop_requested_) return;
-    cv_.WaitUntil(
-        mu_, SteadyDeadlineAfter(std::chrono::microseconds(options.period_us)));
-  }
-}
-
-std::vector<HealthReport> HealthMonitor::StallHistory() const {
-  MutexLock lock(history_mu_);
-  return history_;
-}
-
-std::string HealthMonitor::RenderDebugStalls() const {
-  const HealthReport current = EvaluateNow();
-  std::string out = "current: ";
-  out.append(HealthStatusName(current.status));
-  out.push_back('\n');
-  for (const std::string& cause : current.causes) {
-    out.append("  cause: ");
-    out.append(cause);
-    out.push_back('\n');
-  }
-  out.append("unfired_purges: ");
-  out.append(std::to_string(current.unfired_purges));
-  out.push_back('\n');
-  const std::vector<HealthReport> history = StallHistory();
-  out.append("\n== stall history (");
-  out.append(std::to_string(history.size()));
-  out.append(" diagnosed) ==\n");
-  for (const HealthReport& report : history) {
-    out.append("at ");
-    out.append(std::to_string(report.now_us));
-    out.append("us: ");
-    out.append(std::to_string(report.stalled_frontiers));
-    out.append(" stalled frontier(s)\n");
-    for (const std::string& cause : report.causes) {
-      out.append("  ");
-      out.append(cause);
-      out.push_back('\n');
-    }
-  }
-  return out;
-}
-
-void HealthMonitor::ResetForTest() {
-  Stop();
-  {
-    MutexLock lock(mu_);
-    options_ = HealthOptions{};
-    stop_requested_ = false;
-  }
-  MutexLock lock(history_mu_);
-  history_.clear();
-  last_status_ = HealthStatus::kOk;
 }
 
 }  // namespace obs

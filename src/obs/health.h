@@ -1,41 +1,33 @@
-// HealthMonitor: stall diagnosis read from the metrics registry
-// (docs/OBSERVABILITY.md, "Diagnosing a stalled join").
+// Stall diagnosis read from the metrics registry (docs/OBSERVABILITY.md,
+// "Diagnosing a stalled join").
 //
 // Each parallel shard worker keeps one progress number: the router dispatch
 // time of the batch it is working on, 0 while its ring is empty (gauge
 // pjoin_shard_dispatch_us{pipeline=parallel,shard=N}). A shard consumes its
 // ring in FIFO order, so now minus that time is how far the shard's
-// frontier trails the router. Every evaluation takes one registry snapshot
-// and classifies the pipeline:
+// frontier trails the router. EvaluateHealth classifies the pipeline from
+// one registry snapshot:
 //
-//   OK        every shard within degraded_threshold of the router
+//   OK        every shard within kDegradedThresholdUs of the router
 //   DEGRADED  a shard moderately behind, or spill storage degraded
-//   STALLED   a shard stalled_threshold or more behind the router
+//   STALLED   a shard kStallThresholdUs or more behind the router
 //
 // A STALLED verdict carries a root-cause chain built from the same
 // snapshot — "shard 2 frontier stalled 4.2s behind router; ring
 // edge=shard_2 occupancy 31; ring edge=out_2 occupancy 64; 3 punct release
-// rounds pending at merger" — and a watchdog thread edge-triggers it into
-// the stall history (/debug/stalls), pjoin_stalls_diagnosed_total and a
-// stall_diagnosed trace instant. The watchdog also feeds
-// pjoin_frontier_lag_seconds{shard}.
-//
-// /healthz does NOT read a cached verdict: it calls EvaluateNow(), so a
-// probe observes recovery the moment the shard catches up instead of one
-// watchdog period later.
+// rounds pending at merger". Nothing polls: /healthz evaluates a fresh
+// snapshot per request, so a probe observes recovery the moment the shard
+// catches up.
 
 #ifndef PJOIN_OBS_HEALTH_H_
 #define PJOIN_OBS_HEALTH_H_
 
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
-#include "common/macros.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
+#include "obs/metrics_registry.h"
 
 namespace pjoin {
 namespace obs {
@@ -48,6 +40,11 @@ enum class HealthStatus {
 
 const char* HealthStatusName(HealthStatus status);
 
+/// Shard lag at which the pipeline is STALLED.
+inline constexpr TimeMicros kStallThresholdUs = kMicrosPerSecond;
+/// Shard lag at which the pipeline is DEGRADED.
+inline constexpr TimeMicros kDegradedThresholdUs = 250 * kMicrosPerMilli;
+
 /// One shard's progress at an evaluation.
 struct ShardFrontier {
   int shard = 0;
@@ -57,8 +54,8 @@ struct ShardFrontier {
   TimeMicros lag_us = 0;
 };
 
-/// One classification pass over a registry snapshot. `causes` is the
-/// root-cause chain, most specific first.
+/// One classification of a registry snapshot. `causes` is the root-cause
+/// chain, most specific first.
 struct HealthReport {
   HealthStatus status = HealthStatus::kOk;
   TimeMicros now_us = 0;
@@ -81,72 +78,11 @@ struct HealthReport {
   std::string ToJson() const;
 };
 
-struct HealthOptions {
-  /// Watchdog sampling period.
-  TimeMicros period_us = 100 * kMicrosPerMilli;
-  /// Shard lag at which the pipeline is STALLED.
-  TimeMicros stall_threshold_us = kMicrosPerSecond;
-  /// Shard lag at which the pipeline is DEGRADED.
-  TimeMicros degraded_threshold_us = 250 * kMicrosPerMilli;
-};
-
-/// Process-global monitor, like Tracer / MetricsRegistry: the watchdog,
-/// /healthz and /debug/stalls all read one well-known instance.
-class HealthMonitor {
- public:
-  static HealthMonitor& Global();
-  PJOIN_DISALLOW_COPY_AND_MOVE(HealthMonitor);
-
-  /// One synchronous classification pass with no side effects on history
-  /// or metrics, using the thresholds last passed to Configure /
-  /// Start (defaults otherwise). `now_us` = 0 means "now" (TraceNowMicros);
-  /// tests pass synthetic times. This is what /healthz serves.
-  [[nodiscard]] HealthReport EvaluateNow(TimeMicros now_us = 0) const
-      EXCLUDES(mu_);
-
-  /// Sets the thresholds EvaluateNow and the watchdog use, without
-  /// starting the watchdog.
-  void Configure(const HealthOptions& options) EXCLUDES(mu_);
-
-  /// Starts the watchdog thread with `options`. No-op when already
-  /// running.
-  void Start(HealthOptions options = {}) EXCLUDES(mu_);
-  /// Stops and joins the watchdog. Safe when not running.
-  void Stop() EXCLUDES(mu_);
-  [[nodiscard]] bool running() const EXCLUDES(mu_);
-
-  /// Reports recorded at OK/DEGRADED -> STALLED transitions (newest last,
-  /// bounded at kMaxStallHistory).
-  [[nodiscard]] std::vector<HealthReport> StallHistory() const
-      EXCLUDES(history_mu_);
-
-  /// Human-readable /debug/stalls body: current verdict + stall history.
-  [[nodiscard]] std::string RenderDebugStalls() const;
-
-  /// Stops the watchdog and clears history. Test-only.
-  void ResetForTest();
-
-  static constexpr size_t kMaxStallHistory = 32;
-
- private:
-  HealthMonitor() = default;
-
-  /// A watchdog pass: EvaluateNow + the lag histogram export + the
-  /// edge-triggered stall recording.
-  void RecordPass();
-  void WatchdogLoop(HealthOptions options);
-
-  mutable Mutex mu_;
-  CondVar cv_;
-  HealthOptions options_ GUARDED_BY(mu_);
-  bool stop_requested_ GUARDED_BY(mu_) = false;
-  bool running_ GUARDED_BY(mu_) = false;
-  std::thread thread_ GUARDED_BY(mu_);
-
-  mutable Mutex history_mu_;
-  std::vector<HealthReport> history_ GUARDED_BY(history_mu_);
-  HealthStatus last_status_ GUARDED_BY(history_mu_) = HealthStatus::kOk;
-};
+/// Classifies `snapshot` (a MetricsRegistry::Snapshot()) at `now_us`
+/// (TraceNowMicros() for a live verdict; tests pass synthetic times).
+/// A pure function: it reads nothing else and writes nothing.
+[[nodiscard]] HealthReport EvaluateHealth(
+    const std::vector<MetricSample>& snapshot, TimeMicros now_us);
 
 }  // namespace obs
 }  // namespace pjoin

@@ -17,6 +17,13 @@ namespace obs {
 
 namespace {
 
+/// Handler pool size; each worker serves one connection at a time.
+constexpr int kNumWorkers = 2;
+/// Accepted connections queued for a free worker beyond this get 503.
+constexpr size_t kMaxPending = 16;
+/// Per-connection socket read/write timeout.
+constexpr int kIoTimeoutMs = 2000;
+
 const char* ReasonPhrase(int status) {
   switch (status) {
     case 200:
@@ -84,9 +91,6 @@ HttpResponse ErrorResponse(int status, std::string_view detail) {
 
 }  // namespace
 
-HttpServer::HttpServer(HttpServerOptions options)
-    : options_(std::move(options)) {}
-
 HttpServer::~HttpServer() { Stop(); }
 
 void HttpServer::AddHandler(std::string path, Handler handler) {
@@ -116,7 +120,7 @@ Status HttpServer::Start(int port) {
     return Status::IOError("bind port " + std::to_string(port) + ": " +
                            std::strerror(err));
   }
-  if (::listen(fd, static_cast<int>(options_.max_pending)) != 0) {
+  if (::listen(fd, static_cast<int>(kMaxPending)) != 0) {
     const int err = errno;
     ::close(fd);
     return Status::IOError(std::string("listen: ") + std::strerror(err));
@@ -134,9 +138,8 @@ Status HttpServer::Start(int port) {
   stopping_.store(false);
 
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  const int num_workers = options_.num_workers > 0 ? options_.num_workers : 1;
-  workers_.reserve(num_workers);
-  for (int i = 0; i < num_workers; ++i) {
+  workers_.reserve(kNumWorkers);
+  for (int i = 0; i < kNumWorkers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   return Status::OK();
@@ -179,16 +182,15 @@ void HttpServer::AcceptLoop() {
     if (conn < 0) continue;
 
     timeval tv;
-    tv.tv_sec = options_.io_timeout_ms / 1000;
-    tv.tv_usec = (options_.io_timeout_ms % 1000) * 1000;
+    tv.tv_sec = kIoTimeoutMs / 1000;
+    tv.tv_usec = (kIoTimeoutMs % 1000) * 1000;
     ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 
     bool enqueued = false;
     {
       MutexLock lock(mu_);
-      if (pending_.size() < options_.max_pending &&
-          !stopping_.load()) {
+      if (pending_.size() < kMaxPending && !stopping_.load()) {
         pending_.push_back(conn);
         enqueued = true;
       }
@@ -231,7 +233,7 @@ void HttpServer::ServeConnection(int fd) {
     if (buf.find("\r\n\r\n") != std::string::npos ||
         buf.find("\n\n") != std::string::npos) {
       complete = true;
-    } else if (buf.size() > options_.max_request_bytes) {
+    } else if (buf.size() > kMaxRequestBytes) {
       oversize = true;
     }
   }

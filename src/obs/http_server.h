@@ -40,17 +40,6 @@ struct HttpResponse {
   std::string body;
 };
 
-struct HttpServerOptions {
-  /// Handler pool size; each worker serves one connection at a time.
-  int num_workers = 2;
-  /// Requests larger than this (request line + headers) get 431.
-  size_t max_request_bytes = 8192;
-  /// Accepted connections queued for a free worker beyond this are closed.
-  size_t max_pending = 16;
-  /// Per-connection socket read/write timeout.
-  int io_timeout_ms = 2000;
-};
-
 /// Lifecycle: construct -> AddHandler()* -> Start() -> Stop(). Stop() is
 /// idempotent and joins every thread, so destruction after Stop() (or
 /// without Start()) is race-free; the destructor calls Stop() as a
@@ -59,7 +48,7 @@ class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
-  explicit HttpServer(HttpServerOptions options = {});
+  HttpServer() = default;
   ~HttpServer();
   PJOIN_DISALLOW_COPY_AND_MOVE(HttpServer);
 
@@ -77,12 +66,14 @@ class HttpServer {
   /// Stops accepting, drains queued connections, joins all threads.
   void Stop();
 
+  /// Requests larger than this (request line + headers) get 431.
+  static constexpr size_t kMaxRequestBytes = 8192;
+
  private:
   void AcceptLoop();
   void WorkerLoop();
   void ServeConnection(int fd);
 
-  const HttpServerOptions options_;
   std::map<std::string, Handler> handlers_;
 
   int listen_fd_ = -1;

@@ -85,10 +85,8 @@ std::string RenderStatusz(TimeMicros uptime_us) {
 namespace {
 
 std::string RenderTracez() {
-  // Non-destructive Snapshot: concurrent scrapers all see the same resident
-  // events, and none of them steals from the Chrome-trace export (which is
-  // the one consuming Drain() caller). Show the newest events per category
-  // so a scrape answers "what is each subsystem doing right now".
+  // Show the newest resident events per category so a scrape answers "what
+  // is each subsystem doing right now".
   constexpr size_t kPerCategory = 32;
   std::vector<TraceEvent> events = Tracer::Global().Snapshot();
   std::map<std::string, std::vector<const TraceEvent*>> by_category;
@@ -100,16 +98,6 @@ std::string RenderTracez() {
   out.append(Tracer::Global().enabled() ? "recording" : "stopped");
   out.append("\ndropped_events: ");
   out.append(std::to_string(Tracer::Global().dropped_events()));
-  out.append("\nlast_drain: ");
-  const TimeMicros last_drain_us = Tracer::Global().last_drain_us();
-  if (last_drain_us == 0) {
-    out.append("never");
-  } else {
-    out.append(std::to_string(last_drain_us));
-    out.append("us (");
-    out.append(std::to_string(Tracer::Global().last_drain_count()));
-    out.append(" events)");
-  }
   out.append("\n\n");
   for (auto& [category, evs] : by_category) {
     out.append("== ");
@@ -126,18 +114,10 @@ std::string RenderTracez() {
       out.append(std::to_string(e.tid));
       out.push_back(' ');
       out.append(e.name);
-      switch (e.phase) {
-        case TracePhase::kComplete:
-          out.append(" dur=");
-          out.append(std::to_string(e.value));
-          out.append("us");
-          break;
-        case TracePhase::kCounter:
-          out.append(" value=");
-          out.append(std::to_string(e.value));
-          break;
-        case TracePhase::kInstant:
-          break;
+      if (e.phase == TracePhase::kComplete) {
+        out.append(" dur=");
+        out.append(std::to_string(e.value));
+        out.append("us");
       }
       out.push_back('\n');
     }
@@ -148,8 +128,7 @@ std::string RenderTracez() {
 
 }  // namespace
 
-IntrospectionServer::IntrospectionServer(HttpServerOptions options)
-    : server_(std::move(options)) {
+IntrospectionServer::IntrospectionServer() {
   RegisterBuildInfo();
   server_.AddHandler("/metrics", [](const HttpRequest&) {
     HttpResponse resp;
@@ -158,18 +137,14 @@ IntrospectionServer::IntrospectionServer(HttpServerOptions options)
     return resp;
   });
   server_.AddHandler("/healthz", [](const HttpRequest&) {
-    // Evaluate fresh (not the watchdog's cached verdict) so a probe sees
-    // recovery the moment the frontier catches up.
-    const HealthReport report = HealthMonitor::Global().EvaluateNow();
+    const HealthReport report =
+        EvaluateHealth(MetricsRegistry::Global().Snapshot(), TraceNowMicros());
     HttpResponse resp;
     resp.status = report.status == HealthStatus::kStalled ? 503 : 200;
     resp.content_type = "application/json";
     resp.body = report.ToJson();
     resp.body.push_back('\n');
     return resp;
-  });
-  server_.AddHandler("/debug/stalls", [](const HttpRequest&) {
-    return TextResponse(HealthMonitor::Global().RenderDebugStalls());
   });
   server_.AddHandler("/statusz", [this](const HttpRequest&) {
     return TextResponse(RenderStatusz(TraceNowMicros() - start_us_));
@@ -187,8 +162,6 @@ IntrospectionServer::IntrospectionServer(HttpServerOptions options)
         "  /metrics       Prometheus text exposition\n"
         "  /healthz       stall classification (200 ok/degraded, 503 "
         "stalled) + JSON detail\n"
-        "  /debug/stalls  current verdict, root-cause chains, stall "
-        "history\n"
         "  /statusz       human-readable pipeline snapshot\n"
         "  /tracez        recent trace events per category\n"
         "  /quitquitquit  request the host process wind down\n");

@@ -6,9 +6,9 @@
 //                  of all registry gauges (a parallel pipeline's per-shard
 //                  ring occupancies, dispatch times and join state are
 //                  gauges labeled by shard)
-//   GET /healthz   stall classification (obs/health.h)
-//   GET /debug/stalls  current verdict and stall history
-//   GET /tracez    most recent drained trace spans, grouped by category
+//   GET /healthz   stall classification of a fresh registry snapshot
+//                  (obs/health.h)
+//   GET /tracez    most recent resident trace events, grouped by category
 //   GET /quitquitquit  sets quit_requested() — lets a linger loop (bench
 //                  --serve_linger_ms) be told to exit by the scraper
 
@@ -32,7 +32,7 @@ std::string RenderStatusz(TimeMicros uptime_us);
 
 class IntrospectionServer {
  public:
-  explicit IntrospectionServer(HttpServerOptions options = {});
+  IntrospectionServer();
   PJOIN_DISALLOW_COPY_AND_MOVE(IntrospectionServer);
 
   /// Starts serving on loopback:`port` (0 = ephemeral; see port()).

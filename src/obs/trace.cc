@@ -23,8 +23,8 @@ void TraceRing::Emit(const char* category, const char* name, TracePhase phase,
                      TimeMicros ts, int64_t value) {
   const int64_t idx = next_.load(std::memory_order_relaxed);
   Slot& slot = slots_[static_cast<size_t>(idx) % capacity_];
-  // Invalidate the slot first so a concurrent drain that catches the write
-  // mid-flight sees a sequence mismatch rather than a half-new event.
+  // Invalidate the slot first so a concurrent snapshot that catches the
+  // write mid-flight sees a sequence mismatch rather than a half-new event.
   slot.seq.store(-1, std::memory_order_release);
   slot.category.store(category, std::memory_order_relaxed);
   slot.name.store(name, std::memory_order_relaxed);
@@ -35,10 +35,10 @@ void TraceRing::Emit(const char* category, const char* name, TracePhase phase,
   next_.store(idx + 1, std::memory_order_release);
 }
 
-int64_t TraceRing::Collect(std::vector<TraceEvent>* out, int64_t from,
-                           int64_t end) const {
-  const int64_t cap = static_cast<int64_t>(capacity_);
-  const int64_t begin = std::max(from, std::max<int64_t>(0, end - cap));
+void TraceRing::Snapshot(std::vector<TraceEvent>* out) const {
+  const int64_t end = next_.load(std::memory_order_acquire);
+  const int64_t begin =
+      std::max<int64_t>(0, end - static_cast<int64_t>(capacity_));
   for (int64_t i = begin; i < end; ++i) {
     const Slot& slot = slots_[static_cast<size_t>(i) % capacity_];
     TraceEvent e;
@@ -54,22 +54,11 @@ int64_t TraceRing::Collect(std::vector<TraceEvent>* out, int64_t from,
     if (slot.seq.load(std::memory_order_acquire) != i) continue;
     out->push_back(e);
   }
-  return std::max<int64_t>(0, end - cap);
 }
 
-int64_t TraceRing::Snapshot(std::vector<TraceEvent>* out) const {
-  return Collect(out, 0, next_.load(std::memory_order_acquire));
-}
-
-int64_t TraceRing::Drain(std::vector<TraceEvent>* out) {
-  const int64_t from = drained_.load(std::memory_order_acquire);
-  // Bound the pass by the write index sampled *before* collecting: events a
-  // writer appends mid-collection stay un-drained for the next pass instead
-  // of being skipped but marked consumed.
-  const int64_t end = next_.load(std::memory_order_acquire);
-  const int64_t dropped = Collect(out, from, end);
-  drained_.store(std::max(from, end), std::memory_order_release);
-  return dropped;
+int64_t TraceRing::dropped() const {
+  return std::max<int64_t>(0, next_.load(std::memory_order_acquire) -
+                                  static_cast<int64_t>(capacity_));
 }
 
 Tracer& Tracer::Global() {
@@ -133,17 +122,6 @@ std::vector<std::pair<int32_t, std::string>> Tracer::ThreadNames() const {
   return names;
 }
 
-namespace {
-
-void SortByTimestamp(std::vector<TraceEvent>* events) {
-  std::stable_sort(events->begin(), events->end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.ts < b.ts;
-                   });
-}
-
-}  // namespace
-
 std::vector<TraceEvent> Tracer::Snapshot() const {
   std::vector<std::shared_ptr<TraceRing>> rings;
   {
@@ -154,38 +132,17 @@ std::vector<TraceEvent> Tracer::Snapshot() const {
   for (const auto& ring : rings) {
     ring->Snapshot(&events);
   }
-  SortByTimestamp(&events);
-  return events;
-}
-
-std::vector<TraceEvent> Tracer::Drain() {
-  std::vector<std::shared_ptr<TraceRing>> rings;
-  {
-    MutexLock lock(mu_);
-    rings = rings_;
-  }
-  std::vector<TraceEvent> events;
-  for (const auto& ring : rings) {
-    ring->Drain(&events);
-  }
-  SortByTimestamp(&events);
-  last_drain_us_.store(TraceNowMicros());
-  last_drain_count_.store(static_cast<int64_t>(events.size()));
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.ts < b.ts;
+                   });
   return events;
 }
 
 int64_t Tracer::dropped_events() const {
-  std::vector<std::shared_ptr<TraceRing>> rings;
-  {
-    MutexLock lock(mu_);
-    rings = rings_;
-  }
+  MutexLock lock(mu_);
   int64_t dropped = 0;
-  std::vector<TraceEvent> scratch;
-  for (const auto& ring : rings) {
-    scratch.clear();
-    dropped += ring->Snapshot(&scratch);
-  }
+  for (const auto& ring : rings_) dropped += ring->dropped();
   return dropped;
 }
 
@@ -194,14 +151,11 @@ void Tracer::ResetForTest() {
   MutexLock lock(mu_);
   rings_.clear();
   next_tid_ = 0;
-  last_drain_us_.store(0);
-  last_drain_count_.store(0);
 }
 
-void EmitEvent(const char* category, const char* name, TracePhase phase,
-               int64_t value) {
-  Tracer::Global().CurrentThreadRing()->Emit(category, name, phase,
-                                             TraceNowMicros(), value);
+void EmitInstant(const char* category, const char* name) {
+  Tracer::Global().CurrentThreadRing()->Emit(
+      category, name, TracePhase::kInstant, TraceNowMicros(), /*value=*/0);
 }
 
 ScopedSpan::~ScopedSpan() {

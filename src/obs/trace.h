@@ -2,9 +2,9 @@
 //
 // Each thread that emits events owns a fixed-size ring buffer; writers never
 // take a lock and never block. The global Tracer keeps the buffers registered
-// (they outlive their threads) and drains them without stopping writers: all
+// (they outlive their threads) and reads them without stopping writers: all
 // event payload fields are relaxed atomics, and each slot carries the global
-// write index it was filled for, so the drain detects and skips slots that a
+// write index it was filled for, so a snapshot detects and skips slots that a
 // wrapping writer overwrote mid-read. Overflow therefore keeps the *newest*
 // events and counts the dropped ones.
 //
@@ -13,8 +13,6 @@
 //   TRACE_SPAN(cat, name)             RAII span: a Chrome "X" (complete)
 //                                     event covering the enclosing scope.
 //   TRACE_INSTANT(cat, name)          a point-in-time "i" event.
-//   TRACE_COUNTER(cat, name, value)   a "C" counter sample (e.g. queue
-//                                     depth over time).
 //   TRACE_SET_THREAD_NAME(name)       labels the calling thread in trace
 //                                     exports ("router", "shard-3").
 //
@@ -57,11 +55,10 @@ namespace obs {
 enum class TracePhase : int32_t {
   kComplete = 0,   // "X": a span with start + duration
   kInstant = 1,    // "i": a point event
-  kCounter = 2,    // "C": a sampled counter value
 };
 
-/// One drained event. `value` is the duration (kComplete, microseconds) or
-/// the sampled value (kCounter); unused for kInstant.
+/// One recorded event. `value` is the duration (kComplete, microseconds);
+/// unused for kInstant.
 struct TraceEvent {
   const char* category = nullptr;
   const char* name = nullptr;
@@ -73,9 +70,9 @@ struct TraceEvent {
 };
 
 /// The per-thread ring. Single writer (the owning thread); any thread may
-/// drain concurrently. All payload fields are relaxed atomics and each slot
-/// re-publishes its global write index last, so a drain can detect slots the
-/// writer lapped and skip them instead of reporting torn events.
+/// read concurrently. All payload fields are relaxed atomics and each slot
+/// re-publishes its global write index last, so a snapshot can detect slots
+/// the writer lapped and skip them instead of reporting torn events.
 class TraceRing {
  public:
   explicit TraceRing(int32_t tid, size_t capacity);
@@ -85,17 +82,12 @@ class TraceRing {
             TimeMicros ts, int64_t value);
 
   /// Appends every event still resident (oldest first) to `out`, without
-  /// consuming anything. Returns the number of events that were overwritten
-  /// before they could be read (lifetime total).
-  int64_t Snapshot(std::vector<TraceEvent>* out) const;
+  /// consuming anything.
+  void Snapshot(std::vector<TraceEvent>* out) const;
 
-  /// Appends every event not yet consumed by a previous Drain (oldest
-  /// first) to `out` and advances the consumed watermark, so the next Drain
-  /// starts where this one ended. Returns the number of events lost to ring
-  /// overwrites before any reader saw them (lifetime total). Intended for
-  /// the export path; concurrent Drain callers race the watermark and
-  /// should coordinate.
-  int64_t Drain(std::vector<TraceEvent>* out);
+  /// Events overwritten so far (lifetime total): every write past the
+  /// ring's capacity displaced the oldest resident event.
+  int64_t dropped() const;
 
   int32_t tid() const { return tid_; }
   const std::string& thread_name() const { return thread_name_; }
@@ -111,20 +103,16 @@ class TraceRing {
     std::atomic<int64_t> value{0};
   };
 
-  int64_t Collect(std::vector<TraceEvent>* out, int64_t from,
-                  int64_t end) const;
-
   const int32_t tid_;
   const size_t capacity_;
   std::unique_ptr<Slot[]> slots_;
-  std::atomic<int64_t> next_{0};     // next global write index
-  std::atomic<int64_t> drained_{0};  // Drain()-consumed watermark
-  std::string thread_name_;          // written and read under Tracer::mu_
+  std::atomic<int64_t> next_{0};  // next global write index
+  std::string thread_name_;       // written and read under Tracer::mu_
 };
 
-/// Process-wide tracer: owns the thread rings, the recording switch, and the
-/// drain. Rings are registered on a thread's first event and deliberately
-/// kept after the thread exits so an end-of-run drain sees every event.
+/// Process-wide tracer: owns the thread rings and the recording switch.
+/// Rings are registered on a thread's first event and deliberately kept
+/// after the thread exits so an end-of-run export sees every event.
 class Tracer {
  public:
   static Tracer& Global();
@@ -137,20 +125,11 @@ class Tracer {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Non-destructive view of every ring, merged and sorted by timestamp —
-  /// the scrape path (/tracez): concurrent scrapers all see the same
-  /// resident events and never steal from the export.
+  /// Non-destructive view of every ring, merged and sorted by timestamp:
+  /// the one read path, shared by /tracez scrapes and the Chrome export.
   std::vector<TraceEvent> Snapshot() const EXCLUDES(mu_);
-  /// Consumes every not-yet-drained event, merged and sorted by timestamp —
-  /// the export path (Chrome trace): a second export does not re-emit what
-  /// the first already wrote. Records last_drain metadata.
-  std::vector<TraceEvent> Drain() EXCLUDES(mu_);
   /// Total events overwritten before a reader could see them.
   int64_t dropped_events() const EXCLUDES(mu_);
-  /// TraceNowMicros() timestamp of the most recent Drain (0 = never), and
-  /// the number of events it consumed.
-  TimeMicros last_drain_us() const { return last_drain_us_.load(); }
-  int64_t last_drain_count() const { return last_drain_count_.load(); }
 
   /// Names the calling thread in trace exports ("router", "shard-3"). The
   /// name waits in the thread until its first recorded event creates its
@@ -177,8 +156,6 @@ class Tracer {
 
   std::atomic<bool> enabled_{false};
   std::atomic<int64_t> generation_{0};
-  std::atomic<int64_t> last_drain_us_{0};
-  std::atomic<int64_t> last_drain_count_{0};
   mutable Mutex mu_;
   std::vector<std::shared_ptr<TraceRing>> rings_ GUARDED_BY(mu_);
   int32_t next_tid_ GUARDED_BY(mu_) = 0;
@@ -189,9 +166,8 @@ class Tracer {
 /// WallClock origins).
 TimeMicros TraceNowMicros();
 
-/// Emits one instant or counter event on the calling thread's ring.
-void EmitEvent(const char* category, const char* name, TracePhase phase,
-               int64_t value);
+/// Emits one instant event on the calling thread's ring.
+void EmitInstant(const char* category, const char* name);
 
 /// RAII span: captures the start time at construction and emits one complete
 /// event at destruction. Inert when the tracer is not recording.
@@ -221,20 +197,11 @@ class ScopedSpan {
 #define TRACE_SPAN(category, name) \
   ::pjoin::obs::ScopedSpan PJOIN_TRACE_CAT(pjoin_span_, __LINE__)(category, \
                                                                   name)
-#define TRACE_INSTANT(category, name)                                \
-  do {                                                               \
-    if (::pjoin::obs::Tracer::Global().enabled()) {                  \
-      ::pjoin::obs::EmitEvent(category, name,                        \
-                              ::pjoin::obs::TracePhase::kInstant, 0); \
-    }                                                                \
-  } while (0)
-#define TRACE_COUNTER(category, name, value)                          \
-  do {                                                                \
-    if (::pjoin::obs::Tracer::Global().enabled()) {                   \
-      ::pjoin::obs::EmitEvent(category, name,                         \
-                              ::pjoin::obs::TracePhase::kCounter,     \
-                              static_cast<int64_t>(value));           \
-    }                                                                 \
+#define TRACE_INSTANT(category, name)                  \
+  do {                                                 \
+    if (::pjoin::obs::Tracer::Global().enabled()) {    \
+      ::pjoin::obs::EmitInstant(category, name);       \
+    }                                                  \
   } while (0)
 #define TRACE_SET_THREAD_NAME(name)                                 \
   do {                                                              \
@@ -248,9 +215,6 @@ class ScopedSpan {
   } while (0)
 #define TRACE_INSTANT(category, name) \
   do {                                \
-  } while (0)
-#define TRACE_COUNTER(category, name, value) \
-  do {                                       \
   } while (0)
 #define TRACE_SET_THREAD_NAME(name) \
   do {                              \

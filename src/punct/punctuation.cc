@@ -17,6 +17,23 @@ Punctuation Punctuation::ForAttribute(size_t num_fields, size_t attr,
   return Punctuation(std::move(patterns));
 }
 
+Punctuation LiftToJoinOutput(int side, const Punctuation& punct,
+                             size_t left_width, size_t right_width,
+                             size_t left_key, size_t right_key) {
+  std::vector<Pattern> patterns(left_width + right_width,
+                                Pattern::Wildcard());
+  if (side == 0) {
+    for (size_t i = 0; i < left_width; ++i) patterns[i] = punct.pattern(i);
+    patterns[left_width + right_key] = punct.pattern(left_key);
+  } else {
+    for (size_t i = 0; i < right_width; ++i) {
+      patterns[left_width + i] = punct.pattern(i);
+    }
+    patterns[left_key] = punct.pattern(right_key);
+  }
+  return Punctuation(std::move(patterns));
+}
+
 Punctuation Punctuation::And(const Punctuation& a, const Punctuation& b) {
   PJOIN_DCHECK(a.num_patterns() == b.num_patterns());
   std::vector<Pattern> patterns;

@@ -57,6 +57,14 @@ class Punctuation {
   std::vector<Pattern> patterns_;
 };
 
+/// Lifts a punctuation of input `side` (0 = left, 1 = right) of an equi-join
+/// onto the join's output schema (the left fields, then the right): the
+/// side's patterns carry over, everything else is a wildcard, and the join
+/// predicate transfers the key pattern to the other side's key position.
+Punctuation LiftToJoinOutput(int side, const Punctuation& punct,
+                             size_t left_width, size_t right_width,
+                             size_t left_key, size_t right_key);
+
 }  // namespace pjoin
 
 #endif  // PJOIN_PUNCT_PUNCTUATION_H_

@@ -112,6 +112,13 @@ class PunctuationSet {
   [[nodiscard]] size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 
+  /// True if SetMatchKey can cover some key: a key-only punctuation with a
+  /// non-empty join-attribute pattern was ever added. Unlike empty(), this
+  /// outlives Remove.
+  [[nodiscard]] bool covers_any_key() const {
+    return !covered_values_.empty() || !covered_patterns_.empty();
+  }
+
   /// Approximate in-memory footprint in bytes.
   size_t ByteSize() const;
 

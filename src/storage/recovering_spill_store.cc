@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "common/macros.h"
 #include "common/mutex.h"
+#include "obs/metrics_registry.h"
 #include "storage/simulated_disk.h"
 
 namespace pjoin {
@@ -75,6 +76,8 @@ Status RecoveringSpillStore::FallBackLocked(const std::string& reason) {
 
   AddStats(&retired_stats_, primary_->io_stats());
   degraded_ = true;
+  // The same sticky gauge a degraded SpillManager sets: /healthz reads it.
+  obs::MetricsRegistry::Global().GetGauge("pjoin_spill_degraded", "").Set(1);
   if (sink_) {
     sink_(Event{EventType::kDegradedMode, 0, -1,
                 reason + "; migrated " +

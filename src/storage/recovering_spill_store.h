@@ -10,7 +10,8 @@
 //                 lose records across retries;
 //   3. fallback — when retries are exhausted the store migrates every
 //                 readable partition into an in-memory SimulatedDisk and
-//                 continues there, emitting a DegradedModeEvent.
+//                 continues there, emitting a DegradedModeEvent and setting
+//                 the sticky pjoin_spill_degraded gauge /healthz reads.
 // Only when data is genuinely unreadable (permanent read failure of
 // unmigrated pages) does an operation return an error: correctness is never
 // silently traded for availability.

@@ -154,7 +154,8 @@ class SpillManager {
   /// pjoin_spill_quarantined_partitions: (side, partition) slots in
   /// quarantine cooldown, maintained with Add(±1) on 0↔nonzero cooldown
   /// transitions, so managers sharing the cell stay additive;
-  /// pjoin_spill_degraded is sticky (any manager degrading sets it).
+  /// pjoin_spill_degraded is sticky (any manager degrading, or any
+  /// RecoveringSpillStore falling back, sets it).
   obs::Gauge quarantined_gauge_;
   obs::Gauge degraded_gauge_;
 };

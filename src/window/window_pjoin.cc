@@ -145,7 +145,11 @@ Status WindowPJoin::PropagateSide(int side) {
   for (const Punctuation& p : released) {
     ++puncts_emitted_;
     counters_.Add("puncts_propagated");
-    if (on_punct_) on_punct_(MakeOutputPunct(side, p));
+    if (on_punct_) {
+      on_punct_(LiftToJoinOutput(side, p, sides_[0].schema->num_fields(),
+                                 sides_[1].schema->num_fields(),
+                                 sides_[0].key_index, sides_[1].key_index));
+    }
   }
   return Status::OK();
 }
@@ -158,25 +162,6 @@ Status WindowPJoin::Finish() {
 void WindowPJoin::EmitResult(const Tuple& left, const Tuple& right) {
   ++results_emitted_;
   if (on_result_) on_result_(Tuple::Concat(left, right, output_schema_));
-}
-
-Punctuation WindowPJoin::MakeOutputPunct(int side,
-                                         const Punctuation& punct) const {
-  const size_t left_width = sides_[0].schema->num_fields();
-  const size_t right_width = sides_[1].schema->num_fields();
-  std::vector<Pattern> patterns(left_width + right_width,
-                                Pattern::Wildcard());
-  if (side == 0) {
-    for (size_t i = 0; i < left_width; ++i) patterns[i] = punct.pattern(i);
-    patterns[left_width + sides_[1].key_index] =
-        punct.pattern(sides_[0].key_index);
-  } else {
-    for (size_t i = 0; i < right_width; ++i) {
-      patterns[left_width + i] = punct.pattern(i);
-    }
-    patterns[sides_[0].key_index] = punct.pattern(sides_[1].key_index);
-  }
-  return Punctuation(std::move(patterns));
 }
 
 }  // namespace pjoin

@@ -89,7 +89,6 @@ class WindowPJoin {
   Status PropagateSide(int side);
 
   void EmitResult(const Tuple& left, const Tuple& right);
-  Punctuation MakeOutputPunct(int side, const Punctuation& punct) const;
 
   int PartitionOf(const SideState& s, const Value& key) const;
 

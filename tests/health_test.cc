@@ -1,9 +1,9 @@
 // Tests for the stall-diagnosis layer (src/obs/health.*): classification of
-// each shard's dispatch gauge on synthetic clocks, the report JSON, a failed
-// run that must leave no lag behind, the end-to-end forced-stall pipeline (a
-// gated shard join flips /healthz to 503 with a root-cause chain naming the
-// shard, then recovers to 200), and a concurrent scrape-during-run test that
-// runs under TSan in CI.
+// each shard's dispatch gauge on synthetic clocks, the spill-degraded signal
+// from both of its writers, the report JSON, a failed run that must leave no
+// lag behind, the end-to-end forced-stall pipeline (a gated shard join flips
+// /healthz to 503 with a root-cause chain naming the shard, then recovers to
+// 200), and a concurrent scrape-during-run test that runs under TSan in CI.
 //
 // The raw client sockets below are the test's HTTP client; the raw-socket
 // lint rule is src/-only, so tests may speak to the server directly.
@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "fault/fault_injector.h"
+#include "fault/faulty_spill_store.h"
 #include "gen/stream_generator.h"
 #include "join/pjoin.h"
 #include "json_test_util.h"
@@ -32,6 +34,8 @@
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "ops/parallel_pipeline.h"
+#include "storage/recovering_spill_store.h"
+#include "storage/simulated_disk.h"
 #include "test_util.h"
 
 namespace pjoin {
@@ -88,30 +92,32 @@ std::string Body(const std::string& response) {
   return pos == std::string::npos ? "" : response.substr(pos + 4);
 }
 
-// Every test here shares the process-global monitor, registry and tracer;
-// reset them all so leakage between tests (and from other suites in this
-// binary) cannot flip a verdict.
+// Every test here shares the process-global registry and tracer; reset both
+// so leakage between tests (and from other suites in this binary) cannot
+// flip a verdict.
 class HealthTest : public ::testing::Test {
  protected:
   void SetUp() override { ResetAll(); }
   void TearDown() override { ResetAll(); }
 
   static void ResetAll() {
-    obs::HealthMonitor::Global().ResetForTest();
     obs::MetricsRegistry::Global().ResetForTest();
     obs::Tracer::Global().Stop();
     obs::Tracer::Global().ResetForTest();
   }
 };
 
-// ---- EvaluateNow classification (synthetic clocks, no threads) ----
+// ---- EvaluateHealth classification (synthetic clocks, no threads) ----
 
-obs::HealthOptions TightThresholds() {
-  obs::HealthOptions options;
-  options.stall_threshold_us = 1000000;    // 1s
-  options.degraded_threshold_us = 250000;  // 250ms
-  return options;
+/// The verdict on the global registry as it stands, at `now_us`.
+obs::HealthReport EvaluateGlobal(TimeMicros now_us) {
+  return obs::EvaluateHealth(obs::MetricsRegistry::Global().Snapshot(),
+                             now_us);
 }
+
+constexpr char kSpillCause[] =
+    "spill storage degraded (global-threshold spill victims or fallback "
+    "store active)";
 
 /// Publishes shard `shard`'s dispatch gauge as its worker does.
 void SetDispatch(int shard, TimeMicros dispatch_us) {
@@ -122,15 +128,13 @@ void SetDispatch(int shard, TimeMicros dispatch_us) {
 }
 
 TEST_F(HealthTest, ClassifiesStalledWithRootCauseChain) {
-  obs::HealthMonitor& monitor = obs::HealthMonitor::Global();
-  monitor.Configure(TightThresholds());
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   SetDispatch(2, 1000);
   registry.GetGauge("pjoin_ring_occupancy", "edge=shard_2").Set(31);
   registry.GetGauge("pjoin_punct_pending_rounds", "pipeline=parallel").Set(3);
   const size_t registered = registry.Snapshot().size();
   const obs::HealthReport report =
-      monitor.EvaluateNow(/*now_us=*/1000 + 2000000);  // 2s behind
+      EvaluateGlobal(/*now_us=*/1000 + 2000000);  // 2s behind
   EXPECT_EQ(report.status, obs::HealthStatus::kStalled);
   EXPECT_EQ(report.stalled_frontiers, 1);
   ASSERT_EQ(report.causes.size(), 1u);
@@ -146,12 +150,10 @@ TEST_F(HealthTest, ClassifiesStalledWithRootCauseChain) {
 }
 
 TEST_F(HealthTest, ModerateLagIsDegradedNotStalled) {
-  obs::HealthMonitor& monitor = obs::HealthMonitor::Global();
-  monitor.Configure(TightThresholds());
   SetDispatch(0, 1000);
   SetDispatch(1, 0);  // idle: its ring is empty
   const obs::HealthReport report =
-      monitor.EvaluateNow(/*now_us=*/1000 + 500000);  // 500ms: in the band
+      EvaluateGlobal(/*now_us=*/1000 + 500000);  // 500ms: in the band
   EXPECT_EQ(report.status, obs::HealthStatus::kDegraded);
   EXPECT_EQ(report.stalled_frontiers, 0);
   EXPECT_EQ(report.degraded_signals, 1);
@@ -162,32 +164,45 @@ TEST_F(HealthTest, ModerateLagIsDegradedNotStalled) {
 
 TEST_F(HealthTest, UnfiredPurgesAloneNeverFlipTheVerdict) {
   // Lazy purge makes a pending purge set normal: informational only.
-  obs::HealthMonitor& monitor = obs::HealthMonitor::Global();
-  monitor.Configure(TightThresholds());
   obs::MetricsRegistry::Global()
       .GetGauge("pjoin_puncts_since_purge", "pipeline=parallel,shard=0")
       .Set(3);
-  const obs::HealthReport report = monitor.EvaluateNow(/*now_us=*/99000000);
+  const obs::HealthReport report = EvaluateGlobal(/*now_us=*/99000000);
   EXPECT_EQ(report.status, obs::HealthStatus::kOk);
   EXPECT_EQ(report.unfired_purges, 3);
 }
 
 TEST_F(HealthTest, SpillDegradationIsADegradedSignal) {
-  obs::HealthMonitor& monitor = obs::HealthMonitor::Global();
-  monitor.Configure(TightThresholds());
   obs::MetricsRegistry::Global().GetGauge("pjoin_spill_degraded").Set(1);
-  const obs::HealthReport report = monitor.EvaluateNow(/*now_us=*/1000);
+  const obs::HealthReport report = EvaluateGlobal(/*now_us=*/1000);
   EXPECT_EQ(report.status, obs::HealthStatus::kDegraded);
+  EXPECT_EQ(report.degraded_signals, 1);
   ASSERT_EQ(report.causes.size(), 1u);
-  EXPECT_NE(report.causes[0].find("spill storage degraded"),
-            std::string::npos);
+  EXPECT_EQ(report.causes[0], kSpillCause);
+}
+
+// A spill store that gives up on its primary and continues on the fallback
+// store is a degraded-mode signal, as a spill manager on global-threshold
+// victims is: both set the same sticky gauge.
+TEST_F(HealthTest, SpillStoreFallbackIsDegraded) {
+  IoFaultSpec spec;
+  spec.permanent_write_failure_after = 0;  // every append to the primary fails
+  RecoveringSpillStore store(std::make_unique<FaultySpillStore>(
+      std::make_unique<SimulatedDisk>(), spec,
+      std::make_shared<FaultInjector>(/*seed=*/1)));
+  ASSERT_TRUE(store.AppendBatch(0, {"r0", "r1"}).ok());
+  ASSERT_TRUE(store.degraded());
+
+  const obs::HealthReport report = EvaluateGlobal(/*now_us=*/1000);
+  EXPECT_EQ(report.status, obs::HealthStatus::kDegraded) << report.ToJson();
+  EXPECT_EQ(report.degraded_signals, 1);
+  ASSERT_EQ(report.causes.size(), 1u);
+  EXPECT_EQ(report.causes[0], kSpillCause);
 }
 
 TEST_F(HealthTest, ReportJsonIsParseableAndComplete) {
-  obs::HealthMonitor& monitor = obs::HealthMonitor::Global();
-  monitor.Configure(TightThresholds());
   SetDispatch(1, 1000);
-  obs::HealthReport report = monitor.EvaluateNow(/*now_us=*/5000000);
+  obs::HealthReport report = EvaluateGlobal(/*now_us=*/5000000);
   JsonValue root;
   ASSERT_TRUE(JsonParser(report.ToJson()).Parse(&root)) << report.ToJson();
   EXPECT_EQ(root.Find("status")->str, "stalled");
@@ -235,8 +250,8 @@ TEST_F(HealthTest, FailedRunLeavesNoLagBehind) {
   const Status st = pipeline.Run(l, r);
   ASSERT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
 
-  const obs::HealthReport report = obs::HealthMonitor::Global().EvaluateNow(
-      obs::TraceNowMicros() + 60 * kMicrosPerSecond);
+  const obs::HealthReport report =
+      EvaluateGlobal(obs::TraceNowMicros() + 60 * kMicrosPerSecond);
   EXPECT_EQ(report.status, obs::HealthStatus::kOk) << report.ToJson();
   EXPECT_EQ(report.stalled_frontiers, 0);
   EXPECT_EQ(report.frontiers.size(), 2u);
@@ -280,12 +295,6 @@ TEST_F(HealthTest, HealthzFlipsTo503OnStallAndRecoversTo200) {
     results.push_back(t.ToString());
   });
 
-  obs::HealthOptions hopts;
-  hopts.period_us = 10000;             // 10ms
-  hopts.stall_threshold_us = 100000;   // 100ms
-  hopts.degraded_threshold_us = 50000;
-  obs::HealthMonitor::Global().Start(hopts);
-
   obs::IntrospectionServer server;
   ASSERT_TRUE(server.Start(0).ok());
 
@@ -297,8 +306,9 @@ TEST_F(HealthTest, HealthzFlipsTo503OnStallAndRecoversTo200) {
     EXPECT_TRUE(st.ok()) << st.ToString();
   });
 
-  // The gate wedges the shard behind the routed punctuations; within a few
-  // watchdog periods /healthz must flip to 503 naming shard 0.
+  // The gate wedges the shard behind the routed punctuations; once the
+  // shard trails the router by kStallThresholdUs, /healthz must flip to 503
+  // naming shard 0. The gate stays shut until a probe has seen it.
   std::string stalled_response;
   for (int i = 0; i < 1000; ++i) {
     stalled_response = Get(server.port(), "/healthz");
@@ -318,21 +328,6 @@ TEST_F(HealthTest, HealthzFlipsTo503OnStallAndRecoversTo200) {
   }
   EXPECT_TRUE(named) << Body(stalled_response);
 
-  // /debug/stalls sees the same verdict while it is current.
-  const std::string stalls_page = Get(server.port(), "/debug/stalls");
-  EXPECT_NE(stalls_page.find("current: stalled"), std::string::npos)
-      << stalls_page;
-
-  // /healthz evaluates freshly per request; history and the counter are
-  // recorded by the watchdog's periodic pass.
-  // Hold the gate until the watchdog has seen the stall too, so recovery
-  // below cannot race it out of ever observing the stalled state.
-  for (int i = 0; i < 1000; ++i) {
-    if (!obs::HealthMonitor::Global().StallHistory().empty()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_FALSE(obs::HealthMonitor::Global().StallHistory().empty());
-
   // Release the shard: the run completes and the frontier catches up.
   gate.Open();
   runner.join();
@@ -348,30 +343,13 @@ TEST_F(HealthTest, HealthzFlipsTo503OnStallAndRecoversTo200) {
     EXPECT_EQ(results.size(), 2u);  // both keys matched once
   }
 
-  obs::HealthMonitor::Global().Stop();
   server.Stop();
-
-  // The watchdog recorded the transition: history, counter.
-  const std::vector<obs::HealthReport> history =
-      obs::HealthMonitor::Global().StallHistory();
-  ASSERT_FALSE(history.empty());
-  EXPECT_EQ(history[0].status, obs::HealthStatus::kStalled);
-  EXPECT_GE(obs::MetricsRegistry::Global()
-                .GetCounter("pjoin_stalls_diagnosed_total")
-                .Get(),
-            1);
-  // The watchdog fed the shard's lag histogram while the stall lasted.
-  EXPECT_GT(obs::MetricsRegistry::Global()
-                .GetHistogram("pjoin_frontier_lag_seconds", "shard=0",
-                              /*unit_scale=*/1e-6)
-                .Count(),
-            0);
 }
 
 // ---- Concurrent scrape (the TSan leg) ----
 
-// A real pipeline run, scraped concurrently by the watchdog thread,
-// /healthz probes and direct EvaluateNow calls. Run under TSan in CI: the
+// A real pipeline run, scraped concurrently by /healthz probes and direct
+// EvaluateHealth calls on live registry snapshots. Run under TSan in CI: the
 // assertion is the absence of data races between the health read path and
 // the router/shard/merger write path.
 TEST_F(HealthTest, ConcurrentScrapeDuringRunIsSafe) {
@@ -383,9 +361,6 @@ TEST_F(HealthTest, ConcurrentScrapeDuringRunIsSafe) {
   spec.flush_punctuations_at_end = true;
   GeneratedStreams streams = GenerateStreams(domain, spec, spec, /*seed=*/42);
 
-  obs::HealthOptions hopts;
-  hopts.period_us = 1000;  // 1ms: hammer the read path
-  obs::HealthMonitor::Global().Start(hopts);
   obs::IntrospectionServer server;
   ASSERT_TRUE(server.Start(0).ok());
 
@@ -407,21 +382,19 @@ TEST_F(HealthTest, ConcurrentScrapeDuringRunIsSafe) {
     const Status st = pipeline.Run(streams.a, streams.b);
     EXPECT_TRUE(st.ok()) << st.ToString();
   });
-  // Scrape every surface the watchdog also reads until the run finishes.
+  // Evaluate live snapshots and scrape /healthz until the run finishes.
   std::atomic<bool> done{false};
   std::thread scraper([&] {
     while (!done.load()) {
       const obs::HealthReport report =
-          obs::HealthMonitor::Global().EvaluateNow();
+          EvaluateGlobal(obs::TraceNowMicros());
       EXPECT_NE(HealthStatusName(report.status), nullptr);
       EXPECT_FALSE(Get(server.port(), "/healthz").empty());
-      EXPECT_FALSE(Get(server.port(), "/debug/stalls").empty());
     }
   });
   runner.join();
   done.store(true);
   scraper.join();
-  obs::HealthMonitor::Global().Stop();
   server.Stop();
   EXPECT_GT(results.load(), 0);
 }

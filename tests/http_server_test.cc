@@ -119,11 +119,9 @@ TEST(HttpServerTest, MalformedRequestLineIs400) {
 }
 
 TEST(HttpServerTest, OversizeRequestIs431) {
-  obs::HttpServerOptions options;
-  options.max_request_bytes = 256;
-  obs::HttpServer server(options);
+  obs::HttpServer server;
   ASSERT_TRUE(server.Start(0).ok());
-  const std::string big_header(1024, 'x');
+  const std::string big_header(2 * obs::HttpServer::kMaxRequestBytes, 'x');
   const std::string response = RawRequest(
       server.port(),
       "GET / HTTP/1.1\r\nX-Padding: " + big_header + "\r\n\r\n");

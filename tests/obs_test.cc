@@ -337,18 +337,27 @@ TEST(IntrospectionTest, StatuszShowsUptimeBuildAndGauges) {
 
 // ---- TraceRing ----
 
-TEST(TraceRingTest, DrainReturnsEventsOldestFirst) {
+// A snapshot returns the resident events oldest first and consumes nothing:
+// a second snapshot sees the same events plus what arrived since.
+TEST(TraceRingTest, SnapshotReturnsEventsOldestFirst) {
   obs::TraceRing ring(/*tid=*/5, /*capacity=*/8);
   for (int64_t i = 0; i < 4; ++i) {
-    ring.Emit("cat", "name", obs::TracePhase::kCounter, /*ts=*/i * 10, i);
+    ring.Emit("cat", "name", obs::TracePhase::kComplete, /*ts=*/i * 10, i);
   }
   std::vector<obs::TraceEvent> events;
-  EXPECT_EQ(ring.Drain(&events), 0);  // nothing dropped
+  ring.Snapshot(&events);
+  EXPECT_EQ(ring.dropped(), 0);
   ASSERT_EQ(events.size(), 4u);
   for (int64_t i = 0; i < 4; ++i) {
     EXPECT_EQ(events[static_cast<size_t>(i)].value, i);
     EXPECT_EQ(events[static_cast<size_t>(i)].tid, 5);
   }
+  ring.Emit("cat", "name", obs::TracePhase::kComplete, /*ts=*/40, 99);
+  std::vector<obs::TraceEvent> again;
+  ring.Snapshot(&again);
+  ASSERT_EQ(again.size(), 5u);
+  EXPECT_EQ(again[0].value, 0);
+  EXPECT_EQ(again[4].value, 99);
 }
 
 TEST(TraceRingTest, OverflowKeepsNewestEventsAndCountsDropped) {
@@ -356,43 +365,17 @@ TEST(TraceRingTest, OverflowKeepsNewestEventsAndCountsDropped) {
   constexpr int64_t kEmitted = 20;
   obs::TraceRing ring(/*tid=*/0, kCapacity);
   for (int64_t i = 0; i < kEmitted; ++i) {
-    ring.Emit("cat", "name", obs::TracePhase::kCounter, /*ts=*/i, i);
+    ring.Emit("cat", "name", obs::TracePhase::kComplete, /*ts=*/i, i);
   }
   std::vector<obs::TraceEvent> events;
-  const int64_t dropped = ring.Drain(&events);
-  EXPECT_EQ(dropped, kEmitted - kCapacity);
+  ring.Snapshot(&events);
+  EXPECT_EQ(ring.dropped(), kEmitted - kCapacity);
   ASSERT_EQ(events.size(), static_cast<size_t>(kCapacity));
   // The survivors are exactly the newest kCapacity events, oldest first.
   for (int64_t i = 0; i < kCapacity; ++i) {
     EXPECT_EQ(events[static_cast<size_t>(i)].value,
               kEmitted - kCapacity + i);
   }
-}
-
-// A Snapshot never consumes: repeated snapshots see the same resident
-// events, while Drain advances the consumed watermark (the /tracez vs.
-// Chrome-export split).
-TEST(TraceRingTest, SnapshotIsNonDestructiveDrainConsumes) {
-  obs::TraceRing ring(/*tid=*/0, /*capacity=*/8);
-  for (int64_t i = 0; i < 4; ++i) {
-    ring.Emit("cat", "name", obs::TracePhase::kCounter, /*ts=*/i, i);
-  }
-  std::vector<obs::TraceEvent> snap1, snap2, drained, rest;
-  EXPECT_EQ(ring.Snapshot(&snap1), 0);
-  EXPECT_EQ(ring.Snapshot(&snap2), 0);
-  EXPECT_EQ(snap1.size(), 4u);
-  EXPECT_EQ(snap2.size(), 4u);  // the first snapshot stole nothing
-  EXPECT_EQ(ring.Drain(&drained), 0);
-  EXPECT_EQ(drained.size(), 4u);
-  // A second drain only returns what arrived since the first.
-  ring.Emit("cat", "name", obs::TracePhase::kCounter, /*ts=*/10, 99);
-  EXPECT_EQ(ring.Drain(&rest), 0);
-  ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest[0].value, 99);
-  // Snapshot still sees everything resident, drained or not.
-  std::vector<obs::TraceEvent> snap3;
-  EXPECT_EQ(ring.Snapshot(&snap3), 0);
-  EXPECT_EQ(snap3.size(), 5u);
 }
 
 // ---- Tracer ----
@@ -413,7 +396,7 @@ TEST_F(TracerTest, EventsWhileStoppedAreDropped) {
   {
     TRACE_SPAN("test", "span_before_start");
   }
-  EXPECT_TRUE(obs::Tracer::Global().Drain().empty());
+  EXPECT_TRUE(obs::Tracer::Global().Snapshot().empty());
 }
 
 TEST_F(TracerTest, SpansCarryNonNegativeDuration) {
@@ -423,7 +406,8 @@ TEST_F(TracerTest, SpansCarryNonNegativeDuration) {
     TRACE_INSTANT("test", "inside");
   }
   obs::Tracer::Global().Stop();
-  const std::vector<obs::TraceEvent> events = obs::Tracer::Global().Drain();
+  const std::vector<obs::TraceEvent> events =
+      obs::Tracer::Global().Snapshot();
   ASSERT_EQ(events.size(), 2u);
   bool saw_span = false;
   for (const obs::TraceEvent& e : events) {
@@ -450,10 +434,11 @@ TEST_F(TracerTest, ThreadNamesAreExported) {
   EXPECT_EQ(names[0].second, "main-test");
 }
 
-// Writers emit through the macros while the main thread drains concurrently;
-// run under TSan in CI. Drained events must never be torn (a null name or
-// category would mean a half-written slot escaped the seq check).
-TEST_F(TracerTest, ConcurrentEmitAndDrainIsSafe) {
+// Writers emit through the macros while the main thread snapshots
+// concurrently; run under TSan in CI. Snapshot events must never be torn (a
+// null name or category would mean a half-written slot escaped the seq
+// check).
+TEST_F(TracerTest, ConcurrentEmitAndSnapshotIsSafe) {
   obs::Tracer::Global().Start();
   constexpr int kThreads = 4;
   constexpr int kEventsPerThread = 20000;
@@ -462,38 +447,42 @@ TEST_F(TracerTest, ConcurrentEmitAndDrainIsSafe) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([] {
       for (int i = 0; i < kEventsPerThread; ++i) {
-        TRACE_COUNTER("test", "spin", i);
+        TRACE_INSTANT("test", "spin");
         if (i % 64 == 0) {
           TRACE_SPAN("test", "chunk");
         }
       }
     });
   }
-  // Drain consumes: each call returns only what arrived since the last
-  // one, so the assertions cover the union of every drain (a slow mid-run
-  // drain can legitimately leave nothing for the final one).
-  size_t total = 0;
-  auto check_drain = [&total](const std::vector<obs::TraceEvent>& events) {
-    total += events.size();
+  constexpr size_t kEmitted =
+      static_cast<size_t>(kThreads) *
+      (kEventsPerThread + (kEventsPerThread + 63) / 64);
+  auto check = [](const std::vector<obs::TraceEvent>& events) {
     for (const obs::TraceEvent& e : events) {
       ASSERT_NE(e.name, nullptr);
       ASSERT_NE(e.category, nullptr);
       ASSERT_GE(static_cast<int32_t>(e.phase), 0);
-      ASSERT_LE(static_cast<int32_t>(e.phase), 2);
+      ASSERT_LE(static_cast<int32_t>(e.phase), 1);
     }
     for (size_t i = 1; i < events.size(); ++i) {
-      EXPECT_LE(events[i - 1].ts, events[i].ts);  // drain sorts by timestamp
+      EXPECT_LE(events[i - 1].ts, events[i].ts);  // sorted by timestamp
     }
   };
   for (int i = 0; i < 50; ++i) {
-    check_drain(obs::Tracer::Global().Drain());
+    const std::vector<obs::TraceEvent> events =
+        obs::Tracer::Global().Snapshot();
+    check(events);
+    EXPECT_LE(events.size(), kEmitted);
   }
   for (std::thread& w : writers) w.join();
   obs::Tracer::Global().Stop();
-  check_drain(obs::Tracer::Global().Drain());
-  EXPECT_GT(total, 0u);
-  EXPECT_LE(total, static_cast<size_t>(kThreads) *
-                       (kEventsPerThread + kEventsPerThread / 64 + 1));
+  // Once the writers are done, the snapshot holds every resident event: all
+  // of them, less what the rings dropped.
+  const std::vector<obs::TraceEvent> events = obs::Tracer::Global().Snapshot();
+  check(events);
+  EXPECT_EQ(events.size() + static_cast<size_t>(
+                                obs::Tracer::Global().dropped_events()),
+            kEmitted);
 }
 
 // ---- Chrome trace export ----
@@ -505,12 +494,17 @@ TEST_F(TracerTest, ChromeTraceExportIsValidAndComplete) {
   {
     TRACE_SPAN("cat_span", "a_span");
   }
+  {
+    TRACE_SPAN("cat_span", "b_span");
+  }
   TRACE_INSTANT("cat_inst", "an_instant");
-  TRACE_COUNTER("cat_ctr", "a_counter", 17);
   tracer.Stop();
 
+  // A /tracez scrape reads the same snapshot and takes nothing from the
+  // export that follows it.
+  EXPECT_EQ(tracer.Snapshot().size(), 3u);
   std::ostringstream os;
-  obs::WriteChromeTrace(os, tracer.Drain(), tracer.ThreadNames());
+  obs::WriteChromeTrace(os, tracer.Snapshot(), tracer.ThreadNames());
   const std::string json = os.str();
 
   JsonValue root;
@@ -521,8 +515,8 @@ TEST_F(TracerTest, ChromeTraceExportIsValidAndComplete) {
   // 1 thread-name metadata record + 3 events.
   ASSERT_EQ(trace_events->array.size(), 4u);
 
-  bool saw_meta = false, saw_span = false, saw_instant = false,
-       saw_counter = false;
+  bool saw_meta = false, saw_instant = false;
+  std::vector<std::string> spans;
   for (const JsonValue& e : trace_events->array) {
     const JsonValue* ph = e.Find("ph");
     ASSERT_NE(ph, nullptr);
@@ -532,8 +526,7 @@ TEST_F(TracerTest, ChromeTraceExportIsValidAndComplete) {
       saw_meta = true;
       EXPECT_EQ(e.Find("args")->Find("name")->str, "escape \"this\" \\ name");
     } else if (ph->str == "X") {
-      saw_span = true;
-      EXPECT_EQ(e.Find("name")->str, "a_span");
+      spans.push_back(e.Find("name")->str);
       EXPECT_EQ(e.Find("cat")->str, "cat_span");
       ASSERT_NE(e.Find("dur"), nullptr);
       EXPECT_GE(e.Find("dur")->number, 0.0);
@@ -542,45 +535,14 @@ TEST_F(TracerTest, ChromeTraceExportIsValidAndComplete) {
       saw_instant = true;
       EXPECT_EQ(e.Find("name")->str, "an_instant");
       EXPECT_EQ(e.Find("s")->str, "t");
-    } else if (ph->str == "C") {
-      saw_counter = true;
-      EXPECT_EQ(e.Find("name")->str, "a_counter");
-      EXPECT_EQ(e.Find("args")->Find("value")->number, 17.0);
     } else {
       FAIL() << "unexpected phase " << ph->str;
     }
   }
   EXPECT_TRUE(saw_meta);
-  EXPECT_TRUE(saw_span);
   EXPECT_TRUE(saw_instant);
-  EXPECT_TRUE(saw_counter);
-}
-
-// A /tracez scrape (Snapshot) must not steal events from the Chrome export
-// (Drain), and the export records when it ran and how much it took.
-TEST_F(TracerTest, ScrapeDoesNotStealFromExportAndDrainRecordsMetadata) {
-  obs::Tracer& tracer = obs::Tracer::Global();
-  EXPECT_EQ(tracer.last_drain_us(), 0);  // "never"
-  tracer.Start();
-  TRACE_INSTANT("test", "one");
-  TRACE_INSTANT("test", "two");
-  TRACE_INSTANT("test", "three");
-  tracer.Stop();
-
-  // Two scrapes in a row see the same events.
-  EXPECT_EQ(tracer.Snapshot().size(), 3u);
-  EXPECT_EQ(tracer.Snapshot().size(), 3u);
-  EXPECT_EQ(tracer.last_drain_us(), 0);  // scrapes are not drains
-
-  // The export still gets everything, and stamps the metadata.
-  EXPECT_EQ(tracer.Drain().size(), 3u);
-  EXPECT_GT(tracer.last_drain_us(), 0);
-  EXPECT_EQ(tracer.last_drain_count(), 3);
-
-  // A second export does not re-emit; a scrape still sees the residents.
-  EXPECT_TRUE(tracer.Drain().empty());
-  EXPECT_EQ(tracer.last_drain_count(), 0);
-  EXPECT_EQ(tracer.Snapshot().size(), 3u);
+  // Spans come out in timestamp order.
+  EXPECT_EQ(spans, (std::vector<std::string>{"a_span", "b_span"}));
 }
 
 // A traced run keeps every event it records. The shard thread's trace
@@ -618,7 +580,7 @@ TEST_F(TracerTest, TracedShardRunDropsNoEvents) {
   EXPECT_EQ(tracer.dropped_events(), 0);
   int64_t batch_spans = 0;
   int64_t purge_spans = 0;
-  for (const obs::TraceEvent& e : tracer.Drain()) {
+  for (const obs::TraceEvent& e : tracer.Snapshot()) {
     if (e.phase != obs::TracePhase::kComplete) continue;
     const std::string_view name(e.name);
     if (name == "shard_batch") ++batch_spans;

@@ -256,6 +256,38 @@ TEST(PJoinTest, PurgeAppliesPunctuationsPropagatedBeforeIt) {
   }
 }
 
+// Propagation removes a released punctuation from its set but not its key
+// coverage, so a later purge must still apply it to the opposite state,
+// even when the set holds no punctuation at purge time, in either purge
+// mode.
+TEST(PJoinTest, PurgeAppliesPunctuationsPropagationRemoved) {
+  SchemaPtr sa = KeyPayloadSchema("a");
+  SchemaPtr sb = KeyPayloadSchema("b");
+  for (const PurgeMode mode : {PurgeMode::kScan, PurgeMode::kIndexed}) {
+    SCOPED_TRACE(mode == PurgeMode::kScan ? "scan" : "indexed");
+    JoinOptions opts;
+    opts.purge_mode = mode;
+    opts.runtime.purge_threshold = 2;
+    opts.runtime.propagate_count_threshold = 1;
+    PJoin join(sa, sb, opts);
+    ASSERT_TRUE(
+        join.OnElement(1, StreamElement::MakeTuple(KP(sb, 1, 0), 1000, 0))
+            .ok());
+    ASSERT_TRUE(join.OnElement(0, StreamElement::MakePunctuation(
+                                      KeyPunct(1), 2000, 0))
+                    .ok());
+    // Released at once (no left tuple on key 1) and removed from its set.
+    EXPECT_TRUE(join.punct_set(0).empty());
+    // The second punctuation reaches the purge threshold.
+    ASSERT_TRUE(join.OnElement(1, StreamElement::MakePunctuation(
+                                      KeyPunct(2), 3000, 1))
+                    .ok());
+    EXPECT_EQ(join.counters().Get("purge_runs"), 1);
+    EXPECT_EQ(join.state(1).memory_tuples(), 0);
+    EXPECT_EQ(join.counters().Get("purged_tuples"), 1);
+  }
+}
+
 TEST(PJoinTest, ValidatePrefixRejectsBadStream) {
   SchemaPtr sa = KeyPayloadSchema("a");
   SchemaPtr sb = KeyPayloadSchema("b");
